@@ -10,7 +10,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -23,20 +22,11 @@ from extcalc import (
 )
 
 
-@dataclass
-class SoakConfig:
-    pairs: int = 5000
-    max_dim: int = 5
-    bound: int = 20
-    seed: int = 0
-    report_every: int = 1000
-
-
-def random_relations(rng: random.Random, cfg: SoakConfig) -> IntMatrix:
-    rows = rng.randint(0, cfg.max_dim)
-    cols = rng.randint(0, cfg.max_dim)
+def random_relations(rng: random.Random, max_dim: int, bound: int) -> IntMatrix:
+    rows = rng.randint(0, max_dim)
+    cols = rng.randint(0, max_dim)
     return IntMatrix.from_rows(
-        [[rng.randint(-cfg.bound, cfg.bound) for _ in range(cols)] for _ in range(rows)],
+        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
 
@@ -48,15 +38,14 @@ def main() -> int:
     parser.add_argument("--bound", type=int, default=20, help="entry magnitude bound")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report-every", type=int, default=1000)
-    ns = parser.parse_args()
-    cfg = SoakConfig(ns.pairs, ns.max_dim, ns.bound, ns.seed, ns.report_every)
+    cfg = parser.parse_args()
 
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
     mismatches = 0
     for i in range(1, cfg.pairs + 1):
-        rel_a = random_relations(rng, cfg)
-        rel_b = random_relations(rng, cfg)
+        rel_a = random_relations(rng, cfg.max_dim, cfg.bound)
+        rel_b = random_relations(rng, cfg.max_dim, cfg.bound)
         a = group_from_presentation(rel_a.cols, rel_a)
         b = group_from_presentation(rel_b.cols, rel_b)
         for op, table, oracle in (

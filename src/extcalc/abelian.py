@@ -17,7 +17,8 @@ The module also implements the Bockstein basis sigma(G) -- the set of
 "test groups" Q, Z/p, Z/p^oo, Z_(p) that detect G in homological dimension
 theory -- together with its closure tau(G).  Although sigma(G) speaks about
 infinitely many primes, all but finitely many behave identically, so a
-default pattern plus finitely many exceptions represents it exactly.
+default pattern plus finitely many exceptions represents it exactly; the
+same shape, PrimeIndexed, also carries Bockstein functions and wedges.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from typing import Generic, NamedTuple, TypeVar
 
 from sympy import isprime, nextprime
 
@@ -213,13 +216,6 @@ def fresh_prime(used) -> int:
     while p in used:
         p = int(nextprime(p))
     return p
-
-
-def iter_primes():
-    p = 2
-    while True:
-        yield p
-        p = int(nextprime(p))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +419,72 @@ def _tor_atoms(a: Atom, b: Atom) -> Atom | None:
 
 
 # ---------------------------------------------------------------------------
+# Values indexed by Q and the primes.
+
+
+R = TypeVar("R")
+V = TypeVar("V")
+
+
+@dataclass(frozen=True)
+class PrimeIndexed(Generic[R, V]):
+    """A value on Q plus a value at every prime, uniform in the prime
+    outside finitely many exceptions.
+
+    ``default`` is the value at every prime not listed in ``exceptions``;
+    ``exceptions`` is sorted by prime and lists only values different from
+    the default, so equal objects describe equal functions.
+    """
+
+    rational: R
+    default: V
+    exceptions: tuple[tuple[int, V], ...]
+
+    @classmethod
+    def build(cls, rational: R, default: V, exceptions=()):
+        pairs = sorted((p, v) for p, v in dict(exceptions).items() if v != default)
+        return cls(rational, default, tuple(pairs))
+
+    @classmethod
+    def combine(cls, rational_fn, value_fn, *items: "PrimeIndexed"):
+        """The `cls` instance holding rational_fn of the items' values on Q
+        and, at every prime, value_fn of their values at that prime."""
+        tables = [dict(x.exceptions) for x in items]
+        defaults = [x.default for x in items]
+        primes = set().union(*tables)
+        return cls.build(
+            rational_fn(*(x.rational for x in items)),
+            value_fn(*defaults),
+            {p: value_fn(*(t.get(p, d) for t, d in zip(tables, defaults))) for p in primes},
+        )
+
+    def at(self, p: int) -> V:
+        for q, v in self.exceptions:
+            if q == p:
+                return v
+        return self.default
+
+    @property
+    def exception_primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.exceptions)
+
+    def primes_to_inspect(self, *others: "PrimeIndexed") -> tuple[int, ...]:
+        """The exception primes of self and others in increasing order, then
+        the smallest prime none of them lists, which stands for every
+        unlisted prime: a pointwise question about these objects holds at
+        every prime iff it holds at each prime returned."""
+        primes = set(self.exception_primes).union(*(x.exception_primes for x in others))
+        return tuple(sorted(primes)) + (fresh_prime(primes),)
+
+    def _to_json(self, rational_key: str, rational, value_json):
+        return {
+            rational_key: rational,
+            "default": value_json(self.default),
+            "exceptions": {str(p): value_json(v) for p, v in self.exceptions},
+        }
+
+
+# ---------------------------------------------------------------------------
 # Bockstein basis.
 
 
@@ -437,111 +499,86 @@ class PrimePattern(enum.Flag):
 
 FULL_PATTERN = PrimePattern.CYCLIC | PrimePattern.PRUFER | PrimePattern.LOCAL
 
-_FLAG_NAMES = (
-    (PrimePattern.CYCLIC, "cyclic"),
-    (PrimePattern.PRUFER, "prufer"),
-    (PrimePattern.LOCAL, "local"),
+
+class BocksteinFlag(NamedTuple):
+    """How one p-local test group is spelled: ``name`` in sigma documents
+    and as the PrimeTriple field, ``key`` in Bockstein function and wedge
+    documents, ``display`` in text with ``{p}`` standing for the prime."""
+
+    flag: PrimePattern
+    name: str
+    key: str
+    display: str
+
+
+BOCKSTEIN_FLAGS = (
+    BocksteinFlag(PrimePattern.CYCLIC, "cyclic", "Zp", "Z/{p}"),
+    BocksteinFlag(PrimePattern.PRUFER, "prufer", "ZpInf", "Z/{p}^oo"),
+    BocksteinFlag(PrimePattern.LOCAL, "local", "Zploc", "Z_({p})"),
 )
 
 
 def pattern_flags(pat: PrimePattern) -> tuple[str, ...]:
-    return tuple(name for flag, name in _FLAG_NAMES if flag & pat)
+    return tuple(f.name for f in BOCKSTEIN_FLAGS if f.flag & pat)
 
 
-def pattern_from_flags(names) -> PrimePattern:
-    lookup = {name: flag for flag, name in _FLAG_NAMES}
-    pat = PrimePattern.EMPTY
-    for name in names:
-        if name not in lookup:
-            raise DomainError(f"unknown Bockstein flag {name!r}", code="bad_flag")
-        pat |= lookup[name]
-    return pat
+def _join(*values):
+    # A wide union repeats a handful of distinct patterns many times, and
+    # each Flag `|` is a Python-level call, so join the distinct ones only.
+    return functools.reduce(operator.or_, set(values))
 
 
-@dataclass(frozen=True)
-class SigmaSet:
-    """A set of Bockstein groups, uniform in the prime outside finitely many
-    exceptions.
-
-    ``rational`` records whether Q belongs; ``default`` is the pattern shared
-    by every prime not listed in ``exceptions``, and each exception stores a
-    pattern different from the default.
-    """
-
-    rational: bool
-    default: PrimePattern
-    exceptions: tuple[tuple[int, PrimePattern], ...]
-
-    @classmethod
-    def build(cls, rational: bool, default: PrimePattern, exceptions) -> "SigmaSet":
-        pairs = [(p, pat) for p, pat in dict(exceptions).items() if pat != default]
-        pairs.sort()
-        return cls(bool(rational), default, tuple(pairs))
-
-    def at(self, p: int) -> PrimePattern:
-        for q, pat in self.exceptions:
-            if q == p:
-                return pat
-        return self.default
-
-    @property
-    def exception_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.exceptions)
+class SigmaSet(PrimeIndexed[bool, PrimePattern]):
+    """A set of Bockstein groups: ``rational`` records whether Q belongs and
+    the pattern at a prime which of Z/p, Z/p^oo, Z_(p) do."""
 
     def issubset(self, other: "SigmaSet") -> bool:
         if self.rational and not other.rational:
             return False
-        primes = set(self.exception_primes) | set(other.exception_primes)
-        if self.default & ~other.default:
-            return False
-        return all(not (self.at(p) & ~other.at(p)) for p in primes)
+        return all(not (self.at(p) & ~other.at(p)) for p in self.primes_to_inspect(other))
 
-    def union(self, other: "SigmaSet") -> "SigmaSet":
-        primes = set(self.exception_primes) | set(other.exception_primes)
-        return SigmaSet.build(
-            self.rational or other.rational,
-            self.default | other.default,
-            {p: self.at(p) | other.at(p) for p in primes},
-        )
+    def union(self, *others: "SigmaSet") -> "SigmaSet":
+        return SigmaSet.combine(_join, _join, self, *others)
 
     def to_json(self):
-        return {
-            "rational": self.rational,
-            "default": list(pattern_flags(self.default)),
-            "exceptions": {str(p): list(pattern_flags(pat)) for p, pat in self.exceptions},
-        }
+        return self._to_json("rational", self.rational, lambda pat: list(pattern_flags(pat)))
+
+
+def _atom_sigma(atom: Atom) -> SigmaSet:
+    match atom:
+        case Localization(primes=ps):
+            inside, outside = (PrimePattern.EMPTY, FULL_PATTERN) if ps.cofinite else (FULL_PATTERN, PrimePattern.EMPTY)
+            return SigmaSet.build(True, outside, {p: inside for p in ps.members})
+        case Cyclic(prime=p):
+            return SigmaSet.build(False, PrimePattern.EMPTY, {p: PrimePattern.CYCLIC | PrimePattern.PRUFER})
+        case Prufer(prime=p):
+            return SigmaSet.build(False, PrimePattern.EMPTY, {p: PrimePattern.PRUFER})
 
 
 def sigma(group: AdmissibleGroup) -> SigmaSet:
     """The Bockstein basis of a nontrivial admissible group.
 
-    Membership is decided by the defining tensor/Tor tests:
+    Membership is defined by tensor/Tor tests:
 
     * Q       belongs iff Q (x) G is nonzero,
     * Z/p     belongs iff Z/p (x) G is nonzero,
     * Z_(p)   belongs iff Z/p^oo (x) G is nonzero,
     * Z/p^oo  belongs iff Tor(Z/p^oo, G) is nonzero or Z/p (x) G is nonzero.
 
-    Primes outside the group's support all answer alike, so the tests run
-    once per support prime plus once at a fresh prime for the default.
+    Both functors are additive, so sigma of a sum is the union over its
+    atoms, and each atom answers in closed form:
+
+    * Z_(l)   gives Q and, at each prime in l, all of Z/p, Z/p^oo, Z_(p),
+    * Z/p^k   gives Z/p and Z/p^oo at p,
+    * Z/p^oo  gives Z/p^oo at p.
+
+    >>> sigma(cyclic(12)).to_json()
+    {'rational': False, 'default': [], 'exceptions': {'2': ['cyclic', 'prufer'], '3': ['cyclic', 'prufer']}}
     """
     if group.is_trivial:
         raise DomainError("the Bockstein basis of the trivial group is undefined", code="trivial_group")
-
-    def tests(p: int) -> PrimePattern:
-        pat = PrimePattern.EMPTY
-        if not cyclic(p).tensor(group).is_trivial:
-            pat |= PrimePattern.CYCLIC
-        if not prufer(p).tensor(group).is_trivial:
-            pat |= PrimePattern.LOCAL
-        if PrimePattern.CYCLIC in pat or not prufer(p).tor(group).is_trivial:
-            pat |= PrimePattern.PRUFER
-        return pat
-
-    support = group.support_primes()
-    default = tests(fresh_prime(support))
-    rational = not Q.tensor(group).is_trivial
-    return SigmaSet.build(rational, default, {p: tests(p) for p in support})
+    first, *rest = {_atom_sigma(a) for a, _ in group.summands}
+    return first.union(*rest)
 
 
 def tau_closure(s: SigmaSet) -> SigmaSet:
@@ -560,7 +597,7 @@ def tau_closure(s: SigmaSet) -> SigmaSet:
             out |= PrimePattern.LOCAL
         return out
 
-    return SigmaSet.build(s.rational, close(s.default), {p: close(pat) for p, pat in s.exceptions})
+    return SigmaSet.combine(bool, close, s)
 
 
 def tau(group: AdmissibleGroup) -> SigmaSet:

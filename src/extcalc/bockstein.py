@@ -18,17 +18,20 @@ or by exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from sympy import isprime
 
 from .abelian import (
+    BOCKSTEIN_FLAGS,
+    FULL_PATTERN,
     AdmissibleGroup,
     ExtNat,
     INFINITY,
+    PrimeIndexed,
     PrimePattern,
     SigmaSet,
-    iter_primes,
     sigma,
     tau_closure,
 )
@@ -49,54 +52,38 @@ class PrimeTriple:
         return cls(value, value, value)
 
     def to_json(self):
-        return {"Zp": self.cyclic.to_json(), "ZpInf": self.prufer.to_json(), "Zploc": self.local.to_json()}
+        return {f.key: getattr(self, f.name).to_json() for f in BOCKSTEIN_FLAGS}
 
     @classmethod
     def from_json(cls, data) -> "PrimeTriple":
-        if not isinstance(data, dict) or set(data) != {"Zp", "ZpInf", "Zploc"}:
-            raise ParseError("a triple needs exactly the keys Zp, ZpInf, Zploc", code="bad_document")
+        keys = [f.key for f in BOCKSTEIN_FLAGS]
+        if not isinstance(data, dict) or set(data) != set(keys):
+            raise ParseError(f"a triple needs exactly the keys {', '.join(keys)}", code="bad_document")
         try:
-            return cls(ExtNat.of(data["Zp"]), ExtNat.of(data["ZpInf"]), ExtNat.of(data["Zploc"]))
+            return cls(*(ExtNat.of(data[key]) for key in keys))
         except ValueError as exc:
             raise ParseError(str(exc), code="bad_document") from exc
 
 
-@dataclass(frozen=True)
-class BocksteinFunction:
+def _pattern_values(t: PrimeTriple, pattern: PrimePattern):
+    return [getattr(t, f.name) for f in BOCKSTEIN_FLAGS if f.flag & pattern]
+
+
+class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
     """An extended-natural value for every Bockstein group, stored as the
     value on Q, a default triple, and finitely many exceptional primes."""
 
-    rational: ExtNat
-    default: PrimeTriple
-    exceptions: tuple[tuple[int, PrimeTriple], ...]
-
     @classmethod
     def build(cls, rational, default: PrimeTriple, exceptions=()) -> "BocksteinFunction":
-        pairs = [(p, t) for p, t in dict(exceptions).items() if t != default]
-        pairs.sort()
-        return cls(ExtNat.of(rational), default, tuple(pairs))
+        return super().build(ExtNat.of(rational), default, exceptions)
 
     @classmethod
     def constant(cls, value) -> "BocksteinFunction":
         value = ExtNat.of(value)
         return cls.build(value, PrimeTriple.constant(value))
 
-    def at(self, p: int) -> PrimeTriple:
-        for q, t in self.exceptions:
-            if q == p:
-                return t
-        return self.default
-
-    @property
-    def exception_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.exceptions)
-
     def to_json(self):
-        return {
-            "Q": self.rational.to_json(),
-            "default": self.default.to_json(),
-            "exceptions": {str(p): t.to_json() for p, t in self.exceptions},
-        }
+        return self._to_json("Q", self.rational.to_json(), PrimeTriple.to_json)
 
     @classmethod
     def from_json(cls, data) -> "BocksteinFunction":
@@ -112,8 +99,11 @@ class BocksteinFunction:
         except ValueError as exc:
             raise ParseError(str(exc), code="bad_document") from exc
         default = PrimeTriple.from_json(data["default"])
+        listed = data.get("exceptions", {})
+        if not isinstance(listed, dict):
+            raise ParseError("exceptions must be a JSON object keyed by prime", code="bad_document")
         exceptions = {}
-        for key, raw in dict(data.get("exceptions", {})).items():
+        for key, raw in listed.items():
             try:
                 p = int(key)
             except (TypeError, ValueError) as exc:
@@ -172,19 +162,6 @@ def validate_bockstein(alpha: BocksteinFunction) -> list[Violation]:
 # Dimension evaluation.
 
 
-_FLAG_SLOTS = (
-    (PrimePattern.CYCLIC, "cyclic"),
-    (PrimePattern.PRUFER, "prufer"),
-    (PrimePattern.LOCAL, "local"),
-)
-
-
-def _pattern_values(t: PrimeTriple, pattern: PrimePattern):
-    for flag, slot in _FLAG_SLOTS:
-        if flag & pattern:
-            yield getattr(t, slot)
-
-
 def coef_dimension(alpha: BocksteinFunction, group: AdmissibleGroup) -> ExtNat:
     """dim with respect to `group`: the maximum of alpha over sigma(group).
 
@@ -192,12 +169,8 @@ def coef_dimension(alpha: BocksteinFunction, group: AdmissibleGroup) -> ExtNat:
     in the prime: one generic prime stands in for all unlisted ones.
     """
     s = sigma(group)
-    values = []
-    if s.rational:
-        values.append(alpha.rational)
-    if s.default != PrimePattern.EMPTY:
-        values.extend(_pattern_values(alpha.default, s.default))
-    for p in sorted(set(s.exception_primes) | set(alpha.exception_primes)):
+    values = [alpha.rational] if s.rational else []
+    for p in s.primes_to_inspect(alpha):
         values.extend(_pattern_values(alpha.at(p), s.at(p)))
     return max(values)
 
@@ -206,7 +179,7 @@ def covering_dimension(alpha: BocksteinFunction) -> ExtNat:
     """The supremum of alpha over the whole basis (the dimension w.r.t. Z)."""
     values = [alpha.rational]
     for t in [alpha.default] + [t for _, t in alpha.exceptions]:
-        values.extend([t.cyclic, t.prufer, t.local])
+        values.extend(_pattern_values(t, FULL_PATTERN))
     return max(values)
 
 
@@ -229,8 +202,10 @@ def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
 # The minimal complex.
 
 
-@dataclass(frozen=True)
-class MinimalWedge:
+Degrees = tuple[Optional[int], Optional[int], Optional[int]]
+
+
+class MinimalWedge(PrimeIndexed[Optional[int], Degrees]):
     """Wedge summands K(H, degree) over the finite-valued part of alpha.
 
     Slots hold the degree as an int or None when the value was infinite and
@@ -238,53 +213,32 @@ class MinimalWedge:
     `exceptions`, so the description is finite even when the wedge is not.
     """
 
-    rational: Optional[int]
-    default: tuple[Optional[int], Optional[int], Optional[int]]
-    exceptions: tuple[tuple[int, tuple[Optional[int], Optional[int], Optional[int]]], ...]
-
-    def summands_at(self, p: int) -> tuple[Optional[int], Optional[int], Optional[int]]:
-        for q, t in self.exceptions:
-            if q == p:
-                return t
-        return self.default
-
     def listed_summands(self) -> set[tuple[str, int]]:
         """Concrete (group name, degree) pairs at the exceptional primes."""
-        names = ("Z/{p}", "Z/{p}^oo", "Z_({p})")
         out = set()
         if self.rational is not None:
             out.add(("Q", self.rational))
         for p, t in self.exceptions:
-            for name, deg in zip(names, t):
+            for f, deg in zip(BOCKSTEIN_FLAGS, t):
                 if deg is not None:
-                    out.add((name.format(p=p), deg))
+                    out.add((f.display.format(p=p), deg))
         return out
 
     def to_json(self):
-        def triple(t):
-            return {"Zp": t[0], "ZpInf": t[1], "Zploc": t[2]}
+        return self._to_json("rational", self.rational, lambda t: {f.key: deg for f, deg in zip(BOCKSTEIN_FLAGS, t)})
 
-        return {
-            "rational": self.rational,
-            "default": triple(self.default),
-            "exceptions": {str(p): triple(t) for p, t in self.exceptions},
-        }
+
+def _finite(v: ExtNat) -> Optional[int]:
+    return v.value if v.is_finite else None
 
 
 def minimal_wedge(alpha: BocksteinFunction) -> MinimalWedge:
     """The wedge of Eilenberg-MacLane spaces K(H, alpha(H)) over all basis
     groups with finite value; its symmetric-product type is the minimal one
     extending over the compactum realizing alpha."""
-
-    def fin(v: ExtNat) -> Optional[int]:
-        return v.value if v.is_finite else None
-
-    def triple(t: PrimeTriple):
-        return (fin(t.cyclic), fin(t.prufer), fin(t.local))
-
-    default = triple(alpha.default)
-    exceptions = [(p, triple(t)) for p, t in alpha.exceptions if triple(t) != default]
-    return MinimalWedge(fin(alpha.rational), default, tuple(exceptions))
+    return MinimalWedge.combine(
+        _finite, lambda t: tuple(_finite(v) for v in _pattern_values(t, FULL_PATTERN)), alpha
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +254,7 @@ def _value_by_membership(m: int, in_sigma: bool, in_tau: bool) -> ExtNat:
 
 
 def _layered_triple(m: int, spat: PrimePattern, tpat: PrimePattern) -> PrimeTriple:
-    return PrimeTriple(
-        cyclic=_value_by_membership(m, bool(PrimePattern.CYCLIC & spat), bool(PrimePattern.CYCLIC & tpat)),
-        prufer=_value_by_membership(m, bool(PrimePattern.PRUFER & spat), bool(PrimePattern.PRUFER & tpat)),
-        local=_value_by_membership(m, bool(PrimePattern.LOCAL & spat), bool(PrimePattern.LOCAL & tpat)),
-    )
+    return PrimeTriple(*(_value_by_membership(m, bool(f.flag & spat), bool(f.flag & tpat)) for f in BOCKSTEIN_FLAGS))
 
 
 def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup, m: int) -> BocksteinFunction:
@@ -324,26 +274,12 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
             "no infinite gap: the separating group's basis lies in tau of the base group",
             code="not_separable",
         )
-    exceptions = {
-        p: _layered_triple(m, s.at(p), t.at(p))
-        for p in set(s.exception_primes) | set(t.exception_primes)
-    }
-    return BocksteinFunction.build(
-        _value_by_membership(m, s.rational, t.rational),
-        _layered_triple(m, s.default, t.default),
-        exceptions,
-    )
+    return BocksteinFunction.combine(partial(_value_by_membership, m), partial(_layered_triple, m), s, t)
 
 
 def _smallest_flag_gap(flag: PrimePattern, sf: SigmaSet, sg: SigmaSet) -> Optional[int]:
     """Smallest prime where `flag` is in sf's pattern but not sg's."""
-    bound = max(set(sf.exception_primes) | set(sg.exception_primes), default=1)
-    for p in iter_primes():
-        if p > bound:
-            # every later prime shows both defaults, so one test settles it
-            return p if flag & sf.default and not flag & sg.default else None
-        if flag & sf.at(p) and not flag & sg.at(p):
-            return p
+    return min((p for p in sf.primes_to_inspect(sg) if flag & sf.at(p) and not flag & sg.at(p)), default=None)
 
 
 def unit_gap_witness(

@@ -227,7 +227,8 @@ def _cmd_suspend(ns):
 
 def _cmd_pairing(ns):
     first, second = pairing(parse_graded(ns.compactum), parse_graded(ns.complex))
-    assert first == second
+    if first != second:
+        raise AssertionError(f"the two pairing routes disagree: {format_graded(first)} vs {format_graded(second)}")
     result = {str(d): format_group(g) for d, g in first.entries}
     return {"graded": result}, format_graded(first)
 

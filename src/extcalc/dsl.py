@@ -17,6 +17,7 @@ from __future__ import annotations
 from sympy import isprime
 
 from .abelian import (
+    BOCKSTEIN_FLAGS,
     AdmissibleGroup,
     Cyclic,
     Localization,
@@ -210,15 +211,8 @@ def format_graded(graded: GradedGroup) -> str:
     return "{" + inner + "}"
 
 
-_FLAG_DISPLAY = {
-    PrimePattern.CYCLIC: "Z/{p}",
-    PrimePattern.PRUFER: "Z/{p}^oo",
-    PrimePattern.LOCAL: "Z_({p})",
-}
-
-
 def _pattern_names(pattern: PrimePattern, p) -> list[str]:
-    return [_FLAG_DISPLAY[flag].format(p=p) for flag in (PrimePattern.CYCLIC, PrimePattern.PRUFER, PrimePattern.LOCAL) if flag & pattern]
+    return [f.display.format(p=p) for f in BOCKSTEIN_FLAGS if f.flag & pattern]
 
 
 def format_sigma(s: SigmaSet) -> str:
@@ -239,16 +233,11 @@ def format_sigma(s: SigmaSet) -> str:
     return "{" + ", ".join(chunks) + "}"
 
 
-def sigma_to_json(s: SigmaSet):
-    return s.to_json()
-
-
 __all__ = [
     "parse_group",
     "parse_graded",
     "format_group",
     "format_graded",
     "format_sigma",
-    "sigma_to_json",
     "pattern_flags",
 ]

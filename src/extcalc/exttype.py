@@ -23,7 +23,6 @@ from .abelian import (
     PrimeSet,
     Q,
     SigmaSet,
-    fresh_prime,
     localized,
     sigma,
     sigma_matches_localization,
@@ -48,26 +47,14 @@ def _distinguishing_prime(s1: SigmaSet, s2: SigmaSet) -> Optional[int]:
     """A prime where the two bases differ; None for a Q-level difference."""
     if s1.rational != s2.rational:
         return None
-    primes = set(s1.exception_primes) | set(s2.exception_primes)
-    for p in sorted(primes):
-        if s1.at(p) != s2.at(p):
-            return p
-    if s1.default != s2.default:
-        return fresh_prime(primes)
-    return None
+    return next((p for p in s1.primes_to_inspect(s2) if s1.at(p) != s2.at(p)), None)
 
 
 def _escape_prime(s: SigmaSet, t: SigmaSet) -> Optional[int]:
     """A prime witnessing that s is not contained in t; None if Q-level."""
     if s.rational and not t.rational:
         return None
-    primes = set(s.exception_primes) | set(t.exception_primes)
-    for p in sorted(primes):
-        if s.at(p) & ~t.at(p):
-            return p
-    if s.default & ~t.default:
-        return fresh_prime(primes)
-    return None
+    return next((p for p in s.primes_to_inspect(t) if s.at(p) & ~t.at(p)), None)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from sympy import factorint
 
 from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization
 from .errors import DomainError
-from .graded import GradedGroup, moore_graded
+from .graded import GradedGroup
 
 __all__ = [
     "IntMatrix",
@@ -28,7 +28,6 @@ __all__ = [
     "tensor_from_presentations",
     "tor_from_presentations",
     "chain_homology",
-    "moore_graded",
     "matmul",
     "det",
 ]

@@ -1,8 +1,11 @@
 """Core algebra: extended naturals, prime sets, canonical groups, the
 tensor/Tor tables, and Bockstein bases."""
 
+import random
+
 import pytest
 from hypothesis import given
+from sympy import primerange
 
 from conftest import st_group, st_nontrivial_group
 from extcalc import (
@@ -29,8 +32,9 @@ from extcalc import (
     sigma_matches_localization,
     tau,
     tau_closure,
+    unit_gap_witness,
 )
-from extcalc.abelian import FULL_PATTERN, pattern_flags, pattern_from_flags
+from extcalc.abelian import FULL_PATTERN, PrimeIndexed, pattern_flags
 
 CYC = PrimePattern.CYCLIC
 PRU = PrimePattern.PRUFER
@@ -148,7 +152,7 @@ class TestCanonicalForm:
 
 
 Z2, Z4, Z8, Z3 = cyclic(2), cyclic(4), cyclic(8), cyclic(3)
-P2, P3 = prufer(2), prufer(3)
+P2, P3, P5 = prufer(2), prufer(3), prufer(5)
 L2 = localized(PrimeSet.of(2))
 L3 = localized(PrimeSet.of(3))
 L23 = localized(PrimeSet.of(2, 3))
@@ -241,6 +245,47 @@ def sset(rational, default, exceptions):
     return SigmaSet.build(rational, default, exceptions)
 
 
+def sigma_by_tensor_tests(group):
+    """The defining tensor/Tor tests of sigma, run at every support prime
+    and at one fresh prime for the default; the oracle for `sigma`."""
+
+    def tests(p):
+        pat = PrimePattern.EMPTY
+        if not cyclic(p).tensor(group).is_trivial:
+            pat |= CYC
+        if not prufer(p).tensor(group).is_trivial:
+            pat |= LOC
+        if CYC in pat or not prufer(p).tor(group).is_trivial:
+            pat |= PRU
+        return pat
+
+    support = group.support_primes()
+    rational = not Q.tensor(group).is_trivial
+    return sset(rational, tests(fresh_prime(support)), {p: tests(p) for p in support})
+
+
+WIDE_PRIMES = tuple(primerange(2, 2742))  # the first 400 primes
+
+
+def wide_group(rng, size):
+    """A sum of `size` atoms over WIDE_PRIMES.  Its cofinite localizations
+    share eight excluded primes, two of which also carry torsion, so sigma
+    keeps exceptions of every shape."""
+    excluded = rng.sample(WIDE_PRIMES, 8)
+    atoms = [Cyclic(excluded[0], 2), Prufer(excluded[1])]
+    for _ in range(rng.randint(1, 3)):
+        atoms.append(Localization(PrimeSet.excluding(*excluded, *rng.sample(WIDE_PRIMES, rng.randint(0, 3)))))
+    while len(atoms) < size:
+        roll = rng.random()
+        if roll < 0.1:
+            atoms.append(Localization(PrimeSet.of(*rng.sample(WIDE_PRIMES, rng.randint(0, 4)))))
+        elif roll < 0.55:
+            atoms.append(Cyclic(rng.choice(WIDE_PRIMES), rng.randint(1, 4)))
+        else:
+            atoms.append(Prufer(rng.choice(WIDE_PRIMES)))
+    return AdmissibleGroup.of(*atoms)
+
+
 class TestSigma:
     def test_trivial_group_rejected(self):
         with pytest.raises(DomainError):
@@ -270,6 +315,20 @@ class TestSigma:
     @given(st_nontrivial_group, st_nontrivial_group)
     def test_sigma_of_sum_is_union(self, g, h):
         assert sigma(g + h) == sigma(g).union(sigma(h))
+
+    @given(st_nontrivial_group)
+    def test_closed_form_matches_tensor_tests(self, g):
+        assert sigma(g) == sigma_by_tensor_tests(g)
+
+    def test_closed_form_matches_tensor_tests_on_wide_groups(self):
+        rng = random.Random(2004)
+        for size in (100, 150, 200, 250, 300, 350, 400, 120):
+            g = wide_group(rng, size)
+            assert sigma(g) == sigma_by_tensor_tests(g)
+
+    def test_cofinite_localization_with_torsion_at_an_excluded_prime(self):
+        g = localized(PrimeSet.excluding(2, 3)) + Z2 + P3
+        assert sigma(g) == sset(True, FULL_PATTERN, {2: CYC | PRU, 3: PRU}) == sigma_by_tensor_tests(g)
 
     @given(st_nontrivial_group)
     def test_membership_chain(self, g):
@@ -318,14 +377,44 @@ class TestSigmaSetOps:
         assert sigma(Q).issubset(sigma(Z))
 
     def test_flag_names_round_trip(self):
-        for pat in (PrimePattern.EMPTY, CYC, CYC | PRU, FULL_PATTERN):
-            assert pattern_from_flags(pattern_flags(pat)) == pat
-        with pytest.raises(DomainError):
-            pattern_from_flags(["divisible"])
+        assert pattern_flags(PrimePattern.EMPTY) == ()
+        assert pattern_flags(CYC) == ("cyclic",)
+        assert pattern_flags(CYC | PRU) == ("cyclic", "prufer")
+        assert pattern_flags(FULL_PATTERN) == ("cyclic", "prufer", "local")
 
     def test_json_shape(self):
         data = sigma(cyclic(4)).to_json()
         assert data == {"rational": False, "default": [], "exceptions": {"2": ["cyclic", "prufer"]}}
+
+
+class TestPrimeIndexed:
+    def test_build_drops_exceptions_equal_to_default(self):
+        x = PrimeIndexed.build(1, 0, {5: 2, 3: 0, 2: 7})
+        assert x.exceptions == ((2, 7), (5, 2))
+        assert x.exception_primes == (2, 5)
+        assert x.at(5) == 2 and x.at(3) == 0 and x.at(101) == 0
+
+    def test_combine_is_pointwise(self):
+        x = PrimeIndexed.build(1, 0, {2: 5, 7: 1})
+        y = PrimeIndexed.build(2, 1, {3: 4, 7: 0})
+        both = PrimeIndexed.combine(max, max, x, y)
+        assert both == PrimeIndexed.build(2, 1, {2: 5, 3: 4})
+        assert PrimeIndexed.combine(lambda q: -q, lambda v: v // 2, x) == PrimeIndexed.build(-1, 0, {2: 2})
+
+    def test_primes_to_inspect(self):
+        x = PrimeIndexed.build(0, 0, {2: 1, 5: 1})
+        y = PrimeIndexed.build(0, 0, {3: 1})
+        assert PrimeIndexed.build(0, 0).primes_to_inspect() == (2,)
+        # the fresh prime comes last even when it is below an exception
+        assert x.primes_to_inspect() == (2, 5, 3)
+        assert x.primes_to_inspect(y) == (2, 3, 5, 7)
+
+    def test_least_gap_may_be_the_fresh_prime(self):
+        # Z/p separates Z from Q + Z/2 + Z/5^oo at 5 and at every prime
+        # outside {2, 5}; the least such prime is the fresh prime 3.
+        alpha, case = unit_gap_witness(Q + Z2 + P5, Z, 1)
+        assert case == "I"
+        assert alpha.exception_primes == (3,)
 
 
 class TestLocalizationRecognition:

@@ -174,14 +174,14 @@ class TestMinimalWedge:
         w = minimal_wedge(alpha)
         assert w.rational == 2
         assert w.default == (None, None, None)
-        assert w.summands_at(2) == (3, 2, None)
+        assert w.at(2) == (3, 2, None)
         assert w.listed_summands() == {("Q", 2), ("Z/2", 3), ("Z/2^oo", 2)}
 
     def test_uniform_part_is_kept_once(self):
         alpha = bf(1, (1, 1, 1))
         w = minimal_wedge(alpha)
         assert w.default == (1, 1, 1)
-        assert w.summands_at(101) == (1, 1, 1)
+        assert w.at(101) == (1, 1, 1)
 
     def test_json_shape(self):
         w = minimal_wedge(bf(1, (1, 1, 1)))

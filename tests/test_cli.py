@@ -4,8 +4,10 @@ published schema, exit codes, and stream separation."""
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +15,8 @@ import pytest
 
 from extcalc.cli import run_command
 
-SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas" / "envelope-v1.schema.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "schemas" / "envelope-v1.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
@@ -231,6 +234,11 @@ class TestJsonEnvelopes:
         assert violation["rule"] == 2
         assert violation["prime"] is None
 
+    @pytest.mark.parametrize("exceptions", [[1], None, [["2", {"Zp": 1, "ZpInf": 1, "Zploc": 1}]]])
+    def test_exceptions_must_be_an_object(self, exceptions):
+        doc = json.dumps({"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "exceptions": exceptions})
+        assert error_of("bfcheck", doc, expect_code=2)["code"] == "bad_document"
+
 
 class TestExitCodes:
     def test_usage_errors(self):
@@ -260,6 +268,27 @@ class TestExitCodes:
         assert code == 0 and out.startswith("extcalc ")
         assert run(["--help"])[0] == 0
         assert run(["sigma", "--help"])[0] == 0
+
+
+class TestPairingRouteCheck:
+    def test_disagreeing_routes_fail_under_optimized_python(self):
+        # the two-route check must survive `python -O`, which strips asserts
+        script = (
+            "import sys\n"
+            "from extcalc import Q, Z, GradedGroup, cli\n"
+            "cli.pairing = lambda x, k: (GradedGroup.of({1: Z}), GradedGroup.of({1: Q}))\n"
+            "sys.exit(cli.run_command(['pairing', '{1: Z}', '{1: Z}']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "the two pairing routes disagree" in proc.stderr
 
 
 class TestStreams:
