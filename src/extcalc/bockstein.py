@@ -110,6 +110,9 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
                 raise ParseError(f"exception key {key!r} is not a prime", code="bad_document") from exc
             if not isprime(p):
                 raise ParseError(f"exception key {key!r} is not a prime", code="bad_document")
+            # one spelling per prime, so "2" and "02" cannot both name 2
+            if str(p) != key:
+                raise ParseError(f"exception key {key!r} is not in canonical decimal form", code="bad_document")
             exceptions[p] = PrimeTriple.from_json(raw)
         return cls.build(rational, default, exceptions)
 

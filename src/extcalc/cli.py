@@ -13,6 +13,14 @@ goes to stdout so pipelines can rely on it.
 
 Structured inputs (matrices, chain complexes, Bockstein functions) are given
 either inline as a JSON literal or as a path to a JSON file.
+
+Each subcommand is one row of ``COMMANDS``: name, help, arguments, compute
+function and renderer.  Arguments with a reader are read inside the error
+guard in declared order, so the first bad argument decides the error;
+integer arguments are typed by argparse (a non-integer is a usage error).
+``to_text`` runs only in text mode.  Rows call the library through this
+module's names at run time, so a name replaced here (a test double, the
+benchmark's tracer) is the one called.
 """
 
 from __future__ import annotations
@@ -20,39 +28,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
-from .abelian import AdmissibleGroup, sigma, tau
+from .abelian import sigma, tau
 from .bockstein import (
-    BocksteinFunction,
-    coef_dimension,
-    covering_dimension,
-    infinite_gap_witness,
-    minimal_wedge,
-    sp_in_ae,
-    unit_gap_witness,
-    validate_bockstein,
+    BocksteinFunction, coef_dimension, covering_dimension, infinite_gap_witness, minimal_wedge, sp_in_ae,
+    unit_gap_witness, validate_bockstein,
 )
 from .dsl import format_graded, format_group, format_sigma, parse_graded, parse_group
 from .errors import DomainError, ParseError
-from .exttype import (
-    classify_finite_type,
-    has_compact_type,
-    mod_p_trivial,
-    moore_matches_em,
-    sp_factors_as_em,
-)
+from .exttype import classify_finite_type, has_compact_type, mod_p_trivial, moore_matches_em, sp_factors_as_em
 from .graded import (
-    GradedGroup,
-    connectivity_index,
-    homological_dimension,
-    homology_with_coefficients,
-    moore_graded,
-    pairing,
-    smash,
-    suspend,
-    vanishing_check,
-    graded_order_leq,
+    connectivity_index, graded_order_leq, homological_dimension, homology_with_coefficients, moore_graded, pairing,
+    smash, suspend, vanishing_check,
 )
 from .presentation import ChainComplex, IntMatrix, chain_homology, group_from_presentation, snf
 
@@ -60,7 +49,17 @@ SCHEMA_VERSION = "extcalc/1"
 
 
 # ---------------------------------------------------------------------------
-# Input helpers.
+# Input readers.
+
+
+def _unique_keys(pairs):
+    """object_pairs_hook: a repeated key is a document error, not a silent overwrite."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r} in a JSON object", code="bad_document")
+        doc[key] = value
+    return doc
 
 
 def _load_json_source(arg: str):
@@ -74,7 +73,7 @@ def _load_json_source(arg: str):
         except OSError as exc:
             raise ParseError(f"cannot read {arg!r}: {exc}", code="unreadable_input") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}", code="bad_document") from exc
 
@@ -108,29 +107,53 @@ def _bf_arg(arg: str) -> BocksteinFunction:
     return alpha
 
 
+class Arg(NamedTuple):
+    """One argument: its argparse flags and options, and the reader applied
+    to its string inside the error guard (None when argparse typed it)."""
+
+    flags: tuple[str, ...]
+    read: Optional[Callable[[str], Any]]
+    options: dict
+
+    @property
+    def dest(self) -> str:
+        return self.flags[-1].lstrip("-")
+
+
+def _group(*flags, **options) -> Arg:
+    return Arg(flags, lambda text: parse_group(text), options)
+
+
+def _graded(*flags, **options) -> Arg:
+    return Arg(flags, lambda text: parse_graded(text), options)
+
+
+def _document(reader, *flags, **options) -> Arg:
+    return Arg(flags, reader, options)
+
+
+def _int(*flags, **options) -> Arg:
+    return Arg(flags, None, {"type": int, **options})
+
+
 # ---------------------------------------------------------------------------
-# Output helpers.
+# Renderers.
 
 
-def _graded_result(k: GradedGroup):
-    return {str(d): format_group(g) for d, g in k.entries}
+class Render(NamedTuple):
+    to_json: Callable[[Any], Any]
+    to_text: Callable[[Any], str]
 
 
-def _group_out(g: AdmissibleGroup):
-    text = format_group(g)
-    return {"group": text}, text
+def _under(key: str, to_text=lambda v: json.dumps(v.to_json())) -> Render:
+    """A value's JSON document under `key`; the text is the document unless given."""
+    return Render(lambda v: {key: v.to_json()}, to_text)
 
 
-def _graded_out(k: GradedGroup):
-    return {"graded": _graded_result(k)}, format_graded(k)
-
-
-def _value_out(v):
-    return {"value": v.to_json()}, str(v)
-
-
-def _bool_out(b: bool):
-    return {"verdict": b}, "yes" if b else "no"
+GROUP = Render(lambda g: {"group": format_group(g)}, lambda g: format_group(g))
+GRADED = Render(lambda k: {"graded": {str(d): format_group(g) for d, g in k.entries}}, lambda k: format_graded(k))
+VALUE = Render(lambda v: {"value": v.to_json()}, str)
+VERDICT = Render(lambda b: {"verdict": b}, lambda b: "yes" if b else "no")
 
 
 def _primes_text(ps) -> str:
@@ -140,196 +163,172 @@ def _primes_text(ps) -> str:
     return f"all primes outside {body}" if ps.cofinite else body
 
 
-# ---------------------------------------------------------------------------
-# Command handlers.  Each returns (json result, text rendering).
+def _snf_json(res):
+    d = res.d
+    factors = [f for f in (d.entries[i * d.cols + i] for i in range(min(d.rows, d.cols))) if f != 0]
+    return {"d": d.to_rows(), "u": res.u.to_rows(), "v": res.v.to_rows(), "factors": factors}
 
 
-def _cmd_canon(ns):
-    return _group_out(parse_group(ns.group))
+def _snf_text(res) -> str:
+    doc = _snf_json(res)
+    factors = ", ".join(map(str, doc["factors"])) or "(none)"
+    return "\n".join([f"factors: {factors}", f"D: {doc['d']}", f"U: {doc['u']}", f"V: {doc['v']}"])
 
 
-def _cmd_tensor(ns):
-    return _group_out(parse_group(ns.left).tensor(parse_group(ns.right)))
+def _vanish_text(conditions) -> str:
+    return VERDICT.to_text(all(conditions)) + " [conditions: " + ", ".join(map(str, conditions)) + "]"
 
 
-def _cmd_tor(ns):
-    return _group_out(parse_group(ns.left).tor(parse_group(ns.right)))
+def _leqgr_json(v):
+    witness = None
+    if not v.holds:
+        g, dk, dl = v.witness
+        witness = {"group": format_group(g), "dim_left": dk.to_json(), "dim_right": dl.to_json()}
+    return {"verdict": v.holds, "checked": [format_group(g) for g in v.checked], "witness": witness}
 
 
-def _cmd_sigma(ns):
-    s = sigma(parse_group(ns.group))
-    return {"sigma": s.to_json()}, format_sigma(s)
-
-
-def _cmd_tau(ns):
-    t = tau(parse_group(ns.group))
-    return {"tau": t.to_json()}, format_sigma(t)
-
-
-def _cmd_snf(ns):
-    res = snf(_matrix_arg(ns.matrix))
-    factors = [res.d.entries[i * res.d.cols + i] for i in range(min(res.d.rows, res.d.cols))]
-    factors = [f for f in factors if f != 0]
-    result = {
-        "d": res.d.to_rows(),
-        "u": res.u.to_rows(),
-        "v": res.v.to_rows(),
-        "factors": factors,
-    }
-    text = "\n".join(
-        [
-            "factors: " + (", ".join(map(str, factors)) if factors else "(none)"),
-            f"D: {res.d.to_rows()}",
-            f"U: {res.u.to_rows()}",
-            f"V: {res.v.to_rows()}",
-        ]
-    )
-    return result, text
-
-
-def _cmd_present(ns):
-    relations = _matrix_arg(ns.relations)
-    generators = ns.generators
-    if generators is None:
-        if relations.rows == 0:
-            raise ParseError("--generators is required when there are no relations", code="bad_document")
-        generators = relations.cols
-    return _group_out(group_from_presentation(generators, relations))
-
-
-def _cmd_homology(ns):
-    return _graded_out(chain_homology(_chain_arg(ns.chain)))
-
-
-def _cmd_moore(ns):
-    return _graded_out(moore_graded(parse_group(ns.group), ns.n))
-
-
-def _cmd_hcoef(ns):
-    return _graded_out(homology_with_coefficients(parse_graded(ns.graded), parse_group(ns.group)))
-
-
-def _cmd_dim(ns):
-    return _value_out(homological_dimension(parse_graded(ns.graded), parse_group(ns.group)))
-
-
-def _cmd_cin(ns):
-    return _value_out(connectivity_index(parse_graded(ns.graded)))
-
-
-def _cmd_smash(ns):
-    return _graded_out(smash(parse_graded(ns.left), parse_graded(ns.right)))
-
-
-def _cmd_suspend(ns):
-    return _graded_out(suspend(parse_graded(ns.graded), ns.r))
-
-
-def _cmd_pairing(ns):
-    first, second = pairing(parse_graded(ns.compactum), parse_graded(ns.complex))
-    if first != second:
-        raise AssertionError(f"the two pairing routes disagree: {format_graded(first)} vs {format_graded(second)}")
-    result = {str(d): format_group(g) for d, g in first.entries}
-    return {"graded": result}, format_graded(first)
-
-
-def _cmd_vanish(ns):
-    conditions = vanishing_check(parse_graded(ns.compactum), parse_graded(ns.complex), ns.m)
-    verdict = all(conditions)
-    text = ("yes" if verdict else "no") + " [conditions: " + ", ".join(str(c) for c in conditions) + "]"
-    return {"verdict": verdict, "conditions": list(conditions)}, text
-
-
-def _cmd_leqgr(ns):
-    v = graded_order_leq(parse_graded(ns.left), parse_graded(ns.right))
-    result = {"verdict": v.holds, "checked": [format_group(g) for g in v.checked], "witness": None}
+def _leqgr_text(v) -> str:
     if v.holds:
-        return result, "holds"
+        return "holds"
     g, dk, dl = v.witness
-    result["witness"] = {"group": format_group(g), "dim_left": dk.to_json(), "dim_right": dl.to_json()}
-    return result, f"fails: with coefficients {format_group(g)} the left side has dimension {dk}, the right {dl}"
+    return f"fails: with coefficients {format_group(g)} the left side has dimension {dk}, the right {dl}"
 
 
-def _cmd_bfcheck(ns):
-    _bf_arg(ns.bf)
-    return {"valid": True, "violations": []}, "valid"
+def _witness74_json(found):
+    alpha, case = found
+    return {"bf": alpha.to_json(), "case": case}
 
 
-def _cmd_bfdim(ns):
-    return _value_out(coef_dimension(_bf_arg(ns.bf), parse_group(ns.group)))
-
-
-def _cmd_covdim(ns):
-    return _value_out(covering_dimension(_bf_arg(ns.bf)))
-
-
-def _cmd_spae(ns):
-    return _bool_out(sp_in_ae(_bf_arg(ns.bf), parse_graded(ns.graded)))
-
-
-def _cmd_cohdimmin(ns):
-    wedge = minimal_wedge(_bf_arg(ns.bf))
-    result = {"wedge": wedge.to_json()}
-    return result, json.dumps(result["wedge"])
-
-
-def _cmd_witness73(ns):
-    alpha = infinite_gap_witness(parse_group(ns.dim_group), parse_group(ns.sep_group), ns.m)
-    result = {"bf": alpha.to_json()}
-    return result, json.dumps(result["bf"])
-
-
-def _cmd_witness74(ns):
-    alpha, case = unit_gap_witness(parse_group(ns.dim_group), parse_group(ns.sep_group), ns.m)
-    result = {"bf": alpha.to_json(), "case": case}
-    return result, json.dumps(result)
-
-
-def _cmd_spaek(ns):
-    report = sp_factors_as_em(parse_graded(ns.graded), parse_group(ns.group), ns.n)
-    result = report.to_json()
-    if report.verdict:
-        return result, "yes"
-    lines = ["no"]
+def _spaek_text(report) -> str:
+    lines = [VERDICT.to_text(report.verdict)]
     for f in report.failures:
         where = f"degree {f.degree}" if f.degree is not None else "overall"
         prime = f" at prime {f.prime}" if f.prime is not None else ""
         lines.append(f"  clause {f.clause}, {where}{prime}: {f.note}")
-    return result, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def _cmd_modp(ns):
-    return _bool_out(mod_p_trivial(parse_graded(ns.graded), ns.p))
+def _classify_text(t) -> str:
+    kind = t.to_json()["kind"]
+    if kind == "localization":
+        return f"localization type: circle localized at {_primes_text(t.primes)}"
+    if kind == "rational":
+        return f"rational type in degree {t.degree}"
+    return "no finite type"
 
 
-def _cmd_classify(ns):
-    t = classify_finite_type(parse_graded(ns.graded))
-    result = t.to_json()
-    if result["kind"] == "localization":
-        text = f"localization type: circle localized at {_primes_text(t.primes)}"
-    elif result["kind"] == "rational":
-        text = f"rational type in degree {t.degree}"
-    else:
-        text = "no finite type"
-    return result, text
-
-
-def _cmd_compact(ns):
-    return _bool_out(has_compact_type(parse_graded(ns.graded)))
-
-
-def _cmd_mooreem(ns):
-    v = moore_matches_em(parse_group(ns.group), ns.n)
-    result = v.to_json()
+def _mooreem_text(v) -> str:
     if not v.matches:
-        return result, "no"
+        return "no"
     if v.localization is not None:
-        return result, f"yes: localization at {_primes_text(v.localization)}"
-    return result, "yes: rational"
+        return f"yes: localization at {_primes_text(v.localization)}"
+    return "yes: rational"
 
 
 # ---------------------------------------------------------------------------
-# Parser wiring.
+# The command table.
+
+
+def _present(relations: IntMatrix, generators: Optional[int]):
+    if generators is None:
+        if relations.rows == 0:
+            raise ParseError("--generators is required when there are no relations", code="bad_document")
+        generators = relations.cols
+    return group_from_presentation(generators, relations)
+
+
+def _pairing(x, k):
+    first, second = pairing(x, k)
+    if first != second:
+        raise AssertionError(f"the two pairing routes disagree: {format_graded(first)} vs {format_graded(second)}")
+    return first
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    args: tuple[Arg, ...]
+    compute: Callable[..., Any]
+    render: Render
+
+
+COMMANDS = (
+    Command("canon", "canonical form of a group expression", (_group("group"),), lambda g: g, GROUP),
+    Command("tensor", "tensor product of two groups", (_group("left"), _group("right")),
+            lambda g, h: g.tensor(h), GROUP),
+    Command("tor", "torsion product of two groups", (_group("left"), _group("right")),
+            lambda g, h: g.tor(h), GROUP),
+    Command("sigma", "Bockstein basis of a group", (_group("group"),), lambda g: sigma(g),
+            _under("sigma", lambda s: format_sigma(s))),
+    Command("tau", "closure of the Bockstein basis of a group", (_group("group"),), lambda g: tau(g),
+            _under("tau", lambda s: format_sigma(s))),
+    Command("snf", "Smith normal form D = U M V of an integer matrix",
+            (_document(_matrix_arg, "matrix", help="JSON row list, inline or a file path"),), lambda m: snf(m),
+            Render(_snf_json, _snf_text)),
+    Command("present", "group presented by a relation matrix",
+            (_document(_matrix_arg, "relations", help="JSON row list, one relation per row"),
+             _int("-g", "--generators", help="generator count (default: column count)")),
+            _present, GROUP),
+    Command("homology", "reduced homology of a free chain complex",
+            (_document(_chain_arg, "chain", help="JSON document with 'ranks' and 'boundaries'"),),
+            lambda c: chain_homology(c), GRADED),
+    Command("moore", "graded homology of a Moore complex M(G, n)", (_group("group"), _int("n")),
+            lambda g, n: moore_graded(g, n), GRADED),
+    Command("hcoef", "homology of a graded complex with coefficients", (_graded("graded"), _group("group")),
+            lambda k, g: homology_with_coefficients(k, g), GRADED),
+    Command("dim", "homological dimension of a graded complex w.r.t. a group", (_graded("graded"), _group("group")),
+            lambda k, g: homological_dimension(k, g), VALUE),
+    Command("cin", "connectivity index (integral homological dimension)", (_graded("graded"),),
+            lambda k: connectivity_index(k), VALUE),
+    Command("smash", "graded homology of a smash product", (_graded("left"), _graded("right")),
+            lambda k, l: smash(k, l), GRADED),
+    Command("suspend", "shift a graded complex up by r degrees", (_graded("graded"), _int("r")),
+            lambda k, r: suspend(k, r), GRADED),
+    Command("pairing", "graded pairing of a compactum with a complex",
+            (_graded("compactum", help="graded cohomology of the compactum"),
+             _graded("complex", help="graded homology of the complex")),
+            _pairing, GRADED),
+    Command("vanish", "triple vanishing test for the pairing below level -m",
+            (_graded("compactum"), _graded("complex"), _int("m")), lambda x, k, m: vanishing_check(x, k, m),
+            Render(lambda c: {"verdict": all(c), "conditions": list(c)}, _vanish_text)),
+    Command("leqgr", "dimension order between two graded complexes", (_graded("left"), _graded("right")),
+            lambda k, l: graded_order_leq(k, l), Render(_leqgr_json, _leqgr_text)),
+    Command("bfcheck", "validate a Bockstein function document",
+            (_document(_bf_arg, "bf", help="JSON document, inline or a file path"),), lambda alpha: alpha,
+            Render(lambda _: {"valid": True, "violations": []}, lambda _: "valid")),
+    Command("bfdim", "dimension of a Bockstein function w.r.t. a group", (_document(_bf_arg, "bf"), _group("group")),
+            lambda alpha, g: coef_dimension(alpha, g), VALUE),
+    Command("covdim", "covering dimension of a Bockstein function", (_document(_bf_arg, "bf"),),
+            lambda alpha: covering_dimension(alpha), VALUE),
+    Command("spae", "is every symmetric-product obstruction of the function below the complex",
+            (_document(_bf_arg, "bf"), _graded("graded")), lambda alpha, k: sp_in_ae(alpha, k), VERDICT),
+    Command("cohdimmin", "minimal Eilenberg-MacLane wedge realizing a Bockstein function",
+            (_document(_bf_arg, "bf"),), lambda alpha: minimal_wedge(alpha), _under("wedge")),
+    Command("witness73", "function with dimension m on one group, infinite on another",
+            (_group("dim_group"), _group("sep_group"), _int("m")), lambda g, h, m: infinite_gap_witness(g, h, m),
+            _under("bf")),
+    Command("witness74", "function with dimension m on one group, m+1 on another",
+            (_group("dim_group"), _group("sep_group"), _int("m")), lambda g, h, m: unit_gap_witness(g, h, m),
+            Render(_witness74_json, lambda found: json.dumps(_witness74_json(found)))),
+    Command("spaek", "does SP of a complex have the type of an Eilenberg-MacLane space",
+            (_graded("--graded", required=True, help="reduced homology of the complex"),
+             _group("--group", required=True, help="coefficient group of the target"),
+             _int("--n", required=True, help="degree of the target")),
+            lambda k, g, n: sp_factors_as_em(k, g, n), Render(lambda v: v.to_json(), _spaek_text)),
+    Command("modp", "is the complex's symmetric product mod-p trivial", (_graded("graded"), _int("p")),
+            lambda k, p: mod_p_trivial(k, p), VERDICT),
+    Command("classify", "finite extension type of a complex's symmetric product", (_graded("graded"),),
+            lambda k: classify_finite_type(k), Render(lambda v: v.to_json(), _classify_text)),
+    Command("compact", "does the symmetric product share its type with a compactum of the circle kind",
+            (_graded("graded"),), lambda k: has_compact_type(k), VERDICT),
+    Command("mooreem", "does a Moore complex's SP match the corresponding Eilenberg-MacLane space",
+            (_group("group"), _int("n")), lambda g, n: moore_matches_em(g, n),
+            Render(lambda v: v.to_json(), _mooreem_text)),
+)
+
+
+# ---------------------------------------------------------------------------
+# Parser and dispatch.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,121 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
-
-    def cmd(name, handler, help_):
-        p = sub.add_parser(name, parents=[common], help=help_, description=help_)
-        p.set_defaults(run=handler)
-        return p
-
-    p = cmd("canon", _cmd_canon, "canonical form of a group expression")
-    p.add_argument("group")
-
-    p = cmd("tensor", _cmd_tensor, "tensor product of two groups")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = cmd("tor", _cmd_tor, "torsion product of two groups")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = cmd("sigma", _cmd_sigma, "Bockstein basis of a group")
-    p.add_argument("group")
-
-    p = cmd("tau", _cmd_tau, "closure of the Bockstein basis of a group")
-    p.add_argument("group")
-
-    p = cmd("snf", _cmd_snf, "Smith normal form D = U M V of an integer matrix")
-    p.add_argument("matrix", help="JSON row list, inline or a file path")
-
-    p = cmd("present", _cmd_present, "group presented by a relation matrix")
-    p.add_argument("relations", help="JSON row list, one relation per row")
-    p.add_argument("-g", "--generators", type=int, default=None, help="generator count (default: column count)")
-
-    p = cmd("homology", _cmd_homology, "reduced homology of a free chain complex")
-    p.add_argument("chain", help="JSON document with 'ranks' and 'boundaries'")
-
-    p = cmd("moore", _cmd_moore, "graded homology of a Moore complex M(G, n)")
-    p.add_argument("group")
-    p.add_argument("n", type=int)
-
-    p = cmd("hcoef", _cmd_hcoef, "homology of a graded complex with coefficients")
-    p.add_argument("graded")
-    p.add_argument("group")
-
-    p = cmd("dim", _cmd_dim, "homological dimension of a graded complex w.r.t. a group")
-    p.add_argument("graded")
-    p.add_argument("group")
-
-    p = cmd("cin", _cmd_cin, "connectivity index (integral homological dimension)")
-    p.add_argument("graded")
-
-    p = cmd("smash", _cmd_smash, "graded homology of a smash product")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = cmd("suspend", _cmd_suspend, "shift a graded complex up by r degrees")
-    p.add_argument("graded")
-    p.add_argument("r", type=int)
-
-    p = cmd("pairing", _cmd_pairing, "graded pairing of a compactum with a complex")
-    p.add_argument("compactum", help="graded cohomology of the compactum")
-    p.add_argument("complex", help="graded homology of the complex")
-
-    p = cmd("vanish", _cmd_vanish, "triple vanishing test for the pairing below level -m")
-    p.add_argument("compactum")
-    p.add_argument("complex")
-    p.add_argument("m", type=int)
-
-    p = cmd("leqgr", _cmd_leqgr, "dimension order between two graded complexes")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = cmd("bfcheck", _cmd_bfcheck, "validate a Bockstein function document")
-    p.add_argument("bf", help="JSON document, inline or a file path")
-
-    p = cmd("bfdim", _cmd_bfdim, "dimension of a Bockstein function w.r.t. a group")
-    p.add_argument("bf")
-    p.add_argument("group")
-
-    p = cmd("covdim", _cmd_covdim, "covering dimension of a Bockstein function")
-    p.add_argument("bf")
-
-    p = cmd("spae", _cmd_spae, "is every symmetric-product obstruction of the function below the complex")
-    p.add_argument("bf")
-    p.add_argument("graded")
-
-    p = cmd("cohdimmin", _cmd_cohdimmin, "minimal Eilenberg-MacLane wedge realizing a Bockstein function")
-    p.add_argument("bf")
-
-    p = cmd("witness73", _cmd_witness73, "function with dimension m on one group, infinite on another")
-    p.add_argument("dim_group")
-    p.add_argument("sep_group")
-    p.add_argument("m", type=int)
-
-    p = cmd("witness74", _cmd_witness74, "function with dimension m on one group, m+1 on another")
-    p.add_argument("dim_group")
-    p.add_argument("sep_group")
-    p.add_argument("m", type=int)
-
-    p = cmd("spaek", _cmd_spaek, "does SP of a complex have the type of an Eilenberg-MacLane space")
-    p.add_argument("--graded", required=True, help="reduced homology of the complex")
-    p.add_argument("--group", required=True, help="coefficient group of the target")
-    p.add_argument("--n", required=True, type=int, help="degree of the target")
-
-    p = cmd("modp", _cmd_modp, "is the complex's symmetric product mod-p trivial")
-    p.add_argument("graded")
-    p.add_argument("p", type=int)
-
-    p = cmd("classify", _cmd_classify, "finite extension type of a complex's symmetric product")
-    p.add_argument("graded")
-
-    p = cmd("compact", _cmd_compact, "does the symmetric product share its type with a compactum of the circle kind")
-    p.add_argument("graded")
-
-    p = cmd("mooreem", _cmd_mooreem, "does a Moore complex's SP match the corresponding Eilenberg-MacLane space")
-    p.add_argument("group")
-    p.add_argument("n", type=int)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, parents=[common], help=command.help, description=command.help)
+        p.set_defaults(row=command)
+        for a in command.args:
+            p.add_argument(*a.flags, **a.options)
     return top
 
 
@@ -481,16 +370,19 @@ def run_command(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = ns.row
     try:
-        result, text = ns.run(ns)
+        values = [getattr(ns, a.dest) if a.read is None else a.read(getattr(ns, a.dest)) for a in command.args]
+        value = command.compute(*values)
+        if ns.json:
+            out = json.dumps({"ok": True, "schema": SCHEMA_VERSION, "result": command.render.to_json(value)})
+        else:
+            out = command.render.to_text(value)
     except ParseError as exc:
         return _emit_error(ns, exc, 2)
     except DomainError as exc:
         return _emit_error(ns, exc, 1)
-    if ns.json:
-        print(json.dumps({"ok": True, "schema": SCHEMA_VERSION, "result": result}))
-    else:
-        print(text)
+    print(out)
     return 0
 
 

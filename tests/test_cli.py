@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from extcalc import cli
 from extcalc.cli import run_command
+from test_acceptance import CLI_BATTERY
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "schemas" / "envelope-v1.schema.json").read_text())
@@ -238,6 +241,43 @@ class TestJsonEnvelopes:
     def test_exceptions_must_be_an_object(self, exceptions):
         doc = json.dumps({"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "exceptions": exceptions})
         assert error_of("bfcheck", doc, expect_code=2)["code"] == "bad_document"
+
+    @pytest.mark.parametrize("spelling", ["02", " 2", "+2"])
+    def test_exception_keys_are_canonical_primes(self, spelling):
+        # a second spelling of 2 would otherwise silently replace the entry for "2"
+        triple = {"Zp": 1, "ZpInf": 1, "Zploc": 1}
+        doc = json.dumps(
+            {"Q": 1, "default": triple, "exceptions": {"2": {"Zp": 2, "ZpInf": 1, "Zploc": 2}, spelling: triple}}
+        )
+        assert error_of("bfdim", doc, "Z/2", expect_code=2)["code"] == "bad_document"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bfcheck", '{"Q": 1, "Q": "inf", "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}}'),
+            ("homology", '{"ranks": [1, 1, 1], "boundaries": [[[0]], [[2]]], "ranks": [1]}'),
+        ],
+    )
+    def test_duplicate_keys_are_rejected(self, args):
+        assert error_of(*args, expect_code=2)["code"] == "bad_document"
+
+    def test_text_is_not_rendered_under_json(self, monkeypatch):
+        def refuse(k):
+            raise RuntimeError("text rendered in JSON mode")
+
+        monkeypatch.setattr(cli, "format_graded", refuse)
+        assert result_of("smash", "{1: Z/2}", "{1: Z/2}") == {"graded": {"2": "Z/2", "3": "Z/2"}}
+        with pytest.raises(RuntimeError):
+            run(["smash", "{1: Z/2}", "{1: Z/2}"])
+
+
+class TestCommandTable:
+    def test_table_readme_and_battery_name_the_same_commands(self):
+        readme = (ROOT / "README.md").read_text()
+        listed = re.search(r"The full list of subcommands: `([^`]*)`", readme).group(1).split()
+        names = [command.name for command in cli.COMMANDS]
+        assert len(names) == 29
+        assert names == listed == [ok[0] for ok, _, _ in CLI_BATTERY]
 
 
 class TestExitCodes:
