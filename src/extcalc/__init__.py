@@ -8,6 +8,8 @@ classify symmetric products of Moore and Eilenberg-MacLane type.  Everything
 is exact: integer linear algebra over arbitrary-precision ints, no floats.
 """
 
+from types import ModuleType as _ModuleType
+
 from .abelian import (
     ALL_PRIMES,
     AdmissibleGroup,
@@ -92,90 +94,7 @@ from .presentation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ExtcalcError",
-    "DomainError",
-    "ParseError",
-    # abelian
-    "AdmissibleGroup",
-    "Localization",
-    "Cyclic",
-    "Prufer",
-    "PrimeSet",
-    "PrimePattern",
-    "SigmaSet",
-    "ExtNat",
-    "INFINITY",
-    "ALL_PRIMES",
-    "NO_PRIMES",
-    "TRIVIAL",
-    "Z",
-    "Q",
-    "cyclic",
-    "prufer",
-    "localized",
-    "fresh_prime",
-    "sigma",
-    "tau",
-    "tau_closure",
-    "sigma_matches_localization",
-    # presentation
-    "IntMatrix",
-    "SNFResult",
-    "ChainComplex",
-    "snf",
-    "invariant_factors",
-    "det",
-    "matmul",
-    "group_from_presentation",
-    "tensor_from_presentations",
-    "tor_from_presentations",
-    "chain_homology",
-    # graded
-    "GradedGroup",
-    "EMPTY_GRADED",
-    "GradedOrderVerdict",
-    "homology_with_coefficients",
-    "cohomology_with_coefficients",
-    "homological_dimension",
-    "connectivity_index",
-    "smash",
-    "suspend",
-    "pairing",
-    "vanishing_check",
-    "bockstein_family",
-    "graded_order_leq",
-    "moore_graded",
-    # bockstein
-    "BocksteinFunction",
-    "PrimeTriple",
-    "Violation",
-    "MinimalWedge",
-    "validate_bockstein",
-    "coef_dimension",
-    "covering_dimension",
-    "sp_in_ae",
-    "minimal_wedge",
-    "infinite_gap_witness",
-    "unit_gap_witness",
-    # exttype
-    "ClauseFailure",
-    "ClauseReport",
-    "LocalizationType",
-    "RationalType",
-    "NoFiniteType",
-    "MooreEmVerdict",
-    "sp_factors_as_em",
-    "mod_p_trivial",
-    "classify_finite_type",
-    "has_compact_type",
-    "moore_matches_em",
-    # dsl
-    "parse_group",
-    "parse_graded",
-    "format_group",
-    "format_graded",
-    "format_sigma",
+# Every public name imported above, without the submodules the imports bind.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

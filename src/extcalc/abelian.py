@@ -31,9 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Generic, NamedTuple, TypeVar
 
-from sympy import isprime, nextprime
-
 from .errors import DomainError
+from .primes import factorint, isprime
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,8 @@ def fresh_prime(used) -> int:
     """The smallest prime not in `used`."""
     used = set(used)
     p = 2
-    while p in used:
-        p = int(nextprime(p))
+    while p in used or not isprime(p):
+        p += 1
     return p
 
 
@@ -366,8 +365,6 @@ Q = AdmissibleGroup.of(Localization(NO_PRIMES))
 
 def cyclic(n: int) -> AdmissibleGroup:
     """Z/n split into prime-power atoms; n must be at least 2."""
-    from sympy import factorint
-
     if n < 2:
         raise DomainError(f"cyclic group modulus must be >= 2, got {n}", code="bad_modulus")
     return AdmissibleGroup.of(*(Cyclic(p, e) for p, e in factorint(n).items()))

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from sympy import isprime
-
 from .abelian import (
     BOCKSTEIN_FLAGS,
     FULL_PATTERN,
@@ -37,6 +35,7 @@ from .abelian import (
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
+from .primes import isprime
 
 
 @dataclass(frozen=True)

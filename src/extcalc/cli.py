@@ -234,6 +234,10 @@ def _present(relations: IntMatrix, generators: Optional[int]):
         if relations.rows == 0:
             raise ParseError("--generators is required when there are no relations", code="bad_document")
         generators = relations.cols
+    elif relations.rows == 0:
+        # `[]` reads as 0x0; with no relations the columns are the generators
+        # (a negative count keeps its error from group_from_presentation)
+        relations = IntMatrix(0, max(generators, 0), ())
     return group_from_presentation(generators, relations)
 
 
@@ -374,10 +378,17 @@ def run_command(argv) -> int:
     try:
         values = [getattr(ns, a.dest) if a.read is None else a.read(getattr(ns, a.dest)) for a in command.args]
         value = command.compute(*values)
-        if ns.json:
-            out = json.dumps({"ok": True, "schema": SCHEMA_VERSION, "result": command.render.to_json(value)})
-        else:
-            out = command.render.to_text(value)
+        # A computed answer prints in full: the int->str digit limit guards
+        # parsing untrusted input, which is done by now.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if ns.json:
+                out = json.dumps({"ok": True, "schema": SCHEMA_VERSION, "result": command.render.to_json(value)})
+            else:
+                out = command.render.to_text(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except ParseError as exc:
         return _emit_error(ns, exc, 2)
     except DomainError as exc:

@@ -14,8 +14,6 @@ parses back to an equal value; the trivial group prints as ``Z^0``.
 
 from __future__ import annotations
 
-from sympy import isprime
-
 from .abelian import (
     BOCKSTEIN_FLAGS,
     AdmissibleGroup,
@@ -25,12 +23,12 @@ from .abelian import (
     PrimeSet,
     Prufer,
     SigmaSet,
-    TRIVIAL,
     cyclic,
     pattern_flags,
 )
 from .errors import ParseError
 from .graded import GradedGroup
+from .primes import isprime
 
 
 class _Scanner:
@@ -125,10 +123,7 @@ def _term(sc: _Scanner) -> AdmissibleGroup:
     if sc.peek() == "^":
         sc.expect("^")
         count = sc.nat()
-        total = TRIVIAL
-        for _ in range(count):
-            total = total + group
-        return total
+        return AdmissibleGroup.from_counts({a: n * count for a, n in group.summands})
     return group
 
 

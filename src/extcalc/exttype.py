@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from sympy import isprime
-
 from .abelian import (
     AdmissibleGroup,
     PrimePattern,
@@ -30,6 +28,7 @@ from .abelian import (
 )
 from .errors import DomainError
 from .graded import GradedGroup
+from .primes import isprime
 
 RATIONAL_ONLY = SigmaSet.build(True, PrimePattern.EMPTY, {})
 

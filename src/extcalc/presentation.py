@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from sympy import factorint
-
 from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization
 from .errors import DomainError
 from .graded import GradedGroup
+from .primes import factorint
 
 __all__ = [
     "IntMatrix",

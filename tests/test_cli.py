@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -91,6 +92,11 @@ class TestTextOutput:
         assert text_of("present", "[[6]]") == "Z/2 + Z/3"
         assert text_of("present", "[[0,0]]") == "Z^2"
         assert text_of("homology", CHAIN_RP2) == "{1: Z/2}"
+
+    def test_free_presentation(self):
+        assert text_of("present", "[]", "-g", "2") == "Z^2"
+        assert text_of("present", "[]", "-g", "0") == "Z^0"
+        assert error_of("present", "[]", expect_code=2)["code"] == "bad_document"
 
     def test_graded_calculus(self):
         assert text_of("moore", "Z/3", "2") == "{2: Z/3}"
@@ -269,6 +275,30 @@ class TestJsonEnvelopes:
         assert result_of("smash", "{1: Z/2}", "{1: Z/2}") == {"graded": {"2": "Z/2", "3": "Z/2"}}
         with pytest.raises(RuntimeError):
             run(["smash", "{1: Z/2}", "{1: Z/2}"])
+
+
+class TestLargeAnswers:
+    def test_snf_transforms_past_the_digit_limit_print_in_full(self):
+        rng = random.Random(1)
+        rows = [[rng.randint(-20, 20) for _ in range(20)] for _ in range(20)]
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(["snf", json.dumps(rows), "--json"])
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit  # lifted for printing only
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        VALIDATOR.validate(doc)
+        u, d, v = (doc["result"][key] for key in "udv")
+        assert max(abs(x) for x in sum(u + v, [])).bit_length() > 4300 * 3.32  # over 4300 digits
+        p = 2**61 - 1
+
+        def mul(a, b):
+            return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+        assert mul(mul(u, rows), v) == [[x % p for x in row] for row in d]
 
 
 class TestCommandTable:

@@ -1,6 +1,7 @@
 """Surface syntax: the group/graded grammar and the printers."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -40,6 +41,20 @@ class TestParseGroup:
         assert parse_group("Z/3^oo^2") == prufer(3) + prufer(3)
         assert parse_group("Z^0") == TRIVIAL
         assert parse_group("Q + Z^0") == Q
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("atom", ["Z/360", "Z_(2)", "Z/7^oo"])
+    def test_multiplicity_matches_repeated_sum(self, atom, count):
+        total = TRIVIAL
+        for _ in range(count):
+            total = total + parse_group(atom)
+        assert parse_group(f"{atom}^{count}") == total
+
+    def test_large_multiplicity_is_not_repeated_addition(self):
+        start = time.perf_counter()
+        g = parse_group("Z^100000 + Z/6^100000")
+        assert time.perf_counter() - start < 0.1
+        assert sorted(n for _, n in g.summands) == [100000] * 3
 
     def test_composite_modulus_splits(self):
         assert parse_group("Z/360") == cyclic(8) + cyclic(9) + cyclic(5)

@@ -1,0 +1,85 @@
+"""extcalc.primes against sympy as the oracle, and the factoring budget end to end."""
+
+import json
+import random
+import time
+
+import pytest
+import sympy
+
+from extcalc.primes import factorint, isprime
+from test_cli import VALIDATOR, run
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745, 63973,
+              75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561,
+              399001, 410041, 449065, 488881, 512461, 9746347772161, 1436697831295441, 60977817398996785)
+# The least strong pseudoprime to the first k prime bases, at each base-set boundary of isprime.
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+# 7 * 11 * 13 * 59 times primes of 12, 15, 27 and 31 digits: rho needs about 10**6 steps for the first
+BEYOND_BUDGET = 10**87 + 1
+
+
+class TestIsprime:
+    def test_small_range(self):
+        assert [n for n in range(-5, 10**5) if isprime(n)] == list(sympy.primerange(10**5))
+
+    @pytest.mark.parametrize("n", CARMICHAEL)
+    def test_carmichael_numbers(self, n):
+        assert isprime(n) is False is sympy.isprime(n)
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes_at_each_boundary(self, n):
+        for m in range(n - 2, n + 3):
+            assert isprime(m) == sympy.isprime(m), m
+
+    def test_seeded_odd_64_to_256_bits(self):
+        rng = random.Random(6)
+        for bits in range(64, 257, 16):
+            for _ in range(100):
+                n = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+                assert isprime(n) == sympy.isprime(n), n
+
+    def test_products_of_large_primes_beyond_the_deterministic_range(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            p, q = (sympy.nextprime(rng.getrandbits(100)) for _ in range(2))
+            assert isprime(p) and isprime(q)
+            assert not isprime(p * q) and not isprime(p * p)
+
+
+class TestFactorint:
+    def test_seeded_up_to_1e14(self):
+        rng = random.Random(8)
+        for _ in range(2000):
+            n = rng.randint(1, 10**14)
+            assert factorint(n) == sympy.factorint(n), n
+
+    def test_square_of_a_30_digit_prime(self):
+        p = sympy.nextprime(10**29 + 12345)
+        assert factorint(p * p) == {p: 2}
+        assert factorint(2**5 * 43 * p**3) == {2: 5, 43: 1, p: 3}
+
+    def test_balanced_semiprime_found_in_one_batch(self):
+        # rho meets both 11-digit factors in the same gcd batch; only retracing
+        # that batch splits them before the budget runs out
+        p, q = 30000110867, 31001577109
+        assert factorint(p * q) == {p: 1, q: 1}
+
+    def test_increasing_primes(self):
+        assert list(factorint(2**3 * 3 * 1000003**2 * 41)) == [2, 3, 41, 1000003]
+
+
+class TestFactoringBudget:
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_hostile_modulus_ends_with_a_typed_error(self, mode):
+        start = time.perf_counter()
+        code, out, err = run(["canon", f"Z/{BEYOND_BUDGET}", *mode])
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        if mode:
+            doc = json.loads(out)
+            VALIDATOR.validate(doc)
+            assert doc["error"]["code"] == "factorization_budget" and err == ""
+        else:
+            assert out == "" and err.startswith("error[factorization_budget]:")
