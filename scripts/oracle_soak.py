@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Soak test for the two independent computation routes.
+"""Soak test for pairs of independent computation routes.
 
 Random presentation matrices feed both the closed-form atom tables and the
-Smith-normal-form oracle; any disagreement is printed with enough detail to
-reproduce and the run exits nonzero.
+Smith-normal-form oracle.  Random graded pairs feed both routes to the
+dimension order: the closed-form dimension profiles that `leqgr` compares,
+and homological dimensions read off full homology groups, on every member
+of the coefficient family `leqgr` checks.  Any disagreement is printed with
+enough detail to reproduce and the run exits nonzero.
 """
 
 import argparse
@@ -15,11 +18,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from extcalc import (
+    AdmissibleGroup,
+    Cyclic,
+    GradedGroup,
     IntMatrix,
+    Localization,
+    PrimeSet,
+    Prufer,
+    dimension_profile,
+    format_graded,
+    graded_order_leq,
     group_from_presentation,
+    homological_dimension,
     tensor_from_presentations,
     tor_from_presentations,
 )
+
+PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def random_relations(rng: random.Random, max_dim: int, bound: int) -> IntMatrix:
@@ -29,6 +44,29 @@ def random_relations(rng: random.Random, max_dim: int, bound: int) -> IntMatrix:
         [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
         cols=cols,
     )
+
+
+def random_graded(rng: random.Random) -> GradedGroup:
+    def atom():
+        roll = rng.random()
+        if roll < 0.4:
+            return Localization(PrimeSet(rng.random() < 0.5, rng.sample(PRIMES, rng.randint(0, 3))))
+        if roll < 0.8:
+            return Cyclic(rng.choice(PRIMES), rng.randint(1, 4))
+        return Prufer(rng.choice(PRIMES))
+
+    degrees = rng.sample(range(1, 7), rng.randint(0, 3))
+    return GradedGroup.of({d: AdmissibleGroup.of(*(atom() for _ in range(rng.randint(1, 4)))) for d in degrees})
+
+
+def profile_readings(profile, checked) -> list:
+    """The profile's value on each member of `checked`: Q, then Z/p, Z/p^oo,
+    Z_(p) for one prime after another."""
+    values = [profile.rational]
+    for g in checked[1::3]:
+        (p,) = g.support_primes()
+        values.extend(profile.at(p))
+    return values
 
 
 def main() -> int:
@@ -41,6 +79,7 @@ def main() -> int:
     cfg = parser.parse_args()
 
     rng = random.Random(cfg.seed)
+    graded_rng = random.Random(f"{cfg.seed}:graded")
     start = time.perf_counter()
     mismatches = 0
     for i in range(1, cfg.pairs + 1):
@@ -59,6 +98,18 @@ def main() -> int:
                 print(f"  B = {rel_b.to_rows()}")
                 print(f"  table  -> {table}")
                 print(f"  oracle -> {oracle}")
+        k, l = random_graded(graded_rng), random_graded(graded_rng)
+        checked = graded_order_leq(k, l).checked
+        for side in (k, l):
+            profile = profile_readings(dimension_profile(side), checked)
+            homology = [homological_dimension(side, g) for g in checked]
+            if profile != homology:
+                mismatches += 1
+                print(f"MISMATCH pair {i} leqgr dimensions of {format_graded(side)}:")
+                print(f"  K = {format_graded(k)}")
+                print(f"  L = {format_graded(l)}")
+                print(f"  profile  -> {[str(v) for v in profile]}")
+                print(f"  homology -> {[str(v) for v in homology]}")
         if cfg.report_every and i % cfg.report_every == 0:
             rate = i / (time.perf_counter() - start)
             print(f"{i}/{cfg.pairs} pairs, {rate:.0f}/s, {mismatches} mismatches", flush=True)

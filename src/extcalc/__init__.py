@@ -66,8 +66,7 @@ from .graded import (
     EMPTY_GRADED,
     GradedGroup,
     GradedOrderVerdict,
-    bockstein_family,
-    connectivity_index,
+    dimension_profile,
     graded_order_leq,
     homological_dimension,
     homology_with_coefficients,

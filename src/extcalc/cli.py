@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
@@ -40,10 +41,10 @@ from .dsl import format_graded, format_group, format_sigma, parse_graded, parse_
 from .errors import DomainError, ParseError
 from .exttype import classify_finite_type, has_compact_type, mod_p_trivial, moore_matches_em, sp_factors_as_em
 from .graded import (
-    connectivity_index, graded_order_leq, homological_dimension, homology_with_coefficients, moore_graded, pairing,
-    smash, suspend, vanishing_check,
+    graded_order_leq, homological_dimension, homology_with_coefficients, moore_graded, pairing, smash, suspend,
+    vanishing_check,
 )
-from .presentation import ChainComplex, IntMatrix, chain_homology, group_from_presentation, snf
+from .presentation import ChainComplex, IntMatrix, chain_homology, group_from_presentation, require_integers, snf
 
 SCHEMA_VERSION = "extcalc/1"
 
@@ -74,7 +75,9 @@ def _load_json_source(arg: str):
             raise ParseError(f"cannot read {arg!r}: {exc}", code="unreadable_input") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply", code="bad_document") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's int->str digit limit
         raise ParseError(f"malformed JSON: {exc}", code="bad_document") from exc
 
 
@@ -82,6 +85,7 @@ def _matrix_arg(arg: str) -> IntMatrix:
     data = _load_json_source(arg)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError("a matrix document is a JSON list of rows", code="bad_document")
+    require_integers((e for row in data for e in row), "matrix entries")
     return IntMatrix.from_rows(data)
 
 
@@ -120,20 +124,13 @@ class Arg(NamedTuple):
         return self.flags[-1].lstrip("-")
 
 
-def _group(*flags, **options) -> Arg:
-    return Arg(flags, lambda text: parse_group(text), options)
-
-
-def _graded(*flags, **options) -> Arg:
-    return Arg(flags, lambda text: parse_graded(text), options)
-
-
 def _document(reader, *flags, **options) -> Arg:
     return Arg(flags, reader, options)
 
 
-def _int(*flags, **options) -> Arg:
-    return Arg(flags, None, {"type": int, **options})
+_group = partial(_document, lambda text: parse_group(text))
+_graded = partial(_document, lambda text: parse_graded(text))
+_int = partial(_document, None, type=int)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +280,7 @@ COMMANDS = (
     Command("dim", "homological dimension of a graded complex w.r.t. a group", (_graded("graded"), _group("group")),
             lambda k, g: homological_dimension(k, g), VALUE),
     Command("cin", "connectivity index (integral homological dimension)", (_graded("graded"),),
-            lambda k: connectivity_index(k), VALUE),
+            lambda k: k.min_degree(), VALUE),
     Command("smash", "graded homology of a smash product", (_graded("left"), _graded("right")),
             lambda k, l: smash(k, l), GRADED),
     Command("suspend", "shift a graded complex up by r degrees", (_graded("graded"), _int("r")),

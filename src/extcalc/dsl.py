@@ -59,11 +59,15 @@ class _Scanner:
 
     def nat(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected a number", code="expected_number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past Python's int->str digit limit, which parsing keeps
+            digits, self.pos = self.pos - start, start
+            self.error(f"a number of {digits} digits is too long", code="number_too_long")
 
     def prime(self) -> int:
         start = self.pos

@@ -10,7 +10,7 @@ integer degrees.  Two readings are used side by side:
   a complex is paired against a compactum and the natural index is the
   difference of the two gradings.
 
-All operations reduce to degreewise tensor/Tor of admissible groups.
+Coefficient operations are degreewise tensor/Tor; the dimension order reads sigma.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ from .abelian import (
     Cyclic,
     ExtNat,
     INFINITY,
+    PrimeIndexed,
+    PrimePattern,
     PrimeSet,
     Q,
     TRIVIAL,
-    Z,
     fresh_prime,
     localized,
     prufer,
+    sigma,
 )
 from .errors import DomainError
 
@@ -38,7 +40,7 @@ from .errors import DomainError
 class GradedGroup:
     """Finitely many nontrivial admissible groups indexed by degree.
 
-    >>> GradedGroup.of({1: Z, 2: TRIVIAL}) == GradedGroup.of({1: Z})
+    >>> GradedGroup.of({1: Q, 2: TRIVIAL}) == GradedGroup.of({1: Q})
     True
     """
 
@@ -73,10 +75,7 @@ class GradedGroup:
         return GradedGroup(tuple((d + r, g) for d, g in self.entries))
 
     def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        out = dict(self.entries)
-        for d, g in other.entries:
-            out[d] = out.get(d, TRIVIAL) + g
-        return GradedGroup.of(out)
+        return _collect(self.entries + other.entries)
 
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
@@ -97,6 +96,14 @@ class GradedGroup:
 EMPTY_GRADED = GradedGroup(())
 
 
+def _collect(terms) -> GradedGroup:
+    """Sum (degree, group) terms degreewise."""
+    out = {}
+    for d, g in terms:
+        out[d] = out[d] + g if d in out else g
+    return GradedGroup.of(out)
+
+
 def _require_coefficient(group: AdmissibleGroup):
     if group.is_trivial:
         raise DomainError("coefficient group must be nontrivial", code="trivial_group")
@@ -109,11 +116,7 @@ def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> Graded
     (k_n (x) G) (+) Tor(k_{n-1}, G).
     """
     _require_coefficient(group)
-    out = {}
-    for d, g in k.entries:
-        out[d] = out.get(d, TRIVIAL) + g.tensor(group)
-        out[d + 1] = out.get(d + 1, TRIVIAL) + g.tor(group)
-    return GradedGroup.of(out)
+    return _collect(term for d, g in k.entries for term in ((d, g.tensor(group)), (d + 1, g.tor(group))))
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
@@ -121,18 +124,10 @@ def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
     return homology_with_coefficients(k, group).min_degree()
 
 
-def connectivity_index(k: GradedGroup) -> ExtNat:
-    """Homological dimension with integer coefficients: the least nonzero degree."""
-    return homological_dimension(k, Z)
-
-
 def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
     """Homology of a smash product, by the Kunneth rule (all Tor terms are
     direct summands here, so the answer is exact, not just up to extension)."""
-    out = EMPTY_GRADED
-    for d, g in l.entries:
-        out = out.direct_sum(homology_with_coefficients(k, g).shift(d))
-    return out
+    return _collect((i + d, h) for d, g in l.entries for i, h in homology_with_coefficients(k, g).entries)
 
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:
@@ -151,11 +146,7 @@ def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> Grad
     stated.
     """
     _require_coefficient(group)
-    out = {}
-    for d, g in x.entries:
-        out[d] = out.get(d, TRIVIAL) + group.tensor(g)
-        out[d - 1] = out.get(d - 1, TRIVIAL) + group.tor(g)
-    return GradedGroup.of(out)
+    return _collect(term for d, g in x.entries for term in ((d, group.tensor(g)), (d - 1, group.tor(g))))
 
 
 def pairing(x: GradedGroup, k: GradedGroup) -> tuple[GradedGroup, GradedGroup]:
@@ -168,17 +159,9 @@ def pairing(x: GradedGroup, k: GradedGroup) -> tuple[GradedGroup, GradedGroup]:
     components compute the same answer along the two expansion orders and
     must agree degreewise.
     """
-    via_cohomology = {}
-    for j, g in k.entries:
-        for d, h in cohomology_with_coefficients(x, g).entries:
-            n = j - d
-            via_cohomology[n] = via_cohomology.get(n, TRIVIAL) + h
-    via_homology = {}
-    for d, g in x.entries:
-        for i, h in homology_with_coefficients(k, g).entries:
-            n = i - d
-            via_homology[n] = via_homology.get(n, TRIVIAL) + h
-    return GradedGroup.of(via_cohomology), GradedGroup.of(via_homology)
+    via_cohomology = _collect((j - d, h) for j, g in k.entries for d, h in cohomology_with_coefficients(x, g).entries)
+    via_homology = _collect((i - d, h) for d, g in x.entries for i, h in homology_with_coefficients(k, g).entries)
+    return via_cohomology, via_homology
 
 
 def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool, bool]:
@@ -217,36 +200,56 @@ class GradedOrderVerdict:
     witness: Optional[tuple[AdmissibleGroup, ExtNat, ExtNat]] = None
 
 
-def bockstein_family(*graded: GradedGroup) -> tuple[AdmissibleGroup, ...]:
-    """Q plus the three local test groups at each relevant prime, where the
-    relevant primes are those occurring in the inputs plus one fresh
-    representative for all remaining primes."""
-    primes = set()
-    for k in graded:
-        primes.update(k.support_primes())
-    primes.add(fresh_prime(primes))
-    family = [Q]
-    for p in sorted(primes):
-        family.append(AdmissibleGroup.of(Cyclic(p, 1)))
-        family.append(prufer(p))
-        family.append(localized(PrimeSet.of(p)))
-    return tuple(family)
+def _entry_profile(d: int, group: AdmissibleGroup) -> PrimeIndexed:
+    s, P = sigma(group), PrimePattern
+
+    def lowest(tensor: bool, tor: bool = False) -> ExtNat:
+        return ExtNat(d) if tensor else ExtNat(d + 1) if tor else INFINITY
+
+    return PrimeIndexed.combine(
+        lowest,
+        lambda pat: (
+            lowest(P.CYCLIC in pat, P.PRUFER in pat),
+            lowest(P.LOCAL in pat, P.PRUFER in pat),
+            lowest(s.rational or P.PRUFER in pat),
+        ),
+        s,
+    )
+
+
+def dimension_profile(k: GradedGroup) -> PrimeIndexed:
+    """homological_dimension(k, H) for every Bockstein test group H: a value on
+    Q and a Z/p, Z/p^oo, Z_(p) triple at each prime.  An entry G in degree d
+    gives d where G (x) H is nonzero and d+1 where only Tor(G, H) is, read from
+    sigma(G): Q needs Q, Z/p needs Z/p, Z/p^oo needs Z_(p), Z_(p) needs Q or
+    Z/p^oo, and the Tor terms need p-torsion, which puts Z/p^oo in sigma(G)."""
+    # tuple() of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
+    return PrimeIndexed.combine(
+        lambda *values: min(values),
+        lambda *triples: tuple([min(values) for values in zip(*triples)]),
+        PrimeIndexed.build(INFINITY, (INFINITY,) * 3),
+        *(_entry_profile(d, g) for d, g in k.entries),
+    )
 
 
 def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
-    """Decide dim-order over the canonical coefficient family.
+    """Decide dim-order over the canonical coefficient family: Q, and Z/p,
+    Z/p^oo, Z_(p) at the inputs' primes and at one fresh prime.
 
     A failure is definitive; a pass certifies the inequality for every
     admissible coefficient group, since each one's dimension is determined
     by the family's (uniformity in the prime covers the rest).
     """
-    family = bockstein_family(k, l)
-    for g in family:
-        dk = homological_dimension(k, g)
-        dl = homological_dimension(l, g)
-        if not dk <= dl:
-            return GradedOrderVerdict(False, family, (g, dk, dl))
-    return GradedOrderVerdict(True, family)
+    left, right = dimension_profile(k), dimension_profile(l)
+    primes = set(k.support_primes()).union(l.support_primes())
+    primes.add(fresh_prime(primes))
+    family, dims_k, dims_l = [Q], [left.rational], [right.rational]
+    for p in sorted(primes):
+        family += [AdmissibleGroup.of(Cyclic(p, 1)), prufer(p), localized(PrimeSet.of(p))]
+        dims_k += left.at(p)
+        dims_l += right.at(p)
+    witness = next(((g, dk, dl) for g, dk, dl in zip(family, dims_k, dims_l) if not dk <= dl), None)
+    return GradedOrderVerdict(witness is None, tuple(family), witness)
 
 
 def moore_graded(group: AdmissibleGroup, degree: int) -> GradedGroup:

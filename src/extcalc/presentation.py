@@ -9,11 +9,12 @@ meaningful check rather than a tautology.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from math import gcd
 
 from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .graded import GradedGroup
 from .primes import factorint
 
@@ -67,16 +68,20 @@ class IntMatrix:
             cols = 0
         return cls(len(data), cols, tuple(e for row in data for e in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
+
+
+def require_integers(values, what: str):
+    """A document's numbers must be JSON integers: a float, string or bool is
+    a document error that names it, never a silent coercion."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"{what} must be integers, got {json.dumps(v)}", code="bad_document")
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -410,10 +415,11 @@ class ChainComplex:
     @classmethod
     def from_json(cls, data) -> "ChainComplex":
         try:
-            ranks = [int(r) for r in data["ranks"]]
+            ranks = list(data["ranks"])
             raw = list(data["boundaries"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError("chain complex needs 'ranks' and 'boundaries'", code="malformed_complex") from exc
+        require_integers(ranks, "chain ranks")
         mats = []
         for i, rows in enumerate(raw):
             if i + 1 >= len(ranks):
@@ -426,9 +432,11 @@ class ChainComplex:
                 mats.append(IntMatrix(r, c, ()))
             else:
                 try:
-                    mats.append(IntMatrix.from_rows(rows))
+                    rows = [list(row) for row in rows]
                 except TypeError as exc:
                     raise DomainError(f"boundary {i + 1} is not a row list", code="malformed_complex") from exc
+                require_integers((e for row in rows for e in row), f"boundary {i + 1} entries")
+                mats.append(IntMatrix.from_rows(rows))
         return cls(tuple(ranks), tuple(mats))
 
     def to_json(self):

@@ -26,7 +26,6 @@ from extcalc import (
     Z,
     classify_finite_type,
     coef_dimension,
-    connectivity_index,
     covering_dimension,
     cyclic,
     format_graded,
@@ -191,11 +190,11 @@ def test_criterion_08_order_smash_coherence():
             if verdict.holds:
                 for _ in range(50):
                     m = random_graded(rng)
-                    assert connectivity_index(smash(k, m)) <= connectivity_index(smash(l, m))
+                    assert smash(k, m).min_degree() <= smash(l, m).min_degree()
             else:
                 g, _, _ = verdict.witness
                 m = moore_graded(g, 1)
-                assert connectivity_index(smash(k, m)) > connectivity_index(smash(l, m))
+                assert smash(k, m).min_degree() > smash(l, m).min_degree()
 
 
 def test_criterion_09_vanishing_triple_agreement():

@@ -383,6 +383,71 @@ class TestStreams:
         assert json.loads(out)["result"] == {"group": "Z"}
 
 
+LONG = "1" + "0" * 4400  # past Python's default 4300-digit int->str limit
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("canon", f"Z/{LONG}"), "number_too_long"),
+            (("cin", f"{{{LONG}: Z}}"), "number_too_long"),
+            (("canon", "Z/\u00b2"), "expected_number"),  # a digit that int() refuses
+            (("snf", f"[[{LONG}]]"), "bad_document"),
+        ],
+    )
+    def test_long_or_odd_literals_are_parse_errors(self, args, code):
+        assert error_of(*args, expect_code=2)["code"] == code
+        status, out, err = run(args)
+        assert (status, out) == (2, "") and err.startswith(f"error[{code}]: ")
+
+    def test_deeply_nested_document_is_a_parse_error(self, tmp_path):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 50000)
+        for command in ("snf", "homology", "bfcheck"):
+            assert error_of(command, str(doc), expect_code=2)["code"] == "bad_document"
+
+    @pytest.mark.parametrize("args", [("canon", f"Z/{LONG}"), ("snf", f"[[{LONG}]]"), ("snf", "[" * 50000)])
+    def test_hostile_literals_print_no_traceback(self, args):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        for mode in ([], ["--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "extcalc.cli", *args, *mode], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 2 and "Traceback" not in proc.stderr
+            if mode:
+                VALIDATOR.validate(json.loads(proc.stdout))
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (("homology", '{"ranks": [1.5, 1], "boundaries": [[[0]]]}'), "1.5"),
+            (("homology", '{"ranks": ["1", true], "boundaries": [[[0]]]}'), '"1"'),
+            (("homology", '{"ranks": [1, true], "boundaries": [[[0]]]}'), "true"),
+            (("homology", '{"ranks": [1, "x"], "boundaries": [[[0]]]}'), '"x"'),
+            (("homology", '{"ranks": [1, 1], "boundaries": [[[0.0]]]}'), "0.0"),
+            (("snf", "[[1.5]]"), "1.5"),
+            (("snf", "[[true]]"), "true"),
+            (("present", "[[2, null]]"), "null"),
+        ],
+    )
+    def test_document_numbers_must_be_integers(self, args, named):
+        err = error_of(*args, expect_code=2)
+        assert err["code"] == "bad_document" and err["message"].endswith(f"must be integers, got {named}")
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("snf", "[[1,2],[3]]"), "bad_shape"),
+            (("homology", '{"ranks": [1, 1]}'), "malformed_complex"),
+            (("homology", '{"ranks": [1, 1], "boundaries": [[[0, 0]]]}'), "malformed_complex"),
+            (("homology", '{"ranks": [1, 1, 1], "boundaries": [[[1]], [[1]]]}'), "malformed_complex"),
+        ],
+    )
+    def test_shape_errors_stay_domain_errors(self, args, code):
+        assert error_of(*args, expect_code=1)["code"] == code
+
+
 class TestFileInputs:
     def test_documents_from_files(self, tmp_path):
         bf = tmp_path / "alpha.json"

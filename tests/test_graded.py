@@ -1,25 +1,29 @@
 """Graded groups and the coefficient calculus: Kunneth-style homology,
 cohomology with the reversed grading, the pairing, and the dimension order."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import st_graded, st_nonempty_graded, st_nontrivial_group
+from conftest import random_graded, st_graded, st_nonempty_graded, st_nontrivial_group
 from extcalc import (
     AdmissibleGroup,
+    Cyclic,
     DomainError,
     EMPTY_GRADED,
     GradedGroup,
+    GradedOrderVerdict,
     INFINITY,
     PrimeSet,
     Q,
     TRIVIAL,
     Z,
-    bockstein_family,
     cohomology_with_coefficients,
-    connectivity_index,
     cyclic,
+    dimension_profile,
+    fresh_prime,
     graded_order_leq,
     homological_dimension,
     homology_with_coefficients,
@@ -27,10 +31,13 @@ from extcalc import (
     moore_graded,
     pairing,
     prufer,
+    sigma,
     smash,
     suspend,
     vanishing_check,
 )
+from extcalc.abelian import BOCKSTEIN_FLAGS
+from test_abelian import wide_group
 
 Z2, Z4 = cyclic(2), cyclic(4)
 P2 = prufer(2)
@@ -83,8 +90,9 @@ class TestHomologyWithCoefficients:
     def test_dimension_examples(self):
         assert homological_dimension(GradedGroup.of({2: Z4}), Z2) == 2
         assert homological_dimension(GradedGroup.of({2: Z4}), Q) == INFINITY
-        assert connectivity_index(GradedGroup.of({3: Q})) == 3
-        assert connectivity_index(EMPTY_GRADED) == INFINITY
+        # the integral dimension (the `cin` command) is the least nonzero degree
+        for k, expected in ((GradedGroup.of({3: Q}), 3), (GradedGroup.of({2: Z4, 5: Z}), 2), (EMPTY_GRADED, INFINITY)):
+            assert k.min_degree() == homological_dimension(k, Z) == expected
 
 
 class TestSmash:
@@ -188,7 +196,7 @@ class TestGradedOrder:
         assert g == Z2 and dk == 2 and dl == 1
 
     def test_family_contents(self):
-        family = bockstein_family(GradedGroup.of({1: Z2}))
+        family = graded_order_leq(GradedGroup.of({1: Z2}), EMPTY_GRADED).checked
         assert Q in family
         assert cyclic(2) in family and prufer(2) in family and localized(PrimeSet.of(2)) in family
         # one representative beyond the support
@@ -212,7 +220,102 @@ class TestGradedOrder:
         v = graded_order_leq(k, l)
         if not v.holds:
             m = moore_graded(v.witness[0], 1)
-            assert connectivity_index(smash(k, m)) > connectivity_index(smash(l, m))
+            assert smash(k, m).min_degree() > smash(l, m).min_degree()
+
+
+def graded_order_leq_by_homology(k, l):
+    """The dimension order by definition, the oracle for the profiles: every
+    family member's dimension is read off the full homology with those
+    coefficients."""
+    primes = set(k.support_primes()).union(l.support_primes())
+    primes.add(fresh_prime(primes))
+    family = [Q]
+    for p in sorted(primes):
+        family += [AdmissibleGroup.of(Cyclic(p, 1)), prufer(p), localized(PrimeSet.of(p))]
+    for g in family:
+        dk, dl = homological_dimension(k, g), homological_dimension(l, g)
+        if not dk <= dl:
+            return GradedOrderVerdict(False, tuple(family), (g, dk, dl))
+    return GradedOrderVerdict(True, tuple(family))
+
+
+def family_readings(profile, checked):
+    """(member, profile value) for each member of a `checked` tuple: Q, then
+    Z/p, Z/p^oo, Z_(p) for one prime after another."""
+    assert checked[0] == Q
+    out = [(Q, profile.rational)]
+    for i in range(1, len(checked), 3):
+        (p,) = checked[i].support_primes()
+        assert checked[i : i + 3] == (cyclic(p), prufer(p), localized(PrimeSet.of(p)))
+        out.extend(zip(checked[i : i + 3], profile.at(p)))
+    return out
+
+
+def wide_graded(rng):
+    return GradedGroup.of({d: wide_group(rng, rng.randint(10, 40)) for d in rng.sample(range(1, 6), rng.randint(1, 3))})
+
+
+class TestDimensionProfile:
+    def test_examples(self):
+        oo = INFINITY
+        profile = dimension_profile(GradedGroup.of({1: P2}))
+        assert profile.rational == oo and profile.at(2) == (2, 2, 1) and profile.at(3) == (oo, oo, oo)
+        profile = dimension_profile(GradedGroup.of({1: Z4, 3: Q}))
+        assert profile.rational == 3 and profile.at(2) == (1, 2, 1) and profile.at(5) == (oo, oo, 3)
+        assert dimension_profile(GradedGroup.of({2: Z})).at(7) == (2, 2, 2)
+        assert dimension_profile(EMPTY_GRADED).at(2) == (oo, oo, oo)
+
+    @given(st_graded, st_graded)
+    def test_matches_homological_dimension_on_the_family(self, k, l):
+        checked = graded_order_leq(k, l).checked
+        for side in (k, l):
+            for g, value in family_readings(dimension_profile(side), checked):
+                assert value == homological_dimension(side, g)
+
+    @given(st_graded, st_nontrivial_group)
+    def test_dimension_is_the_least_value_over_sigma(self, k, g):
+        # dual to coef_dimension, which takes the maximum over sigma(G)
+        profile, s = dimension_profile(k), sigma(g)
+        values = [profile.rational] if s.rational else []
+        for p in s.primes_to_inspect(profile):
+            values += [v for f, v in zip(BOCKSTEIN_FLAGS, profile.at(p)) if f.flag & s.at(p)]
+        assert homological_dimension(k, g) == min(values, default=INFINITY)
+
+    @given(st_graded, st_graded)
+    def test_order_matches_the_homology_route(self, k, l):
+        assert graded_order_leq(k, l) == graded_order_leq_by_homology(k, l)
+
+    def test_order_matches_the_homology_route_on_a_seeded_bank(self):
+        rng = random.Random(20)
+        pairs = [(random_graded(rng, max_entries=4), random_graded(rng, max_entries=4)) for _ in range(300)]
+        for _ in range(3):
+            k, l = wide_graded(rng), wide_graded(rng)
+            pairs += [(k, l), (l, k), (k, k.direct_sum(l)), (k.direct_sum(l), k.shift(1))]
+        verdicts = [graded_order_leq(k, l) for k, l in pairs]
+        assert verdicts == [graded_order_leq_by_homology(k, l) for k, l in pairs]
+        assert {v.holds for v in verdicts} == {True, False}
+        assert max(len(v.checked) for v in verdicts) > 200
+
+    def test_builds_no_group(self, monkeypatch, capsys):
+        from extcalc.cli import run_command
+
+        pairs = [
+            (GradedGroup.of({1: P2}), GradedGroup.of({1: Z2})),
+            (GradedGroup.of({1: Z2, 2: Q}), GradedGroup.of({1: P2 + Z})),
+            (GradedGroup.of({3: localized(PrimeSet.excluding(3))}), GradedGroup.of({2: Z4 + P2})),
+        ]
+        expected = [graded_order_leq(k, l) for k, l in pairs]
+
+        def refuse(*args):
+            raise AssertionError("leqgr built a group")
+
+        for name in ("tensor", "tor"):
+            monkeypatch.setattr(AdmissibleGroup, name, refuse)
+        for name in ("homology_with_coefficients", "homological_dimension"):
+            monkeypatch.setattr(f"extcalc.graded.{name}", refuse)
+        assert [graded_order_leq(k, l) for k, l in pairs] == expected
+        assert run_command(["leqgr", "{1: Z/2^oo}", "{1: Z/2}"]) == 0
+        assert capsys.readouterr().out.startswith("fails: with coefficients Z/2 the left side has dimension 2")
 
 
 class TestMooreGraded:

@@ -1,6 +1,8 @@
-"""The package as a whole: its public names, and that it runs without sympy."""
+"""The package as a whole: its public names, its documented error codes, and
+that it runs without sympy."""
 
 import os
+import re
 import subprocess
 import sys
 import types
@@ -27,6 +29,21 @@ def test_every_public_name_resolves_and_none_is_a_module():
     assert len(set(extcalc.__all__)) == len(extcalc.__all__)
     for name in extcalc.__all__:
         assert not isinstance(getattr(extcalc, name), types.ModuleType), name
+
+
+def test_readme_tables_every_error_code_raised():
+    source = "".join(path.read_text() for path in (ROOT / "src" / "extcalc").glob("*.py"))
+    raised = set(re.findall(r'code="([a-z_]+)"', source))
+    tabled = re.findall(r"^\| `([a-z_]+)` \| (?:1|2|2 or 1) \|", (ROOT / "README.md").read_text(), re.M)
+    assert len(tabled) == len(set(tabled))
+    assert set(tabled) == raised
+    assert len(raised) == 24
+
+
+def test_removed_names_stay_gone():
+    for name in ("bockstein_family", "connectivity_index"):
+        assert not hasattr(extcalc, name) and not hasattr(extcalc.graded, name)
+    assert not hasattr(extcalc.IntMatrix, "identity")
 
 
 def test_import_leaves_sympy_out():
