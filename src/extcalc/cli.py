@@ -7,9 +7,11 @@ Every subcommand prints a human-readable line by default and, under
     {"ok": false, "schema": "extcalc/1", "error": {"code": ..., "message": ...}}
 
 Exit status is 0 on success, 1 when an operation rejects mathematically
-invalid input (domain error), and 2 on surface-syntax, document, or usage
-errors.  In text mode errors go to stderr; in JSON mode the envelope always
-goes to stdout so pipelines can rely on it.
+invalid input (domain error), 2 on surface-syntax, document, or usage
+errors, and 3 when anything else goes wrong inside extcalc
+(``internal_error``, a bug; no traceback is printed).  In text mode errors
+go to stderr; in JSON mode the envelope always goes to stdout so pipelines
+can rely on it.
 
 Structured inputs (matrices, chain complexes, Bockstein functions) are given
 either inline as a JSON literal or as a path to a JSON file.
@@ -38,7 +40,7 @@ from .bockstein import (
     unit_gap_witness, validate_bockstein,
 )
 from .dsl import format_graded, format_group, format_sigma, parse_graded, parse_group
-from .errors import DomainError, ParseError
+from .errors import DomainError, ExtcalcError, ParseError
 from .exttype import classify_finite_type, has_compact_type, mod_p_trivial, moore_matches_em, sp_factors_as_em
 from .graded import (
     graded_order_leq, homological_dimension, homology_with_coefficients, moore_graded, pairing, smash, suspend,
@@ -390,6 +392,8 @@ def run_command(argv) -> int:
         return _emit_error(ns, exc, 2)
     except DomainError as exc:
         return _emit_error(ns, exc, 1)
+    except Exception as exc:  # a bug, reported like any error rather than as a traceback
+        return _emit_error(ns, ExtcalcError(f"{type(exc).__name__}: {exc}", code="internal_error"), 3)
     print(out)
     return 0
 

@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
 Every error carries a short machine-readable code; the CLI maps DomainError
-to exit status 1 and ParseError (bad surface syntax or malformed input
-documents) to exit status 2.
+to exit status 1, ParseError (bad surface syntax or malformed input
+documents) to exit status 2, and any other exception to `internal_error`
+with exit status 3.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ class GradedGroup:
 
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
-        return ExtNat(min(self.degrees)) if self.entries else INFINITY
+        return ExtNat(_natural(self).entries[0][0]) if self.entries else INFINITY
 
     def support_primes(self) -> tuple[int, ...]:
         out = set()
@@ -104,6 +104,14 @@ def _collect(terms) -> GradedGroup:
     return GradedGroup.of(out)
 
 
+def _natural(k: GradedGroup) -> GradedGroup:
+    """`k` itself when no degree is negative: dimensions are natural numbers,
+    and only pairing outputs reach below degree 0."""
+    if k.entries and k.entries[0][0] < 0:
+        raise DomainError(f"a dimension needs degrees >= 0, got degree {k.entries[0][0]}", code="bad_degree")
+    return k
+
+
 def _require_coefficient(group: AdmissibleGroup):
     if group.is_trivial:
         raise DomainError("coefficient group must be nontrivial", code="trivial_group")
@@ -121,7 +129,7 @@ def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> Graded
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
     """Least degree where homology with these coefficients is nonzero."""
-    return homology_with_coefficients(k, group).min_degree()
+    return homology_with_coefficients(_natural(k), group).min_degree()
 
 
 def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
@@ -228,7 +236,7 @@ def dimension_profile(k: GradedGroup) -> PrimeIndexed:
         lambda *values: min(values),
         lambda *triples: tuple([min(values) for values in zip(*triples)]),
         PrimeIndexed.build(INFINITY, (INFINITY,) * 3),
-        *(_entry_profile(d, g) for d, g in k.entries),
+        *(_entry_profile(d, g) for d, g in _natural(k).entries),
     )
 
 

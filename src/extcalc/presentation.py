@@ -10,6 +10,7 @@ meaningful check rather than a tautology.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -153,93 +154,55 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _smith(m: list[list[int]], rows: int, cols: int, track: bool):
-    """Diagonalize in place; returns (diagonal entries, U rows, V rows).
+def _smith(a: list[list[int]], rows: int, cols: int) -> list[int]:
+    """Diagonalize the leading rows x cols block of `a` in place; returns its
+    diagonal.  Pivots are sought only inside the block, but row operations
+    act on whole rows and column operations on whole columns, so what `a`
+    holds beside and below the block records the transforms (see `snf`).
 
     Entries are cleared with single 2x2 unimodular gcd rotations rather than
     repeated quotient subtraction, and the smallest-magnitude pivot is
     re-selected on every pass; both are needed to keep intermediate entries
     from exploding on larger matrices.
     """
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if track else None
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)] if track else None
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        if track:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row[dst] += q * row[src]
-        mdst, msrc = m[dst], m[src]
-        for j in range(cols):
-            mdst[j] += q * msrc[j]
-        if track:
-            udst, usrc = u[dst], u[src]
-            for j in range(rows):
-                udst[j] += q * usrc[j]
 
     def rotate_rows(t, i):
-        # Unimodular combination leaving m[t][t] = gcd and m[i][t] = 0.
-        a, b = m[t][t], m[i][t]
-        if b % a == 0:
-            add_row(i, t, -(b // a))
+        # Unimodular combination leaving a[t][t] = gcd and a[i][t] = 0.
+        at, ai = a[t], a[i]
+        piv, other = at[t], ai[t]
+        if other % piv == 0:
+            q = -(other // piv)
+            for j in range(len(ai)):
+                ai[j] += q * at[j]
             return
-        g, s, w = _extended_gcd(a, b)
-        pa, pb = a // g, b // g
-        mt, mi = m[t], m[i]
-        for j in range(cols):
-            x, y = mt[j], mi[j]
-            mt[j] = s * x + w * y
-            mi[j] = pa * y - pb * x
-        if track:
-            ut, ui = u[t], u[i]
-            for j in range(rows):
-                x, y = ut[j], ui[j]
-                ut[j] = s * x + w * y
-                ui[j] = pa * y - pb * x
+        g, s, w = _extended_gcd(piv, other)
+        pa, pb = piv // g, other // g
+        for j in range(len(at)):
+            x, y = at[j], ai[j]
+            at[j] = s * x + w * y
+            ai[j] = pa * y - pb * x
 
     def rotate_cols(t, j):
-        a, b = m[t][t], m[t][j]
-        if b % a == 0:
-            q = -(b // a)
-            for row in m:
+        piv, other = a[t][t], a[t][j]
+        if other % piv == 0:
+            q = -(other // piv)
+            for row in a:
                 row[j] += q * row[t]
-            if track:
-                for row in v:
-                    row[j] += q * row[t]
             return
-        g, s, w = _extended_gcd(a, b)
-        pa, pb = a // g, b // g
-        for row in m:
+        g, s, w = _extended_gcd(piv, other)
+        pa, pb = piv // g, other // g
+        for row in a:
             x, y = row[t], row[j]
             row[t] = s * x + w * y
             row[j] = pa * y - pb * x
-        if track:
-            for row in v:
-                x, y = row[t], row[j]
-                row[t] = s * x + w * y
-                row[j] = pa * y - pb * x
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
 
     def select_pivot(t):
         best = None
         pivot = None
         for i in range(t, rows):
-            mi = m[i]
+            ai = a[i]
             for j in range(t, cols):
-                x = mi[j]
+                x = ai[j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
@@ -248,70 +211,83 @@ def _smith(m: list[list[int]], rows: int, cols: int, track: bool):
         return pivot
 
     diag = []
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
+    for t in range(min(rows, cols)):
         pivot = select_pivot(t)
         if pivot is None:
             break
         while True:
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+            pi, pj = pivot
+            a[t], a[pi] = a[pi], a[t]
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
             for i in range(t + 1, rows):
-                if m[i][t] != 0:
+                if a[i][t] != 0:
                     rotate_rows(t, i)
             for j in range(t + 1, cols):
-                if m[t][j] != 0:
+                if a[t][j] != 0:
                     rotate_cols(t, j)
             # Column rotations can refill the pivot column below row t; loop
             # until both the row and the column stay clear.
-            if any(m[i][t] != 0 for i in range(t + 1, rows)):
+            if any(a[i][t] != 0 for i in range(t + 1, rows)):
                 pivot = select_pivot(t)
                 continue
-            # Force the pivot to divide the remaining submatrix so the
-            # diagonal comes out in divisibility order.
-            p = m[t][t]
+            # Force the pivot to divide the remaining block so the diagonal
+            # comes out in divisibility order.
+            p = a[t][t]
             culprit = None
             for i in range(t + 1, rows):
-                mi = m[i]
+                ai = a[i]
                 for j in range(t + 1, cols):
-                    if mi[j] % p != 0:
+                    if ai[j] % p != 0:
                         culprit = i
                         break
                 if culprit is not None:
                     break
             if culprit is None:
                 break
-            add_row(t, culprit, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
             pivot = (t, t)
-        if m[t][t] < 0:
-            negate_row(t)
-        diag.append(m[t][t])
-        t += 1
-
-    return diag, u, v
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        diag.append(a[t][t])
+    return diag
 
 
 def snf(matrix: IntMatrix) -> SNFResult:
-    """Smith normal form with both transforms; empty matrices are fine."""
-    m = matrix.to_rows()
-    diag, u, v = _smith(m, matrix.rows, matrix.cols, track=True)
-    d = IntMatrix.from_rows(m, cols=matrix.cols)
+    """Smith normal form with both transforms; empty matrices are fine.
+
+    One elimination runs on [M | I_rows] with I_cols below it: the row
+    operations that turn M into D turn I_rows into U, and the column
+    operations turn I_cols into V.
+    """
+    r, c = matrix.rows, matrix.cols
+    a = [row + [int(i == j) for j in range(r)] for i, row in enumerate(matrix.to_rows())]
+    a += [[int(i == j) for j in range(c)] for i in range(c)]
+    _smith(a, r, c)
     return SNFResult(
-        u=IntMatrix.from_rows(u, cols=matrix.rows),
-        d=d,
-        v=IntMatrix.from_rows(v, cols=matrix.cols),
+        u=IntMatrix.from_rows([row[c:] for row in a[:r]], cols=r),
+        d=IntMatrix.from_rows([row[:c] for row in a[:r]], cols=c),
+        v=IntMatrix.from_rows(a[r:], cols=c),
     )
 
 
 def invariant_factors(matrix: IntMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order."""
-    diag, _, _ = _smith(matrix.to_rows(), matrix.rows, matrix.cols, track=False)
-    return [d for d in diag if d != 0]
+    if not matrix.entries:
+        return []
+    return [d for d in _smith(matrix.to_rows(), matrix.rows, matrix.cols) if d != 0]
 
 
 # ---------------------------------------------------------------------------
 # Presented groups.
+
+
+def _cokernel(free: int, factors) -> AdmissibleGroup:
+    """Z^free plus Z/d for each factor d, in canonical atom form; a rank is
+    a count here, never a list of that many atoms."""
+    counts = Counter({Localization(ALL_PRIMES): free})
+    counts.update(Cyclic(p, e) for d in factors if d > 1 for p, e in factorint(d).items())
+    return AdmissibleGroup.from_counts(counts)
 
 
 def group_from_presentation(generators: int, relations: IntMatrix) -> AdmissibleGroup:
@@ -328,13 +304,7 @@ def group_from_presentation(generators: int, relations: IntMatrix) -> Admissible
             code="bad_shape",
         )
     factors = invariant_factors(relations)
-    free_rank = generators - len(factors)
-    atoms = []
-    for d in factors:
-        if d > 1:
-            atoms.extend(Cyclic(p, e) for p, e in factorint(d).items())
-    atoms.extend(Localization(ALL_PRIMES) for _ in range(free_rank))
-    return AdmissibleGroup.of(*atoms)
+    return _cokernel(generators - len(factors), factors)
 
 
 def tensor_from_presentations(rel_a: IntMatrix, rel_b: IntMatrix) -> AdmissibleGroup:
@@ -369,13 +339,7 @@ def tor_from_presentations(rel_a: IntMatrix, rel_b: IntMatrix) -> AdmissibleGrou
     """
     da = [d for d in invariant_factors(rel_a) if d > 1]
     db = [d for d in invariant_factors(rel_b) if d > 1]
-    atoms = []
-    for x in da:
-        for y in db:
-            g = gcd(x, y)
-            if g > 1:
-                atoms.extend(Cyclic(p, e) for p, e in factorint(g).items())
-    return AdmissibleGroup.of(*atoms)
+    return _cokernel(0, [gcd(x, y) for x in da for y in db])
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +369,9 @@ class ChainComplex:
                     f"boundary {i + 1} has shape {b.rows}x{b.cols}, expected {self.ranks[i]}x{self.ranks[i + 1]}",
                     code="malformed_complex",
                 )
-        for i in range(len(self.boundaries) - 1):
-            square = matmul(self.boundaries[i], self.boundaries[i + 1])
-            if any(square.entries):
+        for i, (first, second) in enumerate(zip(self.boundaries, self.boundaries[1:])):
+            # a map with no entries composes to zero, however large its shape
+            if first.entries and second.entries and any(matmul(first, second).entries):
                 raise DomainError(
                     f"boundary composition {i + 1} o {i + 2} is nonzero", code="malformed_complex"
                 )
@@ -450,21 +414,11 @@ def chain_homology(chain: ChainComplex) -> GradedGroup:
     torsion comes from the invariant factors of d_{i+1}; one free summand in
     degree 0 is dropped for the reduction whenever it exists.
     """
-    n = len(chain.ranks)
-    factors = [invariant_factors(b) for b in chain.boundaries]
-    ranks_of_maps = [len(f) for f in factors]
+    factors = [invariant_factors(b) for b in chain.boundaries] + [[]]  # no boundary maps into the top degree
     entries = {}
-    for i in range(n):
-        rank_in = ranks_of_maps[i] if i < len(factors) else 0
-        rank_out = ranks_of_maps[i - 1] if i >= 1 else 0
-        free = chain.ranks[i] - rank_out - rank_in
-        torsion = [d for d in (factors[i] if i < len(factors) else []) if d > 1]
+    for i, rank in enumerate(chain.ranks):
+        free = rank - len(factors[i]) - (len(factors[i - 1]) if i else 0)
         if i == 0 and free >= 1:
             free -= 1
-        atoms = [Localization(ALL_PRIMES)] * free
-        for d in torsion:
-            atoms.extend(Cyclic(p, e) for p, e in factorint(d).items())
-        group = AdmissibleGroup.of(*atoms)
-        if not group.is_trivial:
-            entries[i] = group
+        entries[i] = _cokernel(free, factors[i])
     return GradedGroup.of(entries)

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -273,8 +274,10 @@ class TestJsonEnvelopes:
 
         monkeypatch.setattr(cli, "format_graded", refuse)
         assert result_of("smash", "{1: Z/2}", "{1: Z/2}") == {"graded": {"2": "Z/2", "3": "Z/2"}}
-        with pytest.raises(RuntimeError):
-            run(["smash", "{1: Z/2}", "{1: Z/2}"])
+        # text mode does render, so the refusal surfaces as an internal error
+        assert run(["smash", "{1: Z/2}", "{1: Z/2}"]) == (
+            3, "", "error[internal_error]: RuntimeError: text rendered in JSON mode\n"
+        )
 
 
 class TestLargeAnswers:
@@ -359,6 +362,41 @@ class TestPairingRouteCheck:
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert "the two pairing routes disagree" in proc.stderr
+
+    def test_disagreeing_routes_give_an_envelope_under_optimized_python(self):
+        script = (
+            "import sys\n"
+            "from extcalc import Q, Z, GradedGroup, cli\n"
+            "cli.pairing = lambda x, k: (GradedGroup.of({1: Z}), GradedGroup.of({1: Q}))\n"
+            "sys.exit(cli.run_command(['pairing', '{1: Z}', '{1: Z}', '--json']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (3, "")
+        doc = json.loads(proc.stdout)
+        VALIDATOR.validate(doc)
+        assert doc["error"] == {
+            "code": "internal_error",
+            "message": "AssertionError: the two pairing routes disagree: {1: Z} vs {1: Q}",
+        }
+
+
+class TestInternalErrors:
+    def test_any_other_exception_is_exit_three_without_a_traceback(self, monkeypatch):
+        def broken(group):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "sigma", broken)
+        assert error_of("sigma", "Z/4", expect_code=3) == {
+            "code": "internal_error",
+            "message": "ZeroDivisionError: division by zero",
+        }
+        assert run(["sigma", "Z/4"]) == (3, "", "error[internal_error]: ZeroDivisionError: division by zero\n")
 
 
 class TestStreams:
@@ -446,6 +484,27 @@ class TestHostileInputs:
     )
     def test_shape_errors_stay_domain_errors(self, args, code):
         assert error_of(*args, expect_code=1)["code"] == code
+
+
+class TestRanksAreCounts:
+    @pytest.mark.parametrize(
+        "args, result",
+        [
+            (("present", "[]", "-g", "1000000000000"), {"group": "Z^1000000000000"}),
+            (("homology", '{"ranks": [1000000000000], "boundaries": []}'), {"graded": {"0": "Z^999999999999"}}),
+            (("homology", '{"ranks": [30000, 0, 30000], "boundaries": [[], []]}'),
+             {"graded": {"0": "Z^29999", "2": "Z^30000"}}),
+        ],
+    )
+    def test_large_ranks_answer_at_once(self, args, result):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "extcalc.cli", *args, "--json"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert time.perf_counter() - start < 5.0  # a cold start included
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {"ok": True, "schema": "extcalc/1", "result": result}
 
 
 class TestFileInputs:

@@ -68,6 +68,31 @@ class TestGradedGroup:
         assert k.direct_sum(GradedGroup.of({1: Z})) == GradedGroup.of({1: Z2 + Z})
 
 
+class TestNegativeDegrees:
+    """Pairing outputs reach below degree 0, where a dimension is undefined."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [GradedGroup.of({-1: Z}), pairing(GradedGroup.of({3: Z}), GradedGroup.of({1: Z2}))[0]],
+        ids=["degree -1", "pairing"],
+    )
+    def test_dimensions_are_typed_errors(self, k):
+        assert k.degrees[0] < 0
+        computations = (
+            k.min_degree,
+            lambda: homological_dimension(k, Z),
+            lambda: homological_dimension(k, Q),  # zero homology, still no dimension
+            lambda: dimension_profile(k),
+            lambda: graded_order_leq(k, EMPTY_GRADED),
+            lambda: graded_order_leq(EMPTY_GRADED, k),
+        )
+        for compute in computations:
+            with pytest.raises(DomainError) as info:
+                compute()
+            assert info.value.code == "bad_degree"
+        assert k.shift(-k.degrees[0]).min_degree() == 0
+
+
 class TestHomologyWithCoefficients:
     def test_tensor_and_tor_terms(self):
         k = GradedGroup.of({2: Z4, 3: Z})

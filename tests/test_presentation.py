@@ -4,7 +4,10 @@ The oracle route here never consults the atom tables, so the cross-checks
 against `AdmissibleGroup.tensor`/`tor` are genuine two-route agreements.
 """
 
+import hashlib
+import json
 import random
+import time
 
 import pytest
 import sympy
@@ -24,6 +27,8 @@ from extcalc import (
     chain_homology,
     cyclic,
     det,
+    format_graded,
+    format_group,
     group_from_presentation,
     invariant_factors,
     matmul,
@@ -74,6 +79,25 @@ class TestIntMatrix:
             assert det(m) == int(sympy.Matrix(m.to_rows()).det())
 
 
+def check_smith_form(m: IntMatrix) -> list[int]:
+    """U M V = D with U, V unimodular and D a nonnegative diagonal in
+    divisibility order whose nonzero part is `invariant_factors`; returns it."""
+    res = snf(m)
+    assert matmul(matmul(res.u, m), res.v) == res.d
+    assert abs(det(res.u)) == 1
+    assert abs(det(res.v)) == 1
+    d = res.d.to_rows()
+    diag = [d[i][i] for i in range(min(m.rows, m.cols))]
+    assert all(d[i][j] == 0 for i in range(m.rows) for j in range(m.cols) if i != j)
+    assert all(x >= 0 for x in diag)
+    nonzero = [x for x in diag if x]
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    if 0 in diag:
+        assert all(x == 0 for x in diag[diag.index(0) :])
+    assert invariant_factors(m) == nonzero
+    return nonzero
+
+
 class TestSmithNormalForm:
     def test_known_forms(self):
         assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == [2, 4]
@@ -85,23 +109,46 @@ class TestSmithNormalForm:
 
     @given(st_matrix)
     def test_decomposition(self, m):
-        res = snf(m)
-        assert matmul(matmul(res.u, m), res.v) == res.d
-        assert abs(det(res.u)) == 1
-        assert abs(det(res.v)) == 1
-        diag = [res.d.to_rows()[i][i] for i in range(min(m.rows, m.cols))]
-        off = [
-            res.d.to_rows()[i][j]
-            for i in range(m.rows)
-            for j in range(m.cols)
-            if i != j
-        ]
-        assert all(x == 0 for x in off)
-        assert all(x >= 0 for x in diag)
-        nonzero = [x for x in diag if x]
-        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
-        if 0 in diag:
-            assert all(x == 0 for x in diag[diag.index(0) :])
+        check_smith_form(m)
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [("12x20", 12), ("20x12", 12), ("rank 5 of 20x20", 5), ("zero rows", 6), ("zero columns", 6),
+         ("0x7", 0), ("7x0", 0), ("all zero", 0)],
+    )
+    def test_seeded_decompositions_past_the_hypothesis_sizes(self, shape, rank):
+        rng = random.Random(shape)
+
+        def seeded(rows, cols, bound=20):
+            return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+        rows = {
+            "12x20": lambda: seeded(12, 20),
+            "20x12": lambda: seeded(20, 12),
+            "rank 5 of 20x20": lambda: matmul(
+                IntMatrix.from_rows(seeded(20, 5, 5)), IntMatrix.from_rows(seeded(5, 20, 5))
+            ).to_rows(),
+            "zero rows": lambda: [[0] * 12 if i % 3 == 0 else row for i, row in enumerate(seeded(9, 12))],
+            "zero columns": lambda: [[0 if j % 3 == 0 else x for j, x in enumerate(row)] for row in seeded(12, 9)],
+            "0x7": lambda: [],
+            "7x0": lambda: [[]] * 7,
+            "all zero": lambda: [[0] * 8] * 5,
+        }[shape]()
+        m = IntMatrix.from_rows(rows, cols=7 if shape == "0x7" else None)
+        assert (m.rows, m.cols) != (0, 0)
+        assert len(check_smith_form(m)) == rank
+
+    def test_transforms_match_the_recorded_golden(self):
+        # U, D and V are not unique; these pin the ones `snf --json` prints
+        rng = random.Random(50)
+        forms = []
+        for _ in range(50):
+            rows, cols, bound = rng.randint(0, 12), rng.randint(0, 12), rng.choice((1, 3, 20))
+            m = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols)
+            res = snf(m)
+            forms.append([res.u.to_rows(), res.d.to_rows(), res.v.to_rows()])
+        digest = hashlib.sha256(json.dumps(forms).encode()).hexdigest()
+        assert digest == "1e7c37e5a83396f2dd2a43b8b2cff70ce27e251c34d0b3572dcb37a9bbbc498e"
 
     @given(st_matrix)
     def test_factors_match_full_form(self, m):
@@ -113,6 +160,33 @@ class TestSmithNormalForm:
     def test_factors_match_sympy_rank(self, m):
         # Independent cross-check of the rank through a second implementation.
         assert len(invariant_factors(m)) == sympy.Matrix(m.rows, m.cols, list(m.entries)).rank()
+
+
+class TestRanksAreCounts:
+    """A rank's value never sets the amount of work."""
+
+    @pytest.mark.parametrize(
+        "compute, expected",
+        [
+            (lambda: format_group(group_from_presentation(10**12, IntMatrix(0, 10**12, ()))), "Z^1000000000000"),
+            (lambda: format_graded(chain_homology(ChainComplex((10**12,), ()))), "{0: Z^999999999999}"),
+            (
+                lambda: format_graded(
+                    chain_homology(ChainComplex((30000, 0, 30000), (IntMatrix(30000, 0, ()), IntMatrix(0, 30000, ()))))
+                ),
+                "{0: Z^29999, 2: Z^30000}",
+            ),
+        ],
+        ids=["present", "homology", "empty maps"],
+    )
+    def test_large_ranks_answer_at_once(self, compute, expected):
+        start = time.perf_counter()
+        assert compute() == expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_matrices_without_entries(self):
+        assert invariant_factors(IntMatrix(10**12, 0, ())) == []
+        assert invariant_factors(IntMatrix(0, 10**12, ())) == []
 
 
 class TestPresentedGroups:
