@@ -2,7 +2,9 @@
 """Soak test for pairs of independent computation routes.
 
 Random presentation matrices feed both the closed-form atom tables and the
-Smith-normal-form oracle.  Random graded pairs feed both routes to the
+Smith-normal-form oracle, and each matrix feeds both reductions inside the
+oracle: the invariant factors read modulo a maximal minor, and the diagonal
+of the exact Smith form with its transforms.  Random graded pairs feed both routes to the
 dimension order: the closed-form dimension profiles that `leqgr` compares,
 and homological dimensions read off full homology groups, on every member
 of the coefficient family `leqgr` checks.  Any disagreement is printed with
@@ -30,6 +32,8 @@ from extcalc import (
     graded_order_leq,
     group_from_presentation,
     homological_dimension,
+    invariant_factors,
+    snf,
     tensor_from_presentations,
     tor_from_presentations,
 )
@@ -98,6 +102,16 @@ def main() -> int:
                 print(f"  B = {rel_b.to_rows()}")
                 print(f"  table  -> {table}")
                 print(f"  oracle -> {oracle}")
+        for name, rel in (("A", rel_a), ("B", rel_b)):
+            modular = invariant_factors(rel)
+            d = snf(rel).d
+            exact = [x for x in d.entries[:: d.cols + 1][: min(d.rows, d.cols)] if x]
+            if modular != exact:
+                mismatches += 1
+                print(f"MISMATCH pair {i} invariant factors of {name}:")
+                print(f"  {name} = {rel.to_rows()}")
+                print(f"  modular -> {modular}")
+                print(f"  snf     -> {exact}")
         k, l = random_graded(graded_rng), random_graded(graded_rng)
         checked = graded_order_leq(k, l).checked
         for side in (k, l):

@@ -1,10 +1,17 @@
 """Integer matrices, Smith normal form, and presented abelian groups.
 
 This module is the package's independent computational route: groups are
-given by integer relation matrices, reduced exactly over arbitrary-precision
-ints, and only then converted to canonical atom form.  Nothing here consults
-the closed-form tensor/Tor tables, so agreement between the two routes is a
+given by integer relation matrices, reduced to their invariant factors, and
+only then converted to canonical atom form.  Nothing here consults the
+closed-form tensor/Tor tables, so agreement between the two routes is a
 meaningful check rather than a tautology.
+
+There are two reductions.  `snf` eliminates exactly over arbitrary-precision
+ints and builds both transforms, whose entries can grow very large.
+`invariant_factors`, which the presented groups and chain homology use,
+eliminates modulo a nonzero maximal minor found by one fraction-free pass
+(`_bareiss`, which `det` shares), so no entry outgrows that minor.  The two
+never share an elimination, so each checks the other.
 """
 
 from __future__ import annotations
@@ -98,31 +105,51 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(ar, bc, tuple(out))
 
 
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of the rows `m` in place; returns the rank r
+    and a nonzero r x r minor (1 when r = 0).
+
+    Each pivot is the first nonzero entry at or below the current row in the
+    next column that has one; columns with none are skipped.  Every entry
+    below the current row stays a minor of the input, so each division by
+    the previous pivot is exact (Sylvester's identity) and no entry grows
+    past the size of a minor.  The minor is that of the pivot rows and
+    columns, signed by the row swaps, so on a square matrix of full rank it
+    is the determinant.
+    """
+    rows = len(m)
+    r, sign, prev = 0, 1, 1
+    for k in range(len(m[0]) if m else 0):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if m[i][k] != 0:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            sign = -sign
+        top = m[r]
+        piv = top[k]
+        for i in range(r + 1, rows):
+            row = m[i]
+            x = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * piv - x * top[j]) // prev
+            row[k] = 0
+        prev = piv
+        r += 1
+    return r, sign * prev
+
+
 def det(a: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the signed minor of one `_bareiss` pass, or 0 when
+    the rank falls short."""
     if a.rows != a.cols:
         raise DomainError("determinant needs a square matrix", code="bad_shape")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, minor = _bareiss(a.to_rows())
+    return minor if rank == a.rows else 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +298,89 @@ def snf(matrix: IntMatrix) -> SNFResult:
     )
 
 
+def _diagonal_ideals_mod(a: list[list[int]], modulus: int) -> list[int]:
+    """Diagonalize the rows `a` over Z/modulus, consuming them; returns
+    gcd(pivot, modulus) for each pivot found, in no particular order.
+
+    Every entry is kept reduced mod `modulus`, so none grows past it.  A
+    pivot row is cleared below in column k by subtracting multiples of it
+    when the pivot's ideal holds the entry, and otherwise by a 2x2 gcd
+    rotation, after which the pivot generates a strictly smaller ideal.
+    Once the pivot's ideal holds the rest of its row, column operations
+    would only clear that row, so the row and column k are dropped.  If it
+    does not, one column rotation shrinks the pivot's ideal and refills
+    column k, and the step repeats; a modulus has finitely many divisors.
+    """
+    ideals = []
+    while True:
+        first = next((i for i, row in enumerate(a) if any(row)), None)
+        if first is None:
+            return ideals
+        pivot_row = a.pop(first)
+        k = min((j for j, x in enumerate(pivot_row) if x), key=pivot_row.__getitem__)
+        while True:
+            p = pivot_row[k]
+            g = gcd(p, modulus)
+            inverse = pow(p // g, -1, modulus // g)
+            for i, row in enumerate(a):
+                x = row[k]
+                if x == 0:
+                    continue
+                if x % g == 0:
+                    q = x // g * inverse
+                    a[i] = [(y - q * z) % modulus for y, z in zip(row, pivot_row)]
+                    continue
+                h, s, w = _extended_gcd(p, x)
+                pa, pb = p // h, x // h
+                pivot_row, a[i] = (
+                    [(s * y + w * z) % modulus for y, z in zip(pivot_row, row)],
+                    [(pa * z - pb * y) % modulus for y, z in zip(pivot_row, row)],
+                )
+                p = pivot_row[k]
+                g = gcd(p, modulus)
+                inverse = pow(p // g, -1, modulus // g)
+            culprit = next((j for j, x in enumerate(pivot_row) if x % g), None)
+            if culprit is None:
+                break
+            h, s, w = _extended_gcd(p, pivot_row[culprit])
+            pa, pb = p // h, pivot_row[culprit] // h
+            for row in a + [pivot_row]:
+                y, z = row[k], row[culprit]
+                row[k], row[culprit] = (s * y + w * z) % modulus, (pa * z - pb * y) % modulus
+        ideals.append(g)
+        for row in a:
+            del row[k]
+
+
 def invariant_factors(matrix: IntMatrix) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
+    """Nonzero diagonal of the Smith form, in divisibility order.
+
+    A `_bareiss` pass gives the rank r and a nonzero r x r minor D.  The
+    product of the first r invariant factors is the gcd of all r x r minors,
+    so each factor divides R = |D|; and the Smith form over Z, reduced mod
+    R, is the Smith form over Z/R.  So eliminating M mod R, where no entry
+    grows past R, gives the factors as ideals gcd(pivot, R), padded with R
+    up to r (a factor equal to R is 0 mod R) and put in divisibility order
+    by pairwise gcd/lcm, which needs no factoring.  `snf` is the other
+    route: exact elimination with its transforms.
+    """
     if not matrix.entries:
         return []
-    return [d for d in _smith(matrix.to_rows(), matrix.rows, matrix.cols) if d != 0]
+    rank, minor = _bareiss(matrix.to_rows())
+    if rank == 0:
+        return []
+    modulus = abs(minor)
+    rows = [[x % modulus for x in row] for row in matrix.to_rows()]
+    ideals = _diagonal_ideals_mod(rows, modulus)
+    units = ideals.count(1)  # unit ideals come first; only the rest need ordering
+    factors = [g for g in ideals if g > 1] + [modulus] * (rank - len(ideals))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            x, y = factors[i], factors[j]
+            if y % x:
+                g = gcd(x, y)
+                factors[i], factors[j] = g, x // g * y
+    return ([1] * units + factors)[:rank]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from extcalc import (
     tensor_from_presentations,
     tor_from_presentations,
 )
+from extcalc import presentation
 
 st_matrix = st.integers(min_value=0, max_value=4).flatmap(
     lambda r: st.integers(min_value=0, max_value=4).flatmap(
@@ -114,7 +115,7 @@ class TestSmithNormalForm:
     @pytest.mark.parametrize(
         "shape, rank",
         [("12x20", 12), ("20x12", 12), ("rank 5 of 20x20", 5), ("zero rows", 6), ("zero columns", 6),
-         ("0x7", 0), ("7x0", 0), ("all zero", 0)],
+         ("0x7", 0), ("7x0", 0), ("all zero", 0), ("12x40", 12), ("40x12", 12), ("rank 5 of 30x30", 5)],
     )
     def test_seeded_decompositions_past_the_hypothesis_sizes(self, shape, rank):
         rng = random.Random(shape)
@@ -133,6 +134,16 @@ class TestSmithNormalForm:
             "0x7": lambda: [],
             "7x0": lambda: [[]] * 7,
             "all zero": lambda: [[0] * 8] * 5,
+            "12x40": lambda: seeded(12, 40),
+            "40x12": lambda: seeded(40, 12),
+            # torsion in the middle factor gives factors past 1 (here 2, 6, 12, 60, 120)
+            "rank 5 of 30x30": lambda: matmul(
+                matmul(
+                    IntMatrix.from_rows(seeded(30, 5, 5)),
+                    IntMatrix.from_rows([[d * (i == j) for j in range(5)] for i, d in enumerate((2, 6, 12, 60, 120))]),
+                ),
+                IntMatrix.from_rows(seeded(5, 30, 5)),
+            ).to_rows(),
         }[shape]()
         m = IntMatrix.from_rows(rows, cols=7 if shape == "0x7" else None)
         assert (m.rows, m.cols) != (0, 0)
@@ -160,6 +171,56 @@ class TestSmithNormalForm:
     def test_factors_match_sympy_rank(self, m):
         # Independent cross-check of the rank through a second implementation.
         assert len(invariant_factors(m)) == sympy.Matrix(m.rows, m.cols, list(m.entries)).rank()
+
+
+def matrices(rows, cols, bound):
+    return st.lists(
+        st.lists(st.integers(min_value=-bound, max_value=bound), min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    ).map(lambda data: IntMatrix.from_rows(data, cols=cols))
+
+
+# B C with an inner dimension of at most 4: rank-deficient for most shapes
+st_low_rank = st.tuples(*(st.integers(min_value=0, max_value=m) for m in (8, 8, 4))).flatmap(
+    lambda s: st.tuples(matrices(s[0], s[2], 12), matrices(s[2], s[1], 12)).map(lambda bc: matmul(*bc))
+)
+
+
+class TestModularInvariantFactors:
+    """`invariant_factors` eliminates modulo a nonzero maximal minor and shares
+    no elimination with `snf`, so agreement between them is a two-route check."""
+
+    @settings(max_examples=200)
+    @given(st_low_rank)
+    def test_low_rank_products_match_snf(self, m):
+        check_smith_form(m)
+
+    @pytest.mark.parametrize("n, seconds", [(40, 1.0), (60, 10.0)])
+    def test_large_square_matches_sympy_determinant(self, n, seconds):
+        rng = random.Random(f"square {n}")
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        start = time.perf_counter()
+        factors = invariant_factors(IntMatrix.from_rows(rows))
+        assert time.perf_counter() - start < seconds
+        product = 1
+        for f in factors:
+            product *= f
+        assert len(factors) == n
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert product == abs(sympy.Matrix(rows).det())
+
+    def test_never_runs_the_transform_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_smith called")
+
+        monkeypatch.setattr(presentation, "_smith", refuse)
+        assert invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])) == [2, 6, 12]
+        assert group_from_presentation(3, IntMatrix.from_rows([[2, 0, 0], [0, 0, 0]])) == cyclic(2) + Z + Z
+        chain = ChainComplex.from_json({"ranks": [1, 1, 1], "boundaries": [[[0]], [[6]]]})
+        assert chain_homology(chain) == GradedGroup.of({1: cyclic(6)})
+        with pytest.raises(AssertionError):
+            snf(IntMatrix.from_rows([[1]]))
 
 
 class TestRanksAreCounts:
