@@ -20,6 +20,8 @@ Each subcommand is one row of ``COMMANDS``: name, help, arguments, compute
 function and renderer.  Arguments with a reader are read inside the error
 guard in declared order, so the first bad argument decides the error;
 integer arguments are typed by argparse (a non-integer is a usage error).
+Under ``--json`` a usage error is an envelope with code ``usage`` too; in
+text mode argparse prints its usage and message on stderr.
 ``to_text`` runs only in text mode.  Rows call the library through this
 module's names at run time, so a name replaced here (a test double, the
 benchmark's tracer) is the one called.
@@ -334,11 +336,33 @@ COMMANDS = (
 # Parser and dispatch.
 
 
+class _UsageError(Exception):
+    """An argparse usage error, raised with its parser and message so that
+    `run_command` can report it as an envelope under --json."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+def _json_requested(argv) -> bool:
+    """Whether argv asks for --json (or an abbreviation argparse accepts)
+    before any `--`, read without parsing, for a run whose parse failed."""
+    for token in argv:
+        if token == "--":
+            return False
+        flag = token.split("=", 1)[0]
+        if len(flag) > 2 and "--json".startswith(flag):
+            return True
+    return False
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON result envelope")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="extcalc",
         description="symbolic calculus of admissible abelian groups, graded homology, "
         "Bockstein dimension functions, and extension types of symmetric products",
@@ -371,7 +395,14 @@ def run_command(argv) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
+    except _UsageError as exc:
+        failed, message = exc.args
+        if _json_requested(argv):
+            return _emit_error(argparse.Namespace(json=True), ParseError(f"{failed.prog}: {message}", code="usage"), 2)
+        failed.print_usage(sys.stderr)
+        print(f"{failed.prog}: error: {message}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     command = ns.row
     try:

@@ -14,6 +14,8 @@ parses back to an equal value; the trivial group prints as ``Z^0``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .abelian import (
     BOCKSTEIN_FLAGS,
     AdmissibleGroup,
@@ -121,23 +123,28 @@ def _atom(sc: _Scanner) -> AdmissibleGroup:
     return AdmissibleGroup.of(Localization(PrimeSet.excluding()))
 
 
-def _term(sc: _Scanner) -> AdmissibleGroup:
+def _term(sc: _Scanner, counts: Counter):
+    """Add one term, an atom with an optional ``^ multiplicity``, to `counts`."""
     group = _atom(sc)
     sc.skip_ws()
+    count = 1
     if sc.peek() == "^":
         sc.expect("^")
         count = sc.nat()
-        return AdmissibleGroup.from_counts({a: n * count for a, n in group.summands})
-    return group
+    for a, n in group.summands:
+        counts[a] += n * count
 
 
 def _group(sc: _Scanner) -> AdmissibleGroup:
-    total = _term(sc)
+    # every term goes into one count, canonicalized once, so a sum of n
+    # terms costs O(n) rather than a re-sort of the sum per `+`
+    counts = Counter()
+    _term(sc, counts)
     sc.skip_ws()
     while sc.eat("+"):
-        total = total + _term(sc)
+        _term(sc, counts)
         sc.skip_ws()
-    return total
+    return AdmissibleGroup.from_counts(counts)
 
 
 def parse_group(text: str) -> AdmissibleGroup:

@@ -6,12 +6,15 @@ only then converted to canonical atom form.  Nothing here consults the
 closed-form tensor/Tor tables, so agreement between the two routes is a
 meaningful check rather than a tautology.
 
-There are two reductions.  `snf` eliminates exactly over arbitrary-precision
-ints and builds both transforms, whose entries can grow very large.
+There are two reductions, and they never share an elimination, so each
+checks the other.  `snf` builds both transforms from reduced Hermite passes
+(`_hermite`, Kannan-Bachem 1979): rows enter one at a time and the entries
+above the pivots are reduced after each one, so U and V stay near the size
+of the minors of M (Havas-Majewski-Matthews 1998 discuss transform size),
+where unreduced elimination lets them grow exponentially with M's size.
 `invariant_factors`, which the presented groups and chain homology use,
 eliminates modulo a nonzero maximal minor found by one fraction-free pass
-(`_bareiss`, which `det` shares), so no entry outgrows that minor.  The two
-never share an elimination, so each checks the other.
+(`_bareiss`, which `det` shares), so no entry outgrows that minor.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import gcd
 
 from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization
@@ -58,9 +62,10 @@ class IntMatrix:
             raise DomainError("matrix dimensions must be nonnegative", code="bad_shape")
         if len(self.entries) != self.rows * self.cols:
             raise DomainError("entry count does not match dimensions", code="bad_shape")
-        for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise DomainError(f"matrix entries must be ints, got {e!r}", code="bad_entry")
+        if not set(map(type, self.entries)) <= {int}:  # only a subclass or a non-int needs a closer look
+            for e in self.entries:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise DomainError(f"matrix entries must be ints, got {e!r}", code="bad_entry")
 
     @classmethod
     def from_rows(cls, data, cols: int | None = None) -> "IntMatrix":
@@ -181,120 +186,148 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _smith(a: list[list[int]], rows: int, cols: int) -> list[int]:
-    """Diagonalize the leading rows x cols block of `a` in place; returns its
-    diagonal.  Pivots are sought only inside the block, but row operations
-    act on whole rows and column operations on whole columns, so what `a`
-    holds beside and below the block records the transforms (see `snf`).
+# How far an entry above a pivot other than 1 may pass that pivot, in bits,
+# before `_hermite` reduces it.  Entries above a pivot 1 are always cleared.
+SLACK_BITS = 64
 
-    Entries are cleared with single 2x2 unimodular gcd rotations rather than
-    repeated quotient subtraction, and the smallest-magnitude pivot is
-    re-selected on every pass; both are needed to keep intermediate entries
-    from exploding on larger matrices.
+
+def _hermite(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """Row Hermite normal form of `rows` on their first `width` entries.
+
+    Returns the pivot rows in echelon order, their pivot columns, and the
+    rows that became zero in the first `width` entries.  The entries past
+    `width` ride along as a transform: every operation acts on whole rows,
+    but pivots are sought and entries reduced only in the first `width`.
+
+    Rows are inserted one at a time, in Kannan-Bachem order.  A new row is
+    cleared against each pivot row by subtracting a multiple when the pivot
+    divides its entry, else by a 2x2 gcd rotation that also replaces the
+    pivot row.  After each insertion the entries above the pivots that
+    changed are reduced: above a pivot 1 they are cleared, and above a
+    larger pivot p one is brought into [0, p) once it passes p by
+    SLACK_BITS bits.  So the rows that later insertions subtract stay near
+    the size of the pivots; reducing only once, at the end, lets entries
+    grow exponentially with the number of rows.
     """
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    zero = []
+    for row in rows:
+        i = done = 0  # the row is zero before column `done`
+        start = len(basis)  # the pivot rows from `start` on change
+        while i < len(basis) and (pivots[i] == done or not any(row[done : pivots[i]])):
+            k = pivots[i]
+            done = k + 1
+            x = row[k]
+            if x:
+                top = basis[i]
+                p = top[k]
+                if p == 1 or not x % p:
+                    q = x // p
+                    row = [y - q * z for y, z in zip(row, top)]
+                else:
+                    g, s, t = _extended_gcd(p, x)
+                    a, b = p // g, x // g
+                    basis[i] = [s * z + t * y for z, y in zip(top, row)]
+                    row = [a * y - b * z for z, y in zip(top, row)]
+                    start = min(start, i)
+            i += 1
+        lead = next(compress(range(done, width), row[done:width]), None)
+        if lead is None:
+            zero.append(row)
+        else:
+            basis.insert(i, [-x for x in row] if row[lead] < 0 else row)
+            pivots.insert(i, lead)
+            start = min(start, i)
+        for i in range(start, len(basis)):
+            k = pivots[i]
+            low = basis[i]
+            p = low[k]
+            limit = p.bit_length() + SLACK_BITS
+            for h in range(i):
+                x = basis[h][k]
+                if x and (p == 1 or x.bit_length() > limit):
+                    q = x // p
+                    basis[h] = [y - q * z for y, z in zip(basis[h], low)]
+    return basis, pivots, zero
 
-    def rotate_rows(t, i):
-        # Unimodular combination leaving a[t][t] = gcd and a[i][t] = 0.
-        at, ai = a[t], a[i]
-        piv, other = at[t], ai[t]
-        if other % piv == 0:
-            q = -(other // piv)
-            for j in range(len(ai)):
-                ai[j] += q * at[j]
-            return
-        g, s, w = _extended_gcd(piv, other)
-        pa, pb = piv // g, other // g
-        for j in range(len(at)):
-            x, y = at[j], ai[j]
-            at[j] = s * x + w * y
-            ai[j] = pa * y - pb * x
 
-    def rotate_cols(t, j):
-        piv, other = a[t][t], a[t][j]
-        if other % piv == 0:
-            q = -(other // piv)
-            for row in a:
-                row[j] += q * row[t]
-            return
-        g, s, w = _extended_gcd(piv, other)
-        pa, pb = piv // g, other // g
-        for row in a:
-            x, y = row[t], row[j]
-            row[t] = s * x + w * y
-            row[j] = pa * y - pb * x
-
-    def select_pivot(t):
-        best = None
-        pivot = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                x = ai[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        return pivot
-        return pivot
-
-    diag = []
-    for t in range(min(rows, cols)):
-        pivot = select_pivot(t)
-        if pivot is None:
-            break
-        while True:
-            pi, pj = pivot
-            a[t], a[pi] = a[pi], a[t]
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    rotate_rows(t, i)
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    rotate_cols(t, j)
-            # Column rotations can refill the pivot column below row t; loop
-            # until both the row and the column stay clear.
-            if any(a[i][t] != 0 for i in range(t + 1, rows)):
-                pivot = select_pivot(t)
-                continue
-            # Force the pivot to divide the remaining block so the diagonal
-            # comes out in divisibility order.
-            p = a[t][t]
-            culprit = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % p != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[culprit])]
-            pivot = (t, t)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        diag.append(a[t][t])
-    return diag
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def snf(matrix: IntMatrix) -> SNFResult:
     """Smith normal form with both transforms; empty matrices are fine.
 
-    One elimination runs on [M | I_rows] with I_cols below it: the row
-    operations that turn M into D turn I_rows into U, and the column
-    operations turn I_cols into V.
+    `_hermite` brings [M | I_rows] to Hermite form H, whose right part is U.
+    A column of H with pivot 1 is a unit vector, so column operations that
+    change only that pivot's row clear the row, and V takes only entries
+    of H.  What is left is a block, usually 1x1 to 3x3, on which column and
+    row Hermite passes alternate until it is diagonal; 2x2 gcd/lcm steps
+    then put the diagonal in divisibility order.  Each pass keeps its
+    entries near the size of its pivots, so U and V stay near the size of
+    the minors of M rather than growing with every elimination step.
+    `invariant_factors` is the independent route to the same diagonal.
     """
     r, c = matrix.rows, matrix.cols
-    a = [row + [int(i == j) for j in range(r)] for i, row in enumerate(matrix.to_rows())]
-    a += [[int(i == j) for j in range(c)] for i in range(c)]
-    _smith(a, r, c)
+    basis, pivots, zero = _hermite([row + e for row, e in zip(matrix.to_rows(), _identity(r))], c)
+    vcols = _identity(c)  # V, column by column
+    u_units, v_units, block, near, units = [], [], [], [], set()
+    for row, j in zip(basis, pivots):
+        if row[j] == 1:
+            # column j is a unit vector; subtracting it from the other columns clears this row
+            units.add(j)
+            u_units.append(row[c:])
+            v_units.append(vcols[j])
+            for k in range(j + 1, c):
+                if row[k]:
+                    vcols[k][j] = -row[k]
+        else:
+            block.append(row[:c])
+            near.append(row[c:])
+    rest = [k for k in range(c) if k not in units]
+    # The block's rows pair with the transforms `near` and its columns with
+    # `far`.  A column pass turns the block over and swaps the two sides;
+    # `flipped` says whether `near` now holds columns of V.
+    block = [[row[k] for k in rest] for row in block]
+    far = [vcols[k] for k in rest]
+    near_zero, far_zero = [row[c:] for row in zero], []
+    flipped = False
+    while any(sum(1 for x in row if x) > 1 for row in block):
+        height = len(block)
+        basis, _, dropped = _hermite([list(col) + t for col, t in zip(zip(*block), far)], height)
+        block = [row[:height] for row in basis]
+        near, far = [row[height:] for row in basis], near
+        near_zero, far_zero = far_zero + [row[height:] for row in dropped], near_zero
+        flipped = not flipped
+    # each row of the block now has one nonzero entry, in increasing columns
+    cols = [next(k for k, x in enumerate(row) if x) for row in block]
+    values = [row[k] for row, k in zip(block, cols)]
+    far_zero += [t for k, t in enumerate(far) if k not in cols]
+    far = [far[k] for k in cols]
+    us, vs, u_zero, v_zero = (far, near, far_zero, near_zero) if flipped else (near, far, near_zero, far_zero)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if values[j] % values[i]:
+                # [[s, t], [-b/g, a/g]] diag(a, b) [[1, -t b/g], [1, s a/g]] = diag(g, lcm(a, b))
+                g, s, t = _extended_gcd(values[i], values[j])
+                a, b = values[i] // g, values[j] // g
+                ui, uj, vi, vj = us[i], us[j], vs[i], vs[j]
+                us[i] = [s * x + t * y for x, y in zip(ui, uj)]
+                us[j] = [a * y - b * x for x, y in zip(ui, uj)]
+                vs[i] = [x + y for x, y in zip(vi, vj)]
+                vs[j] = [s * a * y - t * b * x for x, y in zip(vi, vj)]
+                values[i], values[j] = g, values[i] * b
+    d = [0] * (r * c)
+    for i, x in enumerate([1] * len(u_units) + values):
+        d[i * (c + 1)] = x
     return SNFResult(
-        u=IntMatrix.from_rows([row[c:] for row in a[:r]], cols=r),
-        d=IntMatrix.from_rows([row[:c] for row in a[:r]], cols=c),
-        v=IntMatrix.from_rows(a[r:], cols=c),
+        u=IntMatrix(r, r, tuple(chain.from_iterable(u_units + us + u_zero))),
+        d=IntMatrix(r, c, tuple(d)),
+        v=IntMatrix(c, c, tuple(chain.from_iterable(zip(*(v_units + vs + v_zero))))),
     )
 
 

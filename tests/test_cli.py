@@ -5,7 +5,6 @@ import contextlib
 import io
 import json
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -281,21 +280,30 @@ class TestJsonEnvelopes:
 
 
 class TestLargeAnswers:
-    def test_snf_transforms_past_the_digit_limit_print_in_full(self):
-        rng = random.Random(1)
-        rows = [[rng.randint(-20, 20) for _ in range(20)] for _ in range(20)]
+    def test_snf_answers_past_the_digit_limit_print_in_full(self):
+        # pairwise coprime diagonal entries of 2000 digits each, so the input
+        # parses under the 4300-digit limit and the last factor, their
+        # product, has about 6000 digits
+        entries = (2**6643, 3**4191, 5**2861)
+        assert [len(str(x)) for x in entries] == [2000] * 3
+        rows = [[x if i == j else 0 for j in range(3)] for i, x in enumerate(entries)]
+        last = entries[0] * entries[1] * entries[2]
+        assert last.bit_length() > 4300 * 3.33  # over 4300 digits
         limit = sys.get_int_max_str_digits()
         code, out, err = run(["snf", json.dumps(rows), "--json"])
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit  # lifted for printing only
+        text = text_of("snf", json.dumps(rows)).splitlines()[0]
         sys.set_int_max_str_digits(0)
         try:
             doc = json.loads(out)
+            assert text == f"factors: 1, 1, {last}"
         finally:
             sys.set_int_max_str_digits(limit)
         VALIDATOR.validate(doc)
         u, d, v = (doc["result"][key] for key in "udv")
-        assert max(abs(x) for x in sum(u + v, [])).bit_length() > 4300 * 3.32  # over 4300 digits
+        assert doc["result"]["factors"] == [1, 1, last]
+        assert d == [[1, 0, 0], [0, 1, 0], [0, 0, last]]
         p = 2**61 - 1
 
         def mul(a, b):
@@ -319,6 +327,21 @@ class TestExitCodes:
         assert run([])[0] == 2
         assert run(["canon"])[0] == 2
         assert run(["spaek", "--graded", "{1: Z}"])[0] == 2
+
+    def test_usage_errors_under_json_print_one_envelope(self):
+        for args in (["snf", "-1e+16"], ["present", "[[1]]", "-g", "x"], ["canon"], [], ["canon", "Z", "--bogus"]):
+            error = error_of(*args, expect_code=2)
+            assert error["code"] == "usage"
+        assert error_of("present", "[[1]]", "-g", "x", expect_code=2)["message"] == (
+            "extcalc present: argument -g/--generators: invalid int value: 'x'"
+        )
+        # text mode keeps argparse's usage text
+        code, out, err = run(["present", "[[1]]", "-g", "x"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: extcalc present [-h] [--json] [-g GENERATORS] relations\n"
+            "extcalc present: error: argument -g/--generators: invalid int value: 'x'\n"
+        )
 
     def test_syntax_errors_are_two(self):
         assert run(["canon", "Z/1"])[0] == 2

@@ -56,6 +56,22 @@ class TestParseGroup:
         assert time.perf_counter() - start < 0.1
         assert sorted(n for _, n in g.summands) == [100000] * 3
 
+    def test_long_sum_matches_the_fold_in_linear_time(self):
+        # 20000 terms over about 1000 distinct atoms; re-sorting the whole
+        # sum once per `+` would take seconds
+        rng = random.Random(20000)
+        atoms = [f"Z/{p}" for p in range(2, 8000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+        atoms += ["Z", "Q", "Z_(2,3)", "Z/5^oo", "Z/360"]
+        terms = [rng.choice(atoms) + rng.choice(("", "^2", "^0")) for _ in range(20000)]
+        start = time.perf_counter()
+        total = parse_group(" + ".join(terms))
+        assert time.perf_counter() - start < 2.0
+        groups = [parse_group(t) for t in terms]
+        while len(groups) > 1:  # the fold, summed pairwise to keep the oracle fast
+            groups = [a + b for a, b in zip(groups[::2], groups[1::2])] + groups[len(groups) // 2 * 2 :]
+        assert total == groups[0]
+        assert len(total.summands) > 900
+
     def test_composite_modulus_splits(self):
         assert parse_group("Z/360") == cyclic(8) + cyclic(9) + cyclic(5)
 

@@ -1,5 +1,6 @@
-"""Fuzzing the two ways in: arbitrary text to the DSL parsers, and arbitrary
-JSON documents to the `snf`, `present` and `homology` commands.
+"""Fuzzing the ways in: arbitrary text to the DSL parsers, arbitrary JSON
+documents to the `snf`, `present` and `homology` commands, and arbitrary
+command lines with `--json`.
 
 Every case must end in a typed `ExtcalcError` or a schema-valid envelope with
 exit status 0, 1 or 2 (3 is `internal_error`, a bug), within the deadline.
@@ -17,10 +18,10 @@ import json
 import sys
 from datetime import timedelta
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extcalc import ExtcalcError, format_graded, format_group, parse_graded, parse_group
+from extcalc import ExtcalcError, cli, format_graded, format_group, parse_graded, parse_group
 from test_cli import VALIDATOR, run
 
 FUZZ = settings(max_examples=100, deadline=timedelta(seconds=2))
@@ -83,11 +84,28 @@ def add_columns(m, moves, width):
     return m
 
 
+COMMAND_NAMES = [command.name for command in cli.COMMANDS]
+st_token = (
+    st.sampled_from(COMMAND_NAMES + ["--", "-g", "--group", "--graded", "--n", "-1e+16", "[[1]]", "{1: Z}", "Z/2", "-1", "x"])
+    | st.text(max_size=8)
+)
+
+
+def asks_for_help(token: str) -> bool:
+    """-h, --help and --version print their text and exit 0, by design."""
+    flag = token.split("=", 1)[0]
+    return flag.startswith("-h") or (len(flag) > 2 and ("--help".startswith(flag) or "--version".startswith(flag)))
+
+
 def envelope(command, document, *options) -> dict:
     # after `--` a document that starts with "-" is still a document
-    code, out, err = run([command, *options, "--json", "--", document])
+    return envelope_of_argv([command, *options, "--json", "--", document])
+
+
+def envelope_of_argv(argv) -> dict:
+    code, out, err = run(argv)
     assert err == ""
-    # `snf` transforms can pass Python's default int->str digit limit
+    # an answer can pass Python's default int->str digit limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -175,3 +193,20 @@ class TestDocuments:
         expected = envelope("homology", json.dumps(plain))
         assert expected["ok"]
         assert envelope("homology", json.dumps(changed)) == expected
+
+
+class TestArgv:
+    @FUZZ
+    @given(st.lists(st_token, max_size=6), st.integers(min_value=0, max_value=6))
+    def test_arbitrary_command_lines(self, tokens, at):
+        # --json anywhere before a `--`, so argparse reads it as the flag
+        at = min(at, tokens.index("--") if "--" in tokens else len(tokens))
+        argv = tokens[:at] + ["--json"] + tokens[at:]
+        assume(not any(map(asks_for_help, argv)))
+        envelope_of_argv(argv)
+
+    @FUZZ
+    @given(st.sampled_from(COMMAND_NAMES), st.lists(st_token, max_size=4))
+    def test_each_command_with_arbitrary_arguments(self, command, tokens):
+        assume(not any(map(asks_for_help, tokens)))
+        envelope_of_argv([command, "--json", *tokens])

@@ -159,7 +159,7 @@ class TestSmithNormalForm:
             res = snf(m)
             forms.append([res.u.to_rows(), res.d.to_rows(), res.v.to_rows()])
         digest = hashlib.sha256(json.dumps(forms).encode()).hexdigest()
-        assert digest == "1e7c37e5a83396f2dd2a43b8b2cff70ce27e251c34d0b3572dcb37a9bbbc498e"
+        assert digest == "6fed402e06bc2ed2ad5b72bed3de35689b434bee85cbc86d37ed2ae3c2153b59"
 
     @given(st_matrix)
     def test_factors_match_full_form(self, m):
@@ -212,15 +212,59 @@ class TestModularInvariantFactors:
 
     def test_never_runs_the_transform_elimination(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("_smith called")
+            raise AssertionError("_hermite called")
 
-        monkeypatch.setattr(presentation, "_smith", refuse)
+        monkeypatch.setattr(presentation, "_hermite", refuse)
         assert invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])) == [2, 6, 12]
         assert group_from_presentation(3, IntMatrix.from_rows([[2, 0, 0], [0, 0, 0]])) == cyclic(2) + Z + Z
         chain = ChainComplex.from_json({"ranks": [1, 1, 1], "boundaries": [[[0]], [[6]]]})
         assert chain_homology(chain) == GradedGroup.of({1: cyclic(6)})
         with pytest.raises(AssertionError):
             snf(IntMatrix.from_rows([[1]]))
+
+
+class TestBoundedTransforms:
+    """`snf` reduces every Hermite pass as it goes, so U and V stay near the
+    size of the minors of M instead of growing with each elimination step."""
+
+    @pytest.mark.parametrize("n, digits", [(30, 120), (40, 160)])
+    def test_transform_digits_stay_bounded(self, n, digits):
+        rng = random.Random(f"growth {n}")
+        for _ in range(3):
+            m = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+            res = snf(m)
+            assert matmul(matmul(res.u, m), res.v) == res.d
+            assert max(abs(x) for x in res.u.entries + res.v.entries).bit_length() < digits * 3.32
+
+    @pytest.mark.parametrize("n, seconds", [(40, 1.0), (60, 10.0)])
+    def test_large_square_in_time(self, n, seconds):
+        rng = random.Random(f"snf square {n}")
+        m = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
+        start = time.perf_counter()
+        res = snf(m)
+        assert time.perf_counter() - start < seconds
+        assert matmul(matmul(res.u, m), res.v) == res.d
+        d = res.d.to_rows()
+        diag = [d[i][i] for i in range(n)]
+        assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+        product = 1
+        for x in diag:
+            product *= x
+        assert product == abs(det(m))
+
+    def test_answers_without_the_invariant_factor_route(self, monkeypatch):
+        # the two routes share no elimination: snf answers with the other one gone
+        def refuse(*args):
+            raise AssertionError("invariant factor route called")
+
+        rng = random.Random("independent")
+        m = IntMatrix.from_rows([[rng.randint(-20, 20) for _ in range(12)] for _ in range(9)])
+        expected = invariant_factors(m)
+        for name in ("_bareiss", "_diagonal_ideals_mod", "invariant_factors"):
+            monkeypatch.setattr(presentation, name, refuse)
+        res = snf(m)
+        assert matmul(matmul(res.u, m), res.v) == res.d
+        assert [x for x in (res.d.to_rows()[i][i] for i in range(9)) if x] == expected
 
 
 class TestRanksAreCounts:
