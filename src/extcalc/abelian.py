@@ -150,12 +150,20 @@ INFINITY = ExtNat(None)
 # Prime sets.
 
 
-def _checked_primes(primes) -> tuple[int, ...]:
-    out = sorted(set(primes))
-    for p in out:
-        if not (isinstance(p, int) and not isinstance(p, bool) and isprime(p)):
-            raise DomainError(f"{p!r} is not prime", code="not_prime")
-    return tuple(out)
+def _trusted(cls, *values):
+    """The frozen dataclass `cls` with these field values, without the checks
+    of `__post_init__`: primality is checked where input enters (the DSL, the
+    JSON readers, the public constructors), not again for known primes."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _checked_prime(p) -> int:
+    if not (isinstance(p, int) and not isinstance(p, bool) and isprime(p)):
+        raise DomainError(f"{p!r} is not prime", code="not_prime")
+    return p
 
 
 @dataclass(frozen=True)
@@ -171,7 +179,7 @@ class PrimeSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", _checked_primes(self.members))
+        object.__setattr__(self, "members", tuple(map(_checked_prime, sorted(set(self.members)))))
 
     @classmethod
     def of(cls, *primes: int) -> "PrimeSet":
@@ -193,12 +201,11 @@ class PrimeSet:
         return not self.cofinite and not self.members
 
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
-        if not self.cofinite and not other.cofinite:
-            return PrimeSet(False, [p for p in self.members if p in other.members])
         if self.cofinite and other.cofinite:
-            return PrimeSet(True, set(self.members) | set(other.members))
-        fin, cof = (self, other) if not self.cofinite else (other, self)
-        return PrimeSet(False, [p for p in fin.members if p not in cof.members])
+            return _trusted(PrimeSet, True, tuple(sorted(set(self.members).union(other.members))))
+        fin, other = (other, self) if self.cofinite else (self, other)
+        # tuple() of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
+        return _trusted(PrimeSet, False, tuple([p for p in fin.members if p in other]))
 
     def to_json(self):
         return {"kind": "cofinite" if self.cofinite else "finite", "primes": list(self.members)}
@@ -236,8 +243,7 @@ class Cyclic:
     power: int
 
     def __post_init__(self):
-        if not isprime(self.prime):
-            raise DomainError(f"{self.prime} is not prime", code="not_prime")
+        _checked_prime(self.prime)
         if self.power < 1:
             raise DomainError("cyclic atom needs power >= 1", code="bad_power")
 
@@ -249,8 +255,7 @@ class Prufer:
     prime: int
 
     def __post_init__(self):
-        if not isprime(self.prime):
-            raise DomainError(f"{self.prime} is not prime", code="not_prime")
+        _checked_prime(self.prime)
 
 
 Atom = Localization | Cyclic | Prufer
@@ -272,9 +277,7 @@ def _atom_support(a: Atom):
     match a:
         case Localization(primes=ps):
             return ps.members
-        case Cyclic(prime=p):
-            return (p,)
-        case Prufer(prime=p):
+        case Cyclic(prime=p) | Prufer(prime=p):
             return (p,)
 
 
@@ -334,21 +337,17 @@ class AdmissibleGroup:
 
     def tensor(self, other: "AdmissibleGroup") -> "AdmissibleGroup":
         """Tensor product over Z, computed bilinearly from the atom table."""
-        counts = Counter()
-        for a, n in self.summands:
-            for b, m in other.summands:
-                c = _tensor_atoms(a, b)
-                if c is not None:
-                    counts[c] += n * m
-        return AdmissibleGroup.from_counts(counts)
+        return self._bilinear(other, _tensor_atoms)
 
     def tor(self, other: "AdmissibleGroup") -> "AdmissibleGroup":
         """Tor over Z, computed bilinearly from the atom table."""
+        return self._bilinear(other, _tor_atoms)
+
+    def _bilinear(self, other: "AdmissibleGroup", table) -> "AdmissibleGroup":
         counts = Counter()
         for a, n in self.summands:
             for b, m in other.summands:
-                c = _tor_atoms(a, b)
-                if c is not None:
+                if (c := table(a, b)) is not None:
                     counts[c] += n * m
         return AdmissibleGroup.from_counts(counts)
 
@@ -367,7 +366,7 @@ def cyclic(n: int) -> AdmissibleGroup:
     """Z/n split into prime-power atoms; n must be at least 2."""
     if n < 2:
         raise DomainError(f"cyclic group modulus must be >= 2, got {n}", code="bad_modulus")
-    return AdmissibleGroup.of(*(Cyclic(p, e) for p, e in factorint(n).items()))
+    return AdmissibleGroup.of(*(_trusted(Cyclic, p, e) for p, e in factorint(n).items()))
 
 
 def prufer(p: int) -> AdmissibleGroup:
@@ -384,20 +383,20 @@ def localized(primes: PrimeSet) -> AdmissibleGroup:
 # Localizations are flat, so Tor vanishes whenever one side is a
 # localization.  Prufer groups are divisible, so tensoring them with any
 # torsion group dies; against Z_(l) they survive iff their prime is in l.
-# Within one prime, gcd(p^k, p^m) = p^min(k, m) drives both tables.
+# Within one prime, gcd(p^k, p^m) = p^min(k, m) drives both tables, so a
+# nonzero answer other than an intersection of localizations is an operand.
 
 
 def _tensor_atoms(a: Atom, b: Atom) -> Atom | None:
     match (a, b):
         case (Localization(primes=l1), Localization(primes=l2)):
             return Localization(l1.intersect(l2))
-        case (Localization(primes=l), Cyclic(prime=p)) | (Cyclic(prime=p), Localization(primes=l)):
-            cyc = a if isinstance(a, Cyclic) else b
-            return cyc if p in l else None
-        case (Localization(primes=l), Prufer(prime=p)) | (Prufer(prime=p), Localization(primes=l)):
-            return Prufer(p) if p in l else None
+        case (Localization(primes=l), Cyclic(prime=p) | Prufer(prime=p)):
+            return b if p in l else None
+        case (Cyclic(prime=p) | Prufer(prime=p), Localization(primes=l)):
+            return a if p in l else None
         case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
-            return Cyclic(p, min(k, m)) if p == q else None
+            return (a if k <= m else b) if p == q else None
         case _:
             # Prufer x Prufer and Prufer x Cyclic vanish (divisible x torsion).
             return None
@@ -408,11 +407,11 @@ def _tor_atoms(a: Atom, b: Atom) -> Atom | None:
         case (Localization(), _) | (_, Localization()):
             return None
         case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
-            return Cyclic(p, min(k, m)) if p == q else None
-        case (Prufer(prime=p), Cyclic(prime=q, power=m)) | (Cyclic(prime=q, power=m), Prufer(prime=p)):
-            return Cyclic(q, m) if p == q else None
-        case (Prufer(prime=p), Prufer(prime=q)):
-            return Prufer(p) if p == q else None
+            return (a if k <= m else b) if p == q else None
+        case (Prufer(prime=p), Cyclic(prime=q) | Prufer(prime=q)):
+            return b if p == q else None
+        case (Cyclic(prime=p), Prufer(prime=q)):
+            return a if p == q else None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ function and renderer.  Arguments with a reader are read inside the error
 guard in declared order, so the first bad argument decides the error;
 integer arguments are typed by argparse (a non-integer is a usage error).
 Under ``--json`` a usage error is an envelope with code ``usage`` too; in
-text mode argparse prints its usage and message on stderr.
+text mode argparse prints its usage and message on stderr.  The one
+exception to "every ``--json`` run prints one envelope": ``-h``, ``--help``
+and ``--version`` print plain text on stdout and exit 0, with or without
+``--json``.
 ``to_text`` runs only in text mode.  Rows call the library through this
 module's names at run time, so a name replaced here (a test double, the
 benchmark's tracer) is the one called.

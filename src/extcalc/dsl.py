@@ -10,14 +10,28 @@ listed ones, so ``Z[1/p]`` is sugar for ``Z_(~p)``), and ``^oo`` after a
 prime denotes the Prufer group.  Graded groups are brace literals such as
 ``{1: Z/2 + Z, 3: Q^2}``.  Printing always emits canonical ASCII that
 parses back to an equal value; the trivial group prints as ``Z^0``.
+
+Parsing is one pass from left to right.  One compiled pattern, ``_TERM``,
+reads a whole term (spaces, atom, ``^ multiplicity``, the ``+`` after it)
+into named groups.  Every part after the atom's letter is optional, so it
+always matches, and a missing part is an empty group at the position the
+error names.  The ``Z_(...)`` list is one run of digits, spaces and commas,
+read item by item.  Parts are checked in text order, so the first fault
+decides the error; each prime of ``Z_(...)``, ``Z[1/p]`` and ``Z/p^oo`` is
+tested once, here where the text enters, and the atoms are built trusted
+(``Z/n`` takes its primes from ``factorint``).  Spaces are free around
+``+``, ``,`` and ``:``, before ``^`` and inside ``Z_(...)`` after ``(~``.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from .abelian import (
+    ALL_PRIMES,
     BOCKSTEIN_FLAGS,
+    NO_PRIMES,
     AdmissibleGroup,
     Cyclic,
     Localization,
@@ -25,162 +39,145 @@ from .abelian import (
     PrimeSet,
     Prufer,
     SigmaSet,
-    cyclic,
+    _trusted,
     pattern_flags,
 )
 from .errors import ParseError
 from .graded import GradedGroup
-from .primes import isprime
+from .primes import factorint, isprime
+
+_TERM = re.compile(
+    r"""\s*
+    (?: (?P<rational>Q)
+      | Z (?: /(?P<modulus>\d*) (?P<prufer>\^oo?)?
+            | _\( (?P<cofinite>~?) (?P<primes>[\d\s,]*) (?P<close>\)?)
+            | \[1/ (?P<inverted>\d*) (?P<bracket>\]?)
+          )?
+      | (?P<missing>)
+    )
+    \s* (?:\^(?P<count>\d*))?
+    \s* (?P<plus>\+?)""",
+    re.VERBOSE,
+)
+_ITEM = re.compile(r"\s*(?P<prime>\d*)\s*(?P<comma>,?)")
+_ENTRY = re.compile(r"\s*(?P<degree>\d*)\s*(?P<colon>:?)")
+_SPACE = re.compile(r"\s*")
+_Z, _Q = Localization(ALL_PRIMES), Localization(NO_PRIMES)
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, code: str = "parse_error"):
-        raise ParseError(f"{message} at position {self.pos}", position=self.pos, code=code)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def eat(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str):
-        if not self.eat(literal):
-            self.error(f"expected {literal!r}", code="expected_token")
-
-    def nat(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a number", code="expected_number")
-        try:
-            return int(self.text[start : self.pos])
-        except ValueError:  # past Python's int->str digit limit, which parsing keeps
-            digits, self.pos = self.pos - start, start
-            self.error(f"a number of {digits} digits is too long", code="number_too_long")
-
-    def prime(self) -> int:
-        start = self.pos
-        p = self.nat()
-        if not isprime(p):
-            self.pos = start
-            self.error(f"{p} is not prime", code="not_prime")
-        return p
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _fail(position: int, message: str, *, code: str):
+    raise ParseError(f"{message} at position {position}", position=position, code=code)
 
 
-def _atom(sc: _Scanner) -> AdmissibleGroup:
-    sc.skip_ws()
-    if sc.eat("Q"):
-        return AdmissibleGroup.of(Localization(PrimeSet.of()))
-    if not sc.eat("Z"):
-        sc.error("expected a group atom", code="expected_atom")
-    if sc.eat("/"):
-        start = sc.pos
-        n = sc.nat()
-        if sc.peek() == "^" and sc.peek(1) == "o":
-            sc.expect("^oo")
+def _expected(position: int, literal: str):
+    _fail(position, f"expected {literal!r}", code="expected_token")
+
+
+def _number(m: re.Match, name: str) -> int:
+    digits = m[name]
+    if not digits:
+        _fail(m.start(name), "expected a number", code="expected_number")
+    try:
+        return int(digits)
+    except ValueError:  # past Python's int->str digit limit, which parsing keeps
+        _fail(m.start(name), f"a number of {len(digits)} digits is too long", code="number_too_long")
+
+
+def _prime(m: re.Match, name: str) -> int:
+    p = _number(m, name)
+    if not isprime(p):
+        _fail(m.start(name), f"{p} is not prime", code="not_prime")
+    return p
+
+
+def _atom(m: re.Match) -> list:
+    """The atoms, each once, of the atom that the `_TERM` match `m` read."""
+    if m["rational"]:
+        return [_Q]
+    if m["missing"] is not None:
+        _fail(m.start("missing"), "expected a group atom", code="expected_atom")
+    if m["modulus"] is not None:
+        n = _number(m, "modulus")
+        if m["prufer"]:
+            if m["prufer"] != "^oo":
+                _expected(m.start("prufer"), "^oo")
             if not isprime(n):
-                sc.pos = start
-                sc.error(f"{n} is not prime, so Z/{n}^oo is not a Prufer group", code="not_prime")
-            return AdmissibleGroup.of(Prufer(n))
+                _fail(m.start("modulus"), f"{n} is not prime, so Z/{n}^oo is not a Prufer group", code="not_prime")
+            return [_trusted(Prufer, n)]
         if n < 2:
-            sc.pos = start
-            sc.error(f"cyclic modulus must be >= 2, got {n}", code="bad_modulus")
-        return cyclic(n)
-    if sc.eat("_("):
-        cofinite = sc.eat("~")
-        primes = []
-        sc.skip_ws()
-        if not sc.eat(")"):
-            primes.append(sc.prime())
-            sc.skip_ws()
-            while sc.eat(","):
-                sc.skip_ws()
-                primes.append(sc.prime())
-                sc.skip_ws()
-            sc.expect(")")
-        return AdmissibleGroup.of(Localization(PrimeSet(cofinite, primes)))
-    if sc.eat("[1/"):
-        p = sc.prime()
-        sc.expect("]")
-        return AdmissibleGroup.of(Localization(PrimeSet.excluding(p)))
-    return AdmissibleGroup.of(Localization(PrimeSet.excluding()))
+            _fail(m.start("modulus"), f"cyclic modulus must be >= 2, got {n}", code="bad_modulus")
+        return [_trusted(Cyclic, p, e) for p, e in factorint(n).items()]
+    if m["cofinite"] is not None:
+        primes, (pos, end) = [], m.span("primes")
+        if m["primes"].strip() or not m["close"]:  # all but "()" and "( )" list a prime
+            while True:  # the list holds digits, spaces and commas only
+                item = _ITEM.match(m.string, pos, end)
+                primes.append(_prime(item, "prime"))
+                if not item["comma"]:
+                    break
+                pos = item.end()
+            if item.end() < end or not m["close"]:
+                _expected(item.end(), ")")
+        return [Localization(_trusted(PrimeSet, m["cofinite"] == "~", tuple(sorted(set(primes)))))]
+    if m["inverted"] is not None:
+        p = _prime(m, "inverted")
+        if not m["bracket"]:
+            _expected(m.start("bracket"), "]")
+        return [Localization(_trusted(PrimeSet, True, (p,)))]
+    return [_Z]
 
 
-def _term(sc: _Scanner, counts: Counter):
-    """Add one term, an atom with an optional ``^ multiplicity``, to `counts`."""
-    group = _atom(sc)
-    sc.skip_ws()
-    count = 1
-    if sc.peek() == "^":
-        sc.expect("^")
-        count = sc.nat()
-    for a, n in group.summands:
-        counts[a] += n * count
-
-
-def _group(sc: _Scanner) -> AdmissibleGroup:
-    # every term goes into one count, canonicalized once, so a sum of n
-    # terms costs O(n) rather than a re-sort of the sum per `+`
+def _group(text: str, pos: int) -> tuple[AdmissibleGroup, int]:
+    """The sum whose first term starts at `pos`, and the position after it
+    and the spaces that follow.  Every term goes into one count,
+    canonicalized once, so a sum of n terms costs O(n)."""
     counts = Counter()
-    _term(sc, counts)
-    sc.skip_ws()
-    while sc.eat("+"):
-        _term(sc, counts)
-        sc.skip_ws()
-    return AdmissibleGroup.from_counts(counts)
+    while True:
+        m = _TERM.match(text, pos)
+        atoms = _atom(m)
+        count = 1 if m["count"] is None else _number(m, "count")
+        for a in atoms:
+            counts[a] += count
+        pos = m.end()
+        if not m["plus"]:
+            return AdmissibleGroup.from_counts(counts), pos
+
+
+def _at_end(text: str, pos: int):
+    pos = _SPACE.match(text, pos).end()
+    if pos < len(text):
+        _fail(pos, "unexpected trailing input", code="trailing_input")
 
 
 def parse_group(text: str) -> AdmissibleGroup:
     """Parse a group expression into canonical form."""
-    sc = _Scanner(text)
-    group = _group(sc)
-    if not sc.at_end():
-        sc.error("unexpected trailing input", code="trailing_input")
+    group, pos = _group(text, 0)
+    _at_end(text, pos)
     return group
 
 
 def parse_graded(text: str) -> GradedGroup:
     """Parse a graded literal like ``{1: Z/2 + Z, 3: Q^2}``; degrees are
     naturals and may not repeat."""
-    sc = _Scanner(text)
-    sc.skip_ws()
-    sc.expect("{")
-    entries = {}
-    sc.skip_ws()
-    if not sc.eat("}"):
+    pos = _SPACE.match(text).end()
+    if not text.startswith("{", pos):
+        _expected(pos, "{")
+    entries, pos = {}, _SPACE.match(text, pos + 1).end()
+    if not text.startswith("}", pos):
         while True:
-            sc.skip_ws()
-            at = sc.pos
-            degree = sc.nat()
+            m = _ENTRY.match(text, pos)
+            degree = _number(m, "degree")
             if degree in entries:
-                sc.pos = at
-                sc.error(f"degree {degree} appears twice", code="duplicate_degree")
-            sc.skip_ws()
-            sc.expect(":")
-            entries[degree] = _group(sc)
-            sc.skip_ws()
-            if sc.eat("}"):
+                _fail(m.start("degree"), f"degree {degree} appears twice", code="duplicate_degree")
+            if not m["colon"]:
+                _expected(m.start("colon"), ":")
+            entries[degree], pos = _group(text, m.end())
+            if not text.startswith(",", pos):
                 break
-            sc.expect(",")
-    if not sc.at_end():
-        sc.error("unexpected trailing input", code="trailing_input")
+            pos += 1
+        if not text.startswith("}", pos):
+            _expected(pos, ",")
+    _at_end(text, pos + 1)
     return GradedGroup.of(entries)
 
 
@@ -201,13 +198,8 @@ def _format_atom(atom) -> str:
 
 
 def format_group(group: AdmissibleGroup) -> str:
-    if group.is_trivial:
-        return "Z^0"
-    parts = []
-    for atom, count in group.summands:
-        text = _format_atom(atom)
-        parts.append(text if count == 1 else f"{text}^{count}")
-    return " + ".join(parts)
+    terms = [_format_atom(atom) + ("" if count == 1 else f"^{count}") for atom, count in group.summands]
+    return " + ".join(terms) or "Z^0"
 
 
 def format_graded(graded: GradedGroup) -> str:

@@ -23,14 +23,15 @@ from .abelian import (
     Cyclic,
     ExtNat,
     INFINITY,
+    Localization,
     PrimeIndexed,
     PrimePattern,
     PrimeSet,
+    Prufer,
     Q,
     TRIVIAL,
+    _trusted,
     fresh_prime,
-    localized,
-    prufer,
     sigma,
 )
 from .errors import DomainError
@@ -253,7 +254,9 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
     primes.add(fresh_prime(primes))
     family, dims_k, dims_l = [Q], [left.rational], [right.rational]
     for p in sorted(primes):
-        family += [AdmissibleGroup.of(Cyclic(p, 1)), prufer(p), localized(PrimeSet.of(p))]
+        # p is a support prime or fresh_prime's, so the atoms take the trusted path
+        atoms = _trusted(Cyclic, p, 1), _trusted(Prufer, p), Localization(_trusted(PrimeSet, False, (p,)))
+        family += map(AdmissibleGroup.of, atoms)
         dims_k += left.at(p)
         dims_l += right.at(p)
     witness = next(((g, dk, dl) for g, dk, dl in zip(family, dims_k, dims_l) if not dk <= dl), None)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
 
-from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization
+from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _trusted
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
 from .primes import factorint
@@ -422,9 +422,9 @@ def invariant_factors(matrix: IntMatrix) -> list[int]:
 
 def _cokernel(free: int, factors) -> AdmissibleGroup:
     """Z^free plus Z/d for each factor d, in canonical atom form; a rank is
-    a count here, never a list of that many atoms."""
+    a count here, never a list of that many atoms, and factorint's primes are trusted."""
     counts = Counter({Localization(ALL_PRIMES): free})
-    counts.update(Cyclic(p, e) for d in factors if d > 1 for p, e in factorint(d).items())
+    counts.update(_trusted(Cyclic, p, e) for d in factors if d > 1 for p, e in factorint(d).items())
     return AdmissibleGroup.from_counts(counts)
 
 

@@ -107,3 +107,56 @@ st_graded = st.dictionaries(
 st_nonempty_graded = st.dictionaries(
     st.integers(min_value=1, max_value=6), st_nontrivial_group, min_size=1, max_size=3
 ).map(GradedGroup.of)
+
+
+# ---------------------------------------------------------------------------
+# Seeded DSL texts, valid and one character away from valid.
+
+DSL_ALPHABET = "ZQ/^_()[]{}~:,+-o 0123456789"
+TEXT_PRIMES = tuple(p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1)))
+# 1, 9, 561 (Carmichael) and 3215031751 (a strong pseudoprime to bases 2, 3,
+# 5 and 7) make the occasional `not_prime` case; 0 and 1 a `bad_modulus`
+NOT_PRIMES = (1, 9, 561, 3215031751)
+
+
+def random_prime_text(rng) -> str:
+    return str(rng.choice(NOT_PRIMES) if rng.random() < 0.01 else rng.choice(TEXT_PRIMES))
+
+
+def random_atom_text(rng) -> str:
+    roll = rng.random()
+    if roll < 0.3:
+        n = 1
+        for p in rng.sample(TEXT_PRIMES[:60], rng.randint(1, 3)):
+            n *= p ** rng.randint(1, 3)
+        return f"Z/{rng.choice((0, 1)) if rng.random() < 0.01 else n}"
+    if roll < 0.42:
+        return f"Z/{random_prime_text(rng)}^oo"
+    if roll < 0.62:
+        listed = [random_prime_text(rng) for _ in range(rng.randint(0, 8))]
+        return f"Z_({rng.choice(('', '~'))}{rng.choice((',', ', ', ' ,')).join(listed)})"
+    if roll < 0.72:
+        return f"Z[1/{random_prime_text(rng)}]"
+    return rng.choice(("Z", "Q"))
+
+
+def random_group_text(rng, max_terms=12) -> str:
+    terms = []
+    for _ in range(rng.randint(1, max_terms)):
+        atom = random_atom_text(rng)
+        terms.append(f"{atom}^{rng.randint(0, 20)}" if rng.random() < 0.15 else atom)
+    return rng.choice((" + ", "+", " +")).join(terms)
+
+
+def random_graded_text(rng, max_entries=3, max_terms=6) -> str:
+    degrees = [rng.randint(0, 6) for _ in range(rng.randint(0, max_entries))]
+    return "{" + ", ".join(f"{d}: {random_group_text(rng, max_terms)}" for d in degrees) + "}"
+
+
+def mutate_text(rng, text: str) -> str:
+    """Delete, insert or replace one character, drawn from DSL_ALPHABET."""
+    i = rng.randrange(len(text) + 1)
+    how = rng.choice(("delete", "insert", "replace"))
+    if how == "insert" or i == len(text):
+        return text[:i] + rng.choice(DSL_ALPHABET) + text[i:]
+    return text[:i] + ("" if how == "delete" else rng.choice(DSL_ALPHABET)) + text[i + 1 :]

@@ -34,7 +34,7 @@ from extcalc import (
     tau_closure,
     unit_gap_witness,
 )
-from extcalc.abelian import FULL_PATTERN, PrimeIndexed, pattern_flags
+from extcalc.abelian import FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, pattern_flags
 
 CYC = PrimePattern.CYCLIC
 PRU = PrimePattern.PRUFER
@@ -208,6 +208,107 @@ class TestTorTable:
         assert P3.tor(Z8) == TRIVIAL
         assert P2.tor(P2) == P2
         assert P2.tor(P3) == TRIVIAL
+
+
+def built_tensor(a, b):
+    """The tensor table as it read before it returned operands: a new,
+    checked atom for each nonzero answer."""
+    match (a, b):
+        case (Localization(primes=l1), Localization(primes=l2)):
+            return Localization(PrimeSet(l1.cofinite and l2.cofinite, _intersection(l1, l2)))
+        case (Localization(primes=l), Cyclic(prime=p, power=k)) | (Cyclic(prime=p, power=k), Localization(primes=l)):
+            return Cyclic(p, k) if p in l else None
+        case (Localization(primes=l), Prufer(prime=p)) | (Prufer(prime=p), Localization(primes=l)):
+            return Prufer(p) if p in l else None
+        case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
+            return Cyclic(p, min(k, m)) if p == q else None
+    return None
+
+
+def _intersection(l1, l2):
+    if l1.cofinite and l2.cofinite:
+        return set(l1.members) | set(l2.members)
+    return [p for p in SMALL_POOL if p in l1 and p in l2]
+
+
+def built_tor(a, b):
+    match (a, b):
+        case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
+            return Cyclic(p, min(k, m)) if p == q else None
+        case (Prufer(prime=p), Cyclic(prime=q, power=m)) | (Cyclic(prime=q, power=m), Prufer(prime=p)):
+            return Cyclic(q, m) if p == q else None
+        case (Prufer(prime=p), Prufer(prime=q)):
+            return Prufer(p) if p == q else None
+    return None
+
+
+SMALL_POOL = (2, 3, 5, 7)
+ATOM_POOL = (
+    [Cyclic(p, k) for p in (2, 3) for k in (1, 2, 3)]
+    + [Prufer(p) for p in (2, 3)]
+    + [Localization(PrimeSet(c, s)) for c in (False, True) for s in ((), (2,), (3,), (2, 3), (2, 5, 7))]
+)
+
+
+class TestChecksAtTheBoundary:
+    """Primality is checked where values enter: the public constructors, the
+    DSL and the JSON readers.  Inside the package atoms are built unchecked
+    from primes that are already known, and the tables return operands."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Cyclic(4, 1),
+            lambda: Prufer(1),
+            lambda: PrimeSet.of(9),
+            lambda: PrimeSet.excluding(True),
+            # a strong pseudoprime to bases 2, 3, 5 and 7
+            lambda: localized(PrimeSet.of(3215031751)),
+            lambda: prufer(561),
+        ],
+    )
+    def test_public_constructors_reject_non_primes(self, build):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert exc.value.code == "not_prime"
+
+    def test_the_dsl_rejects_a_non_prime_at_its_position(self):
+        from extcalc import ParseError, parse_group
+
+        with pytest.raises(ParseError) as exc:
+            parse_group("Z_(2,4)")
+        assert (exc.value.code, exc.value.position) == ("not_prime", 5)
+
+    def test_the_bockstein_reader_rejects_a_non_prime_key(self):
+        # this reader reports a bad key as a document error, as it always has
+        from extcalc import BocksteinFunction, ParseError
+
+        triple = {"Zp": 1, "ZpInf": 1, "Zploc": 1}
+        for key in ("9", "1", "3215031751"):
+            with pytest.raises(ParseError) as exc:
+                BocksteinFunction.from_json({"Q": 1, "default": triple, "exceptions": {key: triple}})
+            assert exc.value.code == "bad_document"
+            assert "is not a prime" in exc.value.message
+
+    def test_tables_match_the_checked_constructions_on_every_pair(self):
+        for a in ATOM_POOL:
+            for b in ATOM_POOL:
+                for table, built in ((_tensor_atoms, built_tensor), (_tor_atoms, built_tor)):
+                    got = table(a, b)
+                    assert got == built(a, b), (table.__name__, a, b)
+                    if got is not None and not isinstance(got, Localization):
+                        assert got is a or got is b
+                assert AdmissibleGroup.of(a).tensor(AdmissibleGroup.of(b)) == AdmissibleGroup.of(
+                    *filter(None, [built_tensor(a, b)])
+                )
+
+    def test_intersections_are_canonical_prime_sets(self):
+        sets = [atom.primes for atom in ATOM_POOL if isinstance(atom, Localization)]
+        for l1 in sets:
+            for l2 in sets:
+                got = l1.intersect(l2)
+                assert got == PrimeSet(got.cofinite, got.members)
+                assert all((p in got) == (p in l1 and p in l2) for p in SMALL_POOL)
 
 
 class TestBilinearProperties:

@@ -18,15 +18,16 @@ import json
 import sys
 from datetime import timedelta
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DSL_ALPHABET
 from extcalc import ExtcalcError, cli, format_graded, format_group, parse_graded, parse_group
 from test_cli import VALIDATOR, run
 
 FUZZ = settings(max_examples=100, deadline=timedelta(seconds=2))
 
-DSL_ALPHABET = "ZQ/^_()[]{}~:,+-o 0123456789"
 st_dsl_text = st.text(max_size=30) | st.text(alphabet=DSL_ALPHABET, max_size=30)
 
 SMALL = st.integers(min_value=-30, max_value=30)
@@ -86,13 +87,17 @@ def add_columns(m, moves, width):
 
 COMMAND_NAMES = [command.name for command in cli.COMMANDS]
 st_token = (
-    st.sampled_from(COMMAND_NAMES + ["--", "-g", "--group", "--graded", "--n", "-1e+16", "[[1]]", "{1: Z}", "Z/2", "-1", "x"])
+    st.sampled_from(
+        COMMAND_NAMES
+        + ["--", "-g", "--group", "--graded", "--n", "-1e+16", "[[1]]", "{1: Z}", "Z/2", "-1", "x"]
+        + ["-h", "--help", "--version"]
+    )
     | st.text(max_size=8)
 )
 
 
 def asks_for_help(token: str) -> bool:
-    """-h, --help and --version print their text and exit 0, by design."""
+    """Whether `token` may be -h, --help or --version, or an abbreviation."""
     flag = token.split("=", 1)[0]
     return flag.startswith("-h") or (len(flag) > 2 and ("--help".startswith(flag) or "--version".startswith(flag)))
 
@@ -102,9 +107,16 @@ def envelope(command, document, *options) -> dict:
     return envelope_of_argv([command, *options, "--json", "--", document])
 
 
-def envelope_of_argv(argv) -> dict:
+def envelope_of_argv(argv) -> dict | None:
+    """The envelope a --json run prints, or None for help or version text:
+    the one exception, printed as plain text with exit status 0, and only
+    for an argv with a help or version token."""
     code, out, err = run(argv)
     assert err == ""
+    if not out.startswith("{"):
+        assert any(map(asks_for_help, argv)), out
+        assert code == 0 and out.strip()
+        return None
     # an answer can pass Python's default int->str digit limit
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -201,12 +213,19 @@ class TestArgv:
     def test_arbitrary_command_lines(self, tokens, at):
         # --json anywhere before a `--`, so argparse reads it as the flag
         at = min(at, tokens.index("--") if "--" in tokens else len(tokens))
-        argv = tokens[:at] + ["--json"] + tokens[at:]
-        assume(not any(map(asks_for_help, argv)))
-        envelope_of_argv(argv)
+        envelope_of_argv(tokens[:at] + ["--json"] + tokens[at:])
 
     @FUZZ
     @given(st.sampled_from(COMMAND_NAMES), st.lists(st_token, max_size=4))
     def test_each_command_with_arbitrary_arguments(self, command, tokens):
-        assume(not any(map(asks_for_help, tokens)))
         envelope_of_argv([command, "--json", *tokens])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help", "--json"], ["--version"], ["canon", "--json", "-h"], ["snf", "--help", "--json"], ["tor", "--he", "--json"]],
+    )
+    def test_help_and_version_print_text_under_json(self, argv):
+        code, out, err = run(argv)
+        assert (code, err) == (0, "") and out.startswith(("usage: extcalc", "extcalc "))
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
