@@ -344,9 +344,18 @@ class AdmissibleGroup:
         return self._bilinear(other, _tor_atoms)
 
     def _bilinear(self, other: "AdmissibleGroup", table) -> "AdmissibleGroup":
+        # Both tables vanish on torsion atoms at different primes, so a
+        # torsion atom meets only the localizations and its own prime's atoms.
+        flat, by_prime = [], {}
+        for b, m in other.summands:
+            if type(b) is Localization:
+                flat.append((b, m))
+            else:
+                by_prime.setdefault(b.prime, []).append((b, m))
+        at_prime = {p: flat + atoms for p, atoms in by_prime.items()}
         counts = Counter()
         for a, n in self.summands:
-            for b, m in other.summands:
+            for b, m in other.summands if type(a) is Localization else at_prime.get(a.prime, flat):
                 if (c := table(a, b)) is not None:
                     counts[c] += n * m
         return AdmissibleGroup.from_counts(counts)

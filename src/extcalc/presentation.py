@@ -190,6 +190,10 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 # before `_hermite` reduces it.  Entries above a pivot 1 are always cleared.
 SLACK_BITS = 64
 
+# The most cells `snf` writes in its two transforms, rows**2 + cols**2: square
+# matrices up to 353 x 353.  Past it the answer is refused, never truncated.
+SNF_MAX_CELLS = 250_000
+
 
 def _hermite(rows: list[list[int]], width: int) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """Row Hermite normal form of `rows` on their first `width` entries.
@@ -262,6 +266,10 @@ def _identity(n: int) -> list[list[int]]:
 def snf(matrix: IntMatrix) -> SNFResult:
     """Smith normal form with both transforms; empty matrices are fine.
 
+    U is rows x rows and V is cols x cols whatever the entries, so an
+    answer past `SNF_MAX_CELLS` cells of U plus V is refused from the shape
+    alone, before any elimination, with `answer_too_large`.
+
     `_hermite` brings [M | I_rows] to Hermite form H, whose right part is U.
     A column of H with pivot 1 is a unit vector, so column operations that
     change only that pivot's row clear the row, and V takes only entries
@@ -273,6 +281,11 @@ def snf(matrix: IntMatrix) -> SNFResult:
     `invariant_factors` is the independent route to the same diagonal.
     """
     r, c = matrix.rows, matrix.cols
+    if r * r + c * c > SNF_MAX_CELLS:
+        raise DomainError(
+            f"the transforms of a {r}x{c} matrix have {r * r + c * c} cells, past the limit of {SNF_MAX_CELLS}",
+            code="answer_too_large",
+        )
     basis, pivots, zero = _hermite([row + e for row, e in zip(matrix.to_rows(), _identity(r))], c)
     vcols = _identity(c)  # V, column by column
     u_units, v_units, block, near, units = [], [], [], [], set()

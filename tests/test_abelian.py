@@ -2,18 +2,20 @@
 tensor/Tor tables, and Bockstein bases."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from sympy import primerange
 
-from conftest import st_group, st_nontrivial_group
+from conftest import random_group_text, st_group, st_nontrivial_group
 from extcalc import (
     ALL_PRIMES,
     AdmissibleGroup,
     Cyclic,
     DomainError,
     ExtNat,
+    ExtcalcError,
     INFINITY,
     Localization,
     NO_PRIMES,
@@ -27,6 +29,7 @@ from extcalc import (
     cyclic,
     fresh_prime,
     localized,
+    parse_group,
     prufer,
     sigma,
     sigma_matches_localization,
@@ -309,6 +312,42 @@ class TestChecksAtTheBoundary:
                 got = l1.intersect(l2)
                 assert got == PrimeSet(got.cofinite, got.members)
                 assert all((p in got) == (p in l1 and p in l2) for p in SMALL_POOL)
+
+
+def all_pairs(g, h, table):
+    """tensor or Tor by evaluating the table on every pair of summands, as
+    `_bilinear` did before it met each torsion atom only with its prime's."""
+    counts = Counter()
+    for a, n in g.summands:
+        for b, m in h.summands:
+            if (c := table(a, b)) is not None:
+                counts[c] += n * m
+    return AdmissibleGroup.from_counts(counts)
+
+
+def random_wide_group(rng):
+    """A parsed seeded text of up to 30 terms; texts that do not parse are drawn again."""
+    while True:
+        try:
+            return parse_group(random_group_text(rng, max_terms=30))
+        except ExtcalcError:
+            pass
+
+
+class TestBilinearOracle:
+    def test_every_pair_of_the_atom_pool(self):
+        groups = [AdmissibleGroup.of(a) for a in ATOM_POOL] + [AdmissibleGroup.of(*ATOM_POOL, *ATOM_POOL[::3])]
+        for g in groups:
+            for h in groups:
+                assert g.tensor(h) == all_pairs(g, h, _tensor_atoms), (g, h)
+                assert g.tor(h) == all_pairs(g, h, _tor_atoms), (g, h)
+
+    def test_seeded_wide_groups(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            g, h = random_wide_group(rng), random_wide_group(rng)
+            assert g.tensor(h) == all_pairs(g, h, _tensor_atoms), (g, h)
+            assert g.tor(h) == all_pairs(g, h, _tor_atoms), (g, h)
 
 
 class TestBilinearProperties:

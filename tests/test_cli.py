@@ -280,6 +280,18 @@ class TestJsonEnvelopes:
 
 
 class TestLargeAnswers:
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_snf_refuses_transforms_past_the_cell_limit(self, mode):
+        # a 6 KB document of 2000 empty rows, whose U would be the 2000 x 2000 identity
+        code, out, err = run(["snf", json.dumps([[]] * 2000), *mode])
+        assert code == 1
+        if mode:
+            doc = json.loads(out)
+            VALIDATOR.validate(doc)
+            assert doc["error"]["code"] == "answer_too_large" and err == ""
+        else:
+            assert out == "" and err.startswith("error[answer_too_large]:")
+
     def test_snf_answers_past_the_digit_limit_print_in_full(self):
         # pairwise coprime diagonal entries of 2000 digits each, so the input
         # parses under the 4300-digit limit and the last factor, their

@@ -223,6 +223,17 @@ class TestModularInvariantFactors:
             snf(IntMatrix.from_rows([[1]]))
 
 
+class TestAnswerLimit:
+    def test_the_limit_is_read_from_the_shape_before_any_elimination(self, monkeypatch):
+        assert presentation.SNF_MAX_CELLS == 500**2
+        assert snf(IntMatrix(500, 0, ())).u == IntMatrix(500, 500, tuple(int(i % 501 == 0) for i in range(500**2)))
+        monkeypatch.setattr(presentation, "_hermite", None)  # any elimination fails
+        for rows, cols in ((501, 0), (0, 501), (300, 401), (10**6, 0)):
+            with pytest.raises(DomainError) as exc:
+                snf(IntMatrix(rows, cols, (0,) * (rows * cols)))
+            assert exc.value.code == "answer_too_large"
+
+
 class TestBoundedTransforms:
     """`snf` reduces every Hermite pass as it goes, so U and V stay near the
     size of the minors of M instead of growing with each elimination step."""

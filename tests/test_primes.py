@@ -7,6 +7,7 @@ import time
 import pytest
 import sympy
 
+from extcalc import primes
 from extcalc.primes import factorint, isprime
 from test_cli import VALIDATOR, run
 
@@ -18,10 +19,16 @@ STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 34747
                        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 # 7 * 11 * 13 * 59 times primes of 12, 15, 27 and 31 digits: rho needs about 10**6 steps for the first
 BEYOND_BUDGET = 10**87 + 1
+# Seeded numbers (random.Random(k).randrange(1, 10**k), 200 for each k <= 29) that ended in factorization_budget
+# while trial division stopped at 41 and rho also had to split off their factors between 41 and 2**16.
+NOW_FACTORED = (72415132699807077442539961, 94401635115879384412072713, 4560830764766954657289103912,
+                18270474151495708741694154124, 62791395955493032350026194190, 29738997623434744030896050809,
+                90385805604687826516889705374)
+TABLE_PRIMES = tuple(sympy.primerange(2**16))
 
 
 class TestIsprime:
-    def test_small_range(self):
+    def test_small_range(self):  # crosses the edge of the sieve at 2**16
         assert [n for n in range(-5, 10**5) if isprime(n)] == list(sympy.primerange(10**5))
 
     @pytest.mark.parametrize("n", CARMICHAEL)
@@ -48,6 +55,37 @@ class TestIsprime:
             assert not isprime(p * q) and not isprime(p * p)
 
 
+class TestPrimeTable:
+    def test_chunks_are_runs_of_consecutive_table_primes(self):
+        runs = [TABLE_PRIMES[i : i + 32] for i in range(0, len(TABLE_PRIMES), 32)]
+        assert [(lo, hi) for lo, hi, _ in primes._CHUNKS] == [(run[0], run[-1] + 1) for run in runs]
+        assert all(product == sympy.prod(run) for (_, _, product), run in zip(primes._CHUNKS, runs))
+
+    def test_products_around_chunk_edges(self):
+        for i in range(0, len(TABLE_PRIMES), 32):
+            first, last = TABLE_PRIMES[i], TABLE_PRIMES[min(i + 31, len(TABLE_PRIMES) - 1)]
+            after = sympy.nextprime(last)
+            for n in (first, last, first * last, last * after, last**2 * after, first**3, first * after * 65537):
+                assert factorint(n) == sympy.factorint(n), n
+
+    def test_the_table_edge(self):
+        q = sympy.nextprime(10**19 + 12345)  # 20 digits
+        for n in (65521, 65537, 65521 * 65537, 65521**2, 65537**2 * 3, 2 * q, 65521 * q, 65537 * q, 2**16 * q):
+            assert factorint(n) == sympy.factorint(n), n
+        for k in range(1, 9):
+            assert factorint(65537**k) == {65537: k}
+
+    def test_small_factors_never_reach_rho(self, monkeypatch):
+        monkeypatch.setattr(primes, "_rho", None)  # any call fails
+        rng = random.Random(11)
+        for _ in range(300):
+            # sympy's own factorint is slow on many factors near 2**16, so the expected answer is the construction
+            expected = {p: rng.randint(1, 4) for p in sorted(rng.sample(TABLE_PRIMES, rng.randint(1, 12)))}
+            n = sympy.prod(p**e for p, e in expected.items())
+            assert factorint(n) == expected, n
+            assert factorint(n * (2**61 - 1)) == {**expected, 2**61 - 1: 1}, n
+
+
 class TestFactorint:
     def test_seeded_up_to_1e14(self):
         rng = random.Random(8)
@@ -71,6 +109,20 @@ class TestFactorint:
 
 
 class TestFactoringBudget:
+    @pytest.mark.parametrize("n", NOW_FACTORED)
+    def test_numbers_the_step_count_gave_up_on(self, n):
+        assert factorint(n) == sympy.factorint(n)
+
+    def test_budget_counts_work_on_large_numbers(self):
+        # a 3x3 presentation with 300-digit entries has a ~900-digit invariant factor, whose rho steps each
+        # cost 576 of the budget; counting steps alone, it took half a minute to give up
+        rng = random.Random(300)
+        rows = [[rng.choice((-1, 1)) * rng.randrange(10**299, 10**300) for _ in range(3)] for _ in range(3)]
+        start = time.perf_counter()
+        code, out, err = run(["present", json.dumps(rows), "-g", "3"])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, "") and err.startswith("error[factorization_budget]:")
+
     @pytest.mark.parametrize("mode", [[], ["--json"]])
     def test_hostile_modulus_ends_with_a_typed_error(self, mode):
         start = time.perf_counter()
