@@ -20,6 +20,7 @@ from .abelian import (
     NO_PRIMES,
     PrimePattern,
     PrimeSet,
+    PrimeTriple,
     Prufer,
     Q,
     SigmaSet,
@@ -37,7 +38,6 @@ from .abelian import (
 from .bockstein import (
     BocksteinFunction,
     MinimalWedge,
-    PrimeTriple,
     Violation,
     coef_dimension,
     covering_dimension,

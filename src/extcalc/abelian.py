@@ -29,9 +29,9 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Generic, NamedTuple, TypeVar
+from typing import Any, Generic, NamedTuple, TypeVar
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 from .primes import factorint, isprime
 
 
@@ -68,7 +68,7 @@ class ExtNat:
             return value
         if value == "inf":
             return INFINITY
-        if isinstance(value, int) and not isinstance(value, bool):
+        if _is_int(value):
             return cls(value)
         raise ValueError(f"cannot read {value!r} as a natural or infinity")
 
@@ -129,12 +129,14 @@ class ExtNat:
             raise ValueError("cannot subtract infinity")
         return ExtNat(max(0, self._value - other._value))
 
+    @staticmethod
+    def layered(m: int, inner: bool, outer: bool = False) -> "ExtNat":
+        """m on the inner layer, m+1 on the outer layer only, infinity elsewhere:
+        sigma and tau in the witnesses, tensor and Tor in dimension profiles."""
+        return ExtNat(m) if inner else ExtNat(m + 1) if outer else INFINITY
+
     def to_json(self):
         return "inf" if self._value is None else self._value
-
-    @classmethod
-    def from_json(cls, data) -> "ExtNat":
-        return cls.of(data)
 
     def __str__(self):
         return "oo" if self._value is None else str(self._value)
@@ -160,8 +162,12 @@ def _trusted(cls, *values):
     return obj
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _checked_prime(p) -> int:
-    if not (isinstance(p, int) and not isinstance(p, bool) and isprime(p)):
+    if not (_is_int(p) and isprime(p)):
         raise DomainError(f"{p!r} is not prime", code="not_prime")
     return p
 
@@ -244,8 +250,8 @@ class Cyclic:
 
     def __post_init__(self):
         _checked_prime(self.prime)
-        if self.power < 1:
-            raise DomainError("cyclic atom needs power >= 1", code="bad_power")
+        if not _is_int(self.power) or self.power < 1:
+            raise DomainError(f"cyclic atom needs an integer power >= 1, got {self.power!r}", code="bad_power")
 
 
 @dataclass(frozen=True)
@@ -306,10 +312,12 @@ class AdmissibleGroup:
 
     @classmethod
     def from_counts(cls, counts) -> "AdmissibleGroup":
-        counts = dict(counts)
-        items = [(a, int(n)) for a, n in counts.items() if n]
-        if any(n < 0 for _, n in items):
-            raise DomainError("negative multiplicity", code="bad_multiplicity")
+        items = []
+        for a, n in dict(counts).items():
+            if type(n) is not int or n < 0:
+                raise DomainError(f"multiplicity must be an integer >= 0, got {n!r}", code="bad_multiplicity")
+            if n:
+                items.append((a, n))
         items.sort(key=lambda item: _atom_key(item[0]))
         return cls(tuple(items))
 
@@ -523,6 +531,38 @@ BOCKSTEIN_FLAGS = (
 )
 
 
+class PrimeTriple(NamedTuple):
+    """One value on each p-local test group at a prime, its fields named
+    and ordered as BOCKSTEIN_FLAGS: ExtNats in Bockstein functions and
+    dimension profiles, a degree or None in minimal wedges, the test groups
+    themselves in `leqgr`'s family."""
+
+    cyclic: Any
+    prufer: Any
+    local: Any
+
+    @classmethod
+    def constant(cls, value) -> "PrimeTriple":
+        return cls(value, value, value)
+
+    def select(self, pattern: PrimePattern) -> list:
+        """The values on the test groups in `pattern`."""
+        return [v for f, v in zip(BOCKSTEIN_FLAGS, self) if f.flag & pattern]
+
+    def to_json(self, value_json=ExtNat.to_json):
+        return {f.key: value_json(v) for f, v in zip(BOCKSTEIN_FLAGS, self)}
+
+    @classmethod
+    def from_json(cls, data) -> "PrimeTriple":
+        keys = [f.key for f in BOCKSTEIN_FLAGS]
+        if not isinstance(data, dict) or set(data) != set(keys):
+            raise ParseError(f"a triple needs exactly the keys {', '.join(keys)}", code="bad_document")
+        try:
+            return cls(*(ExtNat.of(data[key]) for key in keys))
+        except ValueError as exc:
+            raise ParseError(str(exc), code="bad_document") from exc
+
+
 def pattern_flags(pat: PrimePattern) -> tuple[str, ...]:
     return tuple(f.name for f in BOCKSTEIN_FLAGS if f.flag & pat)
 
@@ -593,16 +633,8 @@ def tau_closure(s: SigmaSet) -> SigmaSet:
     in, and Z_(p) joins exactly when both Z/p^oo and Q are in.  The result
     always contains the input.
     """
-
-    def close(pat: PrimePattern) -> PrimePattern:
-        if PrimePattern.PRUFER not in pat:
-            return PrimePattern.EMPTY
-        out = PrimePattern.CYCLIC | PrimePattern.PRUFER
-        if s.rational:
-            out |= PrimePattern.LOCAL
-        return out
-
-    return SigmaSet.combine(bool, close, s)
+    closed = FULL_PATTERN if s.rational else PrimePattern.CYCLIC | PrimePattern.PRUFER
+    return SigmaSet.combine(bool, lambda pat: closed if PrimePattern.PRUFER in pat else PrimePattern.EMPTY, s)
 
 
 def tau(group: AdmissibleGroup) -> SigmaSet:

@@ -23,49 +23,19 @@ from typing import Optional
 
 from .abelian import (
     BOCKSTEIN_FLAGS,
-    FULL_PATTERN,
     AdmissibleGroup,
     ExtNat,
-    INFINITY,
     PrimeIndexed,
     PrimePattern,
+    PrimeTriple,
     SigmaSet,
+    _is_int,
     sigma,
     tau_closure,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
 from .primes import isprime
-
-
-@dataclass(frozen=True)
-class PrimeTriple:
-    """Values on the three test groups at one prime: Z/p, Z/p^oo, Z_(p)."""
-
-    cyclic: ExtNat
-    prufer: ExtNat
-    local: ExtNat
-
-    @classmethod
-    def constant(cls, value: ExtNat) -> "PrimeTriple":
-        return cls(value, value, value)
-
-    def to_json(self):
-        return {f.key: getattr(self, f.name).to_json() for f in BOCKSTEIN_FLAGS}
-
-    @classmethod
-    def from_json(cls, data) -> "PrimeTriple":
-        keys = [f.key for f in BOCKSTEIN_FLAGS]
-        if not isinstance(data, dict) or set(data) != set(keys):
-            raise ParseError(f"a triple needs exactly the keys {', '.join(keys)}", code="bad_document")
-        try:
-            return cls(*(ExtNat.of(data[key]) for key in keys))
-        except ValueError as exc:
-            raise ParseError(str(exc), code="bad_document") from exc
-
-
-def _pattern_values(t: PrimeTriple, pattern: PrimePattern):
-    return [getattr(t, f.name) for f in BOCKSTEIN_FLAGS if f.flag & pattern]
 
 
 class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
@@ -173,16 +143,13 @@ def coef_dimension(alpha: BocksteinFunction, group: AdmissibleGroup) -> ExtNat:
     s = sigma(group)
     values = [alpha.rational] if s.rational else []
     for p in s.primes_to_inspect(alpha):
-        values.extend(_pattern_values(alpha.at(p), s.at(p)))
+        values.extend(alpha.at(p).select(s.at(p)))
     return max(values)
 
 
 def covering_dimension(alpha: BocksteinFunction) -> ExtNat:
     """The supremum of alpha over the whole basis (the dimension w.r.t. Z)."""
-    values = [alpha.rational]
-    for t in [alpha.default] + [t for _, t in alpha.exceptions]:
-        values.extend(_pattern_values(t, FULL_PATTERN))
-    return max(values)
+    return max(alpha.rational, *alpha.default, *(v for _, t in alpha.exceptions for v in t))
 
 
 def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
@@ -204,13 +171,10 @@ def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
 # The minimal complex.
 
 
-Degrees = tuple[Optional[int], Optional[int], Optional[int]]
-
-
-class MinimalWedge(PrimeIndexed[Optional[int], Degrees]):
+class MinimalWedge(PrimeIndexed[Optional[int], PrimeTriple]):
     """Wedge summands K(H, degree) over the finite-valued part of alpha.
 
-    Slots hold the degree as an int or None when the value was infinite and
+    Values hold the degree as an int or None when the value was infinite and
     the summand is absent; `default` describes every prime not listed in
     `exceptions`, so the description is finite even when the wedge is not.
     """
@@ -227,7 +191,7 @@ class MinimalWedge(PrimeIndexed[Optional[int], Degrees]):
         return out
 
     def to_json(self):
-        return self._to_json("rational", self.rational, lambda t: {f.key: deg for f, deg in zip(BOCKSTEIN_FLAGS, t)})
+        return self._to_json("rational", self.rational, lambda t: t.to_json(lambda deg: deg))
 
 
 def _finite(v: ExtNat) -> Optional[int]:
@@ -238,25 +202,18 @@ def minimal_wedge(alpha: BocksteinFunction) -> MinimalWedge:
     """The wedge of Eilenberg-MacLane spaces K(H, alpha(H)) over all basis
     groups with finite value; its symmetric-product type is the minimal one
     extending over the compactum realizing alpha."""
-    return MinimalWedge.combine(
-        _finite, lambda t: tuple(_finite(v) for v in _pattern_values(t, FULL_PATTERN)), alpha
-    )
+    return MinimalWedge.combine(_finite, lambda t: PrimeTriple._make(map(_finite, t)), alpha)
 
 
 # ---------------------------------------------------------------------------
 # Witness constructions.
 
 
-def _value_by_membership(m: int, in_sigma: bool, in_tau: bool) -> ExtNat:
-    if in_sigma:
-        return ExtNat(m)
-    if in_tau:
-        return ExtNat(m + 1)
-    return INFINITY
-
-
-def _layered_triple(m: int, spat: PrimePattern, tpat: PrimePattern) -> PrimeTriple:
-    return PrimeTriple(*(_value_by_membership(m, bool(f.flag & spat), bool(f.flag & tpat)) for f in BOCKSTEIN_FLAGS))
+def _check_degree(m):
+    if not _is_int(m):
+        raise DomainError(f"separation degree m must be an integer, got {m!r}", code="bad_dimension")
+    if m < 1:
+        raise DomainError("separation degree m must be >= 1", code="bad_dimension")
 
 
 def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup, m: int) -> BocksteinFunction:
@@ -267,8 +224,7 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
     satisfies the realizability inequalities, and the separating group must
     meet the infinite layer, i.e. sigma(F) may not sit inside tau(G).
     """
-    if m < 1:
-        raise DomainError("separation degree m must be >= 1", code="bad_dimension")
+    _check_degree(m)
     s = sigma(dim_group)
     t = tau_closure(s)
     if sigma(sep_group).issubset(t):
@@ -276,7 +232,10 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
             "no infinite gap: the separating group's basis lies in tau of the base group",
             code="not_separable",
         )
-    return BocksteinFunction.combine(partial(_value_by_membership, m), partial(_layered_triple, m), s, t)
+    layer = partial(ExtNat.layered, m)
+    return BocksteinFunction.combine(
+        layer, lambda sp, tp: PrimeTriple._make([layer(f.flag in sp, f.flag in tp) for f in BOCKSTEIN_FLAGS]), s, t
+    )
 
 
 def _smallest_flag_gap(flag: PrimePattern, sf: SigmaSet, sg: SigmaSet) -> Optional[int]:
@@ -295,19 +254,15 @@ def unit_gap_witness(
     so the covering dimension is m+1.  Returns the function and the case
     label.
     """
-    if m < 1:
-        raise DomainError("separation degree m must be >= 1", code="bad_dimension")
+    _check_degree(m)
     sf = sigma(sep_group)
     sg = sigma(dim_group)
-    base = PrimeTriple.constant(ExtNat(m))
-    q = _smallest_flag_gap(PrimePattern.CYCLIC, sf, sg)
-    if q is not None:
-        bumped = PrimeTriple(cyclic=ExtNat(m + 1), prufer=ExtNat(m), local=ExtNat(m + 1))
-        return BocksteinFunction.build(ExtNat(m), base, {q: bumped}), "I"
-    q = _smallest_flag_gap(PrimePattern.LOCAL, sf, sg)
-    if q is not None:
-        bumped = PrimeTriple(cyclic=ExtNat(m), prufer=ExtNat(m), local=ExtNat(m + 1))
-        return BocksteinFunction.build(ExtNat(m), base, {q: bumped}), "II"
+    base, up = PrimeTriple.constant(ExtNat(m)), ExtNat(m + 1)
+    case_i, case_ii = base._replace(cyclic=up, local=up), base._replace(local=up)
+    for label, flag, bumped in ("I", PrimePattern.CYCLIC, case_i), ("II", PrimePattern.LOCAL, case_ii):
+        q = _smallest_flag_gap(flag, sf, sg)
+        if q is not None:
+            return BocksteinFunction.build(ExtNat(m), base, {q: bumped}), label
     raise DomainError(
         "no unit gap: no cyclic or localization test group separates the bases",
         code="not_applicable",

@@ -21,6 +21,7 @@ from .abelian import (
     PrimeSet,
     Q,
     SigmaSet,
+    _checked_prime,
     localized,
     sigma,
     sigma_matches_localization,
@@ -28,7 +29,6 @@ from .abelian import (
 )
 from .errors import DomainError
 from .graded import GradedGroup
-from .primes import isprime
 
 RATIONAL_ONLY = SigmaSet.build(True, PrimePattern.EMPTY, {})
 
@@ -122,8 +122,7 @@ def sp_factors_as_em(k: GradedGroup, group: AdmissibleGroup, n: int) -> ClauseRe
 def mod_p_trivial(k: GradedGroup, p: int) -> bool:
     """Whether SP of the complex is invisible mod p: no degree's Bockstein
     basis contains Z/p^oo, so p-torsion considerations impose nothing."""
-    if not isprime(p):
-        raise DomainError(f"{p} is not prime", code="not_prime")
+    _checked_prime(p)
     _check_connected(k)
     return not any(PrimePattern.PRUFER & sigma(g).at(p) for _, g in k.entries)
 

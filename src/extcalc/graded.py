@@ -16,6 +16,7 @@ Coefficient operations are degreewise tensor/Tor; the dimension order reads sigm
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .abelian import (
@@ -27,9 +28,11 @@ from .abelian import (
     PrimeIndexed,
     PrimePattern,
     PrimeSet,
+    PrimeTriple,
     Prufer,
     Q,
     TRIVIAL,
+    _is_int,
     _trusted,
     fresh_prime,
     sigma,
@@ -51,7 +54,7 @@ class GradedGroup:
     def of(cls, mapping) -> "GradedGroup":
         items = []
         for degree, group in dict(mapping).items():
-            if not isinstance(degree, int) or isinstance(degree, bool):
+            if not _is_int(degree):
                 raise DomainError(f"degree must be an integer, got {degree!r}", code="bad_degree")
             if not group.is_trivial:
                 items.append((degree, group))
@@ -141,6 +144,8 @@ def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:
     """Homology of the r-fold suspension: shift every degree up by r."""
+    if not _is_int(r):
+        raise DomainError(f"suspension count must be an integer, got {r!r}", code="bad_degree")
     if r < 0:
         raise DomainError("suspension count must be nonnegative", code="bad_degree")
     return k.shift(r)
@@ -210,17 +215,14 @@ class GradedOrderVerdict:
 
 
 def _entry_profile(d: int, group: AdmissibleGroup) -> PrimeIndexed:
-    s, P = sigma(group), PrimePattern
-
-    def lowest(tensor: bool, tor: bool = False) -> ExtNat:
-        return ExtNat(d) if tensor else ExtNat(d + 1) if tor else INFINITY
-
+    # d where the tensor term is nonzero, d+1 where only the Tor term is
+    s, P, lowest = sigma(group), PrimePattern, partial(ExtNat.layered, d)
     return PrimeIndexed.combine(
         lowest,
-        lambda pat: (
-            lowest(P.CYCLIC in pat, P.PRUFER in pat),
-            lowest(P.LOCAL in pat, P.PRUFER in pat),
-            lowest(s.rational or P.PRUFER in pat),
+        lambda pat: PrimeTriple(
+            cyclic=lowest(P.CYCLIC in pat, P.PRUFER in pat),
+            prufer=lowest(P.LOCAL in pat, P.PRUFER in pat),
+            local=lowest(s.rational or P.PRUFER in pat),
         ),
         s,
     )
@@ -232,11 +234,11 @@ def dimension_profile(k: GradedGroup) -> PrimeIndexed:
     gives d where G (x) H is nonzero and d+1 where only Tor(G, H) is, read from
     sigma(G): Q needs Q, Z/p needs Z/p, Z/p^oo needs Z_(p), Z_(p) needs Q or
     Z/p^oo, and the Tor terms need p-torsion, which puts Z/p^oo in sigma(G)."""
-    # tuple() of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
+    # _make of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
     return PrimeIndexed.combine(
         lambda *values: min(values),
-        lambda *triples: tuple([min(values) for values in zip(*triples)]),
-        PrimeIndexed.build(INFINITY, (INFINITY,) * 3),
+        lambda *triples: PrimeTriple._make([min(values) for values in zip(*triples)]),
+        PrimeIndexed.build(INFINITY, PrimeTriple.constant(INFINITY)),
         *(_entry_profile(d, g) for d, g in _natural(k).entries),
     )
 
@@ -255,7 +257,8 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
     family, dims_k, dims_l = [Q], [left.rational], [right.rational]
     for p in sorted(primes):
         # p is a support prime or fresh_prime's, so the atoms take the trusted path
-        atoms = _trusted(Cyclic, p, 1), _trusted(Prufer, p), Localization(_trusted(PrimeSet, False, (p,)))
+        local = Localization(_trusted(PrimeSet, False, (p,)))
+        atoms = PrimeTriple(cyclic=_trusted(Cyclic, p, 1), prufer=_trusted(Prufer, p), local=local)
         family += map(AdmissibleGroup.of, atoms)
         dims_k += left.at(p)
         dims_l += right.at(p)

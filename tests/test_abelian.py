@@ -21,6 +21,7 @@ from extcalc import (
     NO_PRIMES,
     PrimePattern,
     PrimeSet,
+    PrimeTriple,
     Prufer,
     Q,
     SigmaSet,
@@ -37,7 +38,7 @@ from extcalc import (
     tau_closure,
     unit_gap_witness,
 )
-from extcalc.abelian import FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, pattern_flags
+from extcalc.abelian import BOCKSTEIN_FLAGS, FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, pattern_flags
 
 CYC = PrimePattern.CYCLIC
 PRU = PrimePattern.PRUFER
@@ -77,7 +78,7 @@ class TestExtNat:
 
     def test_json_round_trip(self):
         for v in (ExtNat(0), ExtNat(7), INFINITY):
-            assert ExtNat.from_json(v.to_json()) == v
+            assert ExtNat.of(v.to_json()) == v
         assert INFINITY.to_json() == "inf"
         assert str(INFINITY) == "oo"
 
@@ -274,6 +275,18 @@ class TestChecksAtTheBoundary:
         with pytest.raises(DomainError) as exc:
             build()
         assert exc.value.code == "not_prime"
+
+    @pytest.mark.parametrize("power", [1.5, True, "3"])
+    def test_cyclic_rejects_a_non_integer_power(self, power):
+        with pytest.raises(DomainError) as exc:
+            Cyclic(2, power)
+        assert exc.value.code == "bad_power"
+
+    @pytest.mark.parametrize("count", [1.5, 0.5, True])
+    def test_from_counts_rejects_a_non_integer_multiplicity(self, count):
+        with pytest.raises(DomainError) as exc:
+            AdmissibleGroup.from_counts({Cyclic(2, 1): count})
+        assert exc.value.code == "bad_multiplicity"
 
     def test_the_dsl_rejects_a_non_prime_at_its_position(self):
         from extcalc import ParseError, parse_group
@@ -525,6 +538,17 @@ class TestSigmaSetOps:
     def test_json_shape(self):
         data = sigma(cyclic(4)).to_json()
         assert data == {"rational": False, "default": [], "exceptions": {"2": ["cyclic", "prufer"]}}
+
+
+class TestPrimeTriple:
+    def test_fields_are_the_flags_in_order(self):
+        assert PrimeTriple._fields == tuple(f.name for f in BOCKSTEIN_FLAGS)
+
+    def test_select_reads_the_pattern(self):
+        t = PrimeTriple(cyclic=1, prufer=2, local=3)
+        assert t.select(PrimePattern.EMPTY) == []
+        assert t.select(CYC | LOC) == [1, 3]
+        assert t.select(FULL_PATTERN) == [1, 2, 3]
 
 
 class TestPrimeIndexed:

@@ -168,6 +168,15 @@ class TestSpInAe:
             sp_in_ae(alpha, GradedGroup.of({0: Z}))
 
 
+class TestPrimeTripleValues:
+    def test_functions_and_wedges_hold_prime_triples(self):
+        rng = random.Random(31)
+        for _ in range(50):
+            alpha = random_bf(rng)
+            for value in (alpha, BocksteinFunction.from_json(alpha.to_json()), minimal_wedge(alpha)):
+                assert all(type(t) is PrimeTriple for t in [value.default] + [t for _, t in value.exceptions])
+
+
 class TestMinimalWedge:
     def test_drops_infinite_values(self):
         alpha = bf(2, ("inf", "inf", "inf"), {2: triple(3, 2, "inf")})
@@ -231,6 +240,14 @@ class TestInfiniteGapWitness:
     def test_bad_dimension_rejected(self):
         with pytest.raises(DomainError):
             infinite_gap_witness(cyclic(4), Q, 0)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, True])
+def test_witnesses_reject_a_non_integer_degree(m):
+    for build in (lambda: unit_gap_witness(Q, Z, m), lambda: infinite_gap_witness(cyclic(4), Q, m)):
+        with pytest.raises(DomainError) as exc:
+            build()
+        assert exc.value.code == "bad_dimension"
 
 
 class TestUnitGapWitness:

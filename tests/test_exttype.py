@@ -92,6 +92,12 @@ class TestModP:
         with pytest.raises(DomainError):
             mod_p_trivial(GradedGroup.of({1: Z}), 4)
 
+    @pytest.mark.parametrize("p", [2.0, "2"])
+    def test_a_non_integer_is_not_prime(self, p):
+        with pytest.raises(DomainError) as exc:
+            mod_p_trivial(GradedGroup.of({1: Z}), p)
+        assert exc.value.code == "not_prime"
+
     @given(st_nontrivial_group)
     def test_integral_summand_blocks_every_prime(self, g):
         assert not mod_p_trivial(GradedGroup.of({1: g + Z}), 2)

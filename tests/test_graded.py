@@ -17,6 +17,7 @@ from extcalc import (
     GradedOrderVerdict,
     INFINITY,
     PrimeSet,
+    PrimeTriple,
     Q,
     TRIVIAL,
     Z,
@@ -147,6 +148,11 @@ class TestSuspension:
         with pytest.raises(DomainError):
             suspend(GradedGroup.of({1: Z2}), -1)
 
+    def test_rejects_a_non_integer_count(self):
+        with pytest.raises(DomainError) as exc:
+            suspend(GradedGroup.of({1: Z2}), 1.5)
+        assert exc.value.code == "bad_degree"
+
     @given(st_graded, st_nontrivial_group, st.integers(min_value=0, max_value=3))
     def test_dimension_shifts_with_suspension(self, k, g, r):
         assert homological_dimension(suspend(k, r), g) == homological_dimension(k, g) + r
@@ -227,6 +233,12 @@ class TestGradedOrder:
         # one representative beyond the support
         assert cyclic(3) in family
 
+    def test_family_lists_each_prime_in_field_order(self):
+        checked = graded_order_leq(GradedGroup.of({1: Z2 + prufer(5)}), EMPTY_GRADED).checked
+        build = {"cyclic": cyclic, "prufer": prufer, "local": lambda p: localized(PrimeSet.of(p))}
+        # the support primes 2 and 5, and the fresh prime 3
+        assert checked == (Q,) + tuple(build[name](p) for p in (2, 3, 5) for name in PrimeTriple._fields)
+
     @given(st_graded, st_graded)
     def test_verdict_is_consistent_with_dimensions(self, k, l):
         v = graded_order_leq(k, l)
@@ -289,6 +301,11 @@ class TestDimensionProfile:
         assert profile.rational == 3 and profile.at(2) == (1, 2, 1) and profile.at(5) == (oo, oo, 3)
         assert dimension_profile(GradedGroup.of({2: Z})).at(7) == (2, 2, 2)
         assert dimension_profile(EMPTY_GRADED).at(2) == (oo, oo, oo)
+
+    @given(st_graded)
+    def test_values_are_prime_triples(self, k):
+        profile = dimension_profile(k)
+        assert all(type(t) is PrimeTriple for t in [profile.default] + [t for _, t in profile.exceptions])
 
     @given(st_graded, st_graded)
     def test_matches_homological_dimension_on_the_family(self, k, l):
