@@ -57,7 +57,7 @@ class ExtNat:
     __slots__ = ("_value",)
 
     def __init__(self, value: int | None = None):
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
+        if value is not None and (not _is_int(value) or value < 0):
             raise ValueError(f"ExtNat takes a nonnegative int or None for infinity, got {value!r}")
         self._value = value
 
@@ -85,7 +85,7 @@ class ExtNat:
     def _coerce(self, other) -> "ExtNat":
         if isinstance(other, ExtNat):
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return ExtNat(other)
         return NotImplemented
 
@@ -172,6 +172,17 @@ def _checked_prime(p) -> int:
     return p
 
 
+def _checked_int(value, least=None, *, code, message):
+    """`value` when it is an int (not a bool) of at least `least`; otherwise a
+    DomainError with `code` and `message` (a `{}` in it stands for the value),
+    which a non-integer follows with the note that an integer is required."""
+    if not _is_int(value):
+        raise DomainError(f"{message.format(value)}; an integer is required, not {value!r}", code=code)
+    if least is not None and value < least:
+        raise DomainError(message.format(value), code=code)
+    return value
+
+
 @dataclass(frozen=True)
 class PrimeSet:
     """A finite or cofinite set of primes.
@@ -250,8 +261,7 @@ class Cyclic:
 
     def __post_init__(self):
         _checked_prime(self.prime)
-        if not _is_int(self.power) or self.power < 1:
-            raise DomainError(f"cyclic atom needs an integer power >= 1, got {self.power!r}", code="bad_power")
+        _checked_int(self.power, 1, code="bad_power", message="cyclic atom needs an integer power >= 1, got {!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +324,7 @@ class AdmissibleGroup:
     def from_counts(cls, counts) -> "AdmissibleGroup":
         items = []
         for a, n in dict(counts).items():
-            if type(n) is not int or n < 0:
+            if type(n) is not int or n < 0:  # every group sum runs this loop, so not _checked_int
                 raise DomainError(f"multiplicity must be an integer >= 0, got {n!r}", code="bad_multiplicity")
             if n:
                 items.append((a, n))
@@ -381,8 +391,7 @@ Q = AdmissibleGroup.of(Localization(NO_PRIMES))
 
 def cyclic(n: int) -> AdmissibleGroup:
     """Z/n split into prime-power atoms; n must be at least 2."""
-    if n < 2:
-        raise DomainError(f"cyclic group modulus must be >= 2, got {n}", code="bad_modulus")
+    _checked_int(n, 2, code="bad_modulus", message="cyclic group modulus must be >= 2, got {}")
     return AdmissibleGroup.of(*(_trusted(Cyclic, p, e) for p, e in factorint(n).items()))
 
 

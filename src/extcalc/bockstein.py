@@ -29,7 +29,7 @@ from .abelian import (
     PrimePattern,
     PrimeTriple,
     SigmaSet,
-    _is_int,
+    _checked_int,
     sigma,
     tau_closure,
 )
@@ -209,13 +209,6 @@ def minimal_wedge(alpha: BocksteinFunction) -> MinimalWedge:
 # Witness constructions.
 
 
-def _check_degree(m):
-    if not _is_int(m):
-        raise DomainError(f"separation degree m must be an integer, got {m!r}", code="bad_dimension")
-    if m < 1:
-        raise DomainError("separation degree m must be >= 1", code="bad_dimension")
-
-
 def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup, m: int) -> BocksteinFunction:
     """A dimension function worth m on `dim_group` but infinity on
     `sep_group`.
@@ -224,7 +217,7 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
     satisfies the realizability inequalities, and the separating group must
     meet the infinite layer, i.e. sigma(F) may not sit inside tau(G).
     """
-    _check_degree(m)
+    _checked_int(m, 1, code="bad_dimension", message="separation degree m must be >= 1")
     s = sigma(dim_group)
     t = tau_closure(s)
     if sigma(sep_group).issubset(t):
@@ -254,7 +247,7 @@ def unit_gap_witness(
     so the covering dimension is m+1.  Returns the function and the case
     label.
     """
-    _check_degree(m)
+    _checked_int(m, 1, code="bad_dimension", message="separation degree m must be >= 1")
     sf = sigma(sep_group)
     sg = sigma(dim_group)
     base, up = PrimeTriple.constant(ExtNat(m)), ExtNat(m + 1)

@@ -74,17 +74,16 @@ def _load_json_source(arg: str):
     """A structured argument: inline JSON if it looks like a literal,
     otherwise a path to a JSON file."""
     text = arg.strip()
-    if not (text.startswith("{") or text.startswith("[")):
-        try:
+    try:
+        if not (text.startswith("{") or text.startswith("[")):
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {arg!r}: {exc}", code="unreadable_input") from exc
-    try:
         return json.loads(text, object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise ParseError(f"cannot read {arg!r}: {exc}", code="unreadable_input") from exc
     except RecursionError as exc:
         raise ParseError("malformed JSON: nested too deeply", code="bad_document") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's int->str digit limit
+    except ValueError as exc:  # a JSONDecodeError, a file that is not UTF-8, or an int past Python's digit limit
         raise ParseError(f"malformed JSON: {exc}", code="bad_document") from exc
 
 

@@ -21,6 +21,7 @@ from .abelian import (
     PrimeSet,
     Q,
     SigmaSet,
+    _checked_int,
     _checked_prime,
     localized,
     sigma,
@@ -28,7 +29,7 @@ from .abelian import (
     tau_closure,
 )
 from .errors import DomainError
-from .graded import GradedGroup
+from .graded import GradedGroup, moore_graded
 
 RATIONAL_ONLY = SigmaSet.build(True, PrimePattern.EMPTY, {})
 
@@ -91,8 +92,7 @@ def sp_factors_as_em(k: GradedGroup, group: AdmissibleGroup, n: int) -> ClauseRe
     """
     if group.is_trivial:
         raise DomainError("comparison group must be nontrivial", code="trivial_group")
-    if n < 1:
-        raise DomainError("target degree must be >= 1", code="bad_degree")
+    _checked_int(n, 1, code="bad_degree", message="target degree must be >= 1")
     _check_connected(k)
     failures = []
     for i, _ in k.entries:
@@ -208,10 +208,7 @@ class MooreEmVerdict:
 
 
 def moore_matches_em(group: AdmissibleGroup, n: int) -> MooreEmVerdict:
-    if group.is_trivial:
-        raise DomainError("a Moore complex needs a nontrivial group", code="trivial_group")
-    if n < 1:
-        raise DomainError("a Moore complex needs degree >= 1", code="bad_degree")
+    moore_graded(group, n)  # its checks and messages are this function's
     s = sigma(group)
     if n == 1:
         primes = sigma_matches_localization(s)

@@ -32,7 +32,7 @@ from .abelian import (
     Prufer,
     Q,
     TRIVIAL,
-    _is_int,
+    _checked_int,
     _trusted,
     fresh_prime,
     sigma,
@@ -54,8 +54,7 @@ class GradedGroup:
     def of(cls, mapping) -> "GradedGroup":
         items = []
         for degree, group in dict(mapping).items():
-            if not _is_int(degree):
-                raise DomainError(f"degree must be an integer, got {degree!r}", code="bad_degree")
+            _checked_int(degree, code="bad_degree", message="a graded group is indexed by degrees")
             if not group.is_trivial:
                 items.append((degree, group))
         items.sort()
@@ -144,11 +143,7 @@ def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:
     """Homology of the r-fold suspension: shift every degree up by r."""
-    if not _is_int(r):
-        raise DomainError(f"suspension count must be an integer, got {r!r}", code="bad_degree")
-    if r < 0:
-        raise DomainError("suspension count must be nonnegative", code="bad_degree")
-    return k.shift(r)
+    return k.shift(_checked_int(r, 0, code="bad_degree", message="suspension count must be nonnegative"))
 
 
 def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
@@ -185,6 +180,7 @@ def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool,
     2. homology of k with coefficients x_d vanishes in degrees i <= d - m,
     3. cohomology of x with coefficients k_j vanishes in degrees i >= j + m.
     """
+    _checked_int(m, code="bad_degree", message="the vanishing test takes a degree m")
     paired = pairing(x, k)[0]
     first = all(n > -m for n in paired.degrees)
     second = all(
@@ -270,6 +266,5 @@ def moore_graded(group: AdmissibleGroup, degree: int) -> GradedGroup:
     """Homology of a Moore complex: one group concentrated in one degree."""
     if group.is_trivial:
         raise DomainError("a Moore complex needs a nontrivial group", code="trivial_group")
-    if degree < 1:
-        raise DomainError("a Moore complex needs degree >= 1", code="bad_degree")
+    _checked_int(degree, 1, code="bad_degree", message="a Moore complex needs degree >= 1")
     return GradedGroup.of({degree: group})

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
 
-from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _trusted
+from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _is_int, _trusted
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
 from .primes import factorint
@@ -58,13 +58,13 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DomainError("matrix dimensions must be nonnegative", code="bad_shape")
+        for n in (self.rows, self.cols):
+            _checked_int(n, 0, code="bad_shape", message="matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise DomainError("entry count does not match dimensions", code="bad_shape")
         if not set(map(type, self.entries)) <= {int}:  # only a subclass or a non-int needs a closer look
             for e in self.entries:
-                if not isinstance(e, int) or isinstance(e, bool):
+                if not _is_int(e):
                     raise DomainError(f"matrix entries must be ints, got {e!r}", code="bad_entry")
 
     @classmethod
@@ -93,7 +93,7 @@ def require_integers(values, what: str):
     """A document's numbers must be JSON integers: a float, string or bool is
     a document error that names it, never a silent coercion."""
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not _is_int(v):
             raise ParseError(f"{what} must be integers, got {json.dumps(v)}", code="bad_document")
 
 
@@ -447,8 +447,7 @@ def group_from_presentation(generators: int, relations: IntMatrix) -> Admissible
     Each row of `relations` is one relation among `generators` generators, so
     the column count must equal `generators`.
     """
-    if generators < 0:
-        raise DomainError("generator count must be nonnegative", code="bad_shape")
+    _checked_int(generators, 0, code="bad_shape", message="generator count must be nonnegative")
     if relations.cols != generators:
         raise DomainError(
             f"relations have {relations.cols} columns but there are {generators} generators",
@@ -510,8 +509,8 @@ class ChainComplex:
     boundaries: tuple[IntMatrix, ...]
 
     def __post_init__(self):
-        if any(r < 0 for r in self.ranks):
-            raise DomainError("chain ranks must be nonnegative", code="malformed_complex")
+        for r in self.ranks:
+            _checked_int(r, 0, code="malformed_complex", message="chain ranks must be nonnegative")
         if len(self.boundaries) != max(0, len(self.ranks) - 1):
             raise DomainError("need one boundary map per adjacent pair of degrees", code="malformed_complex")
         for i, b in enumerate(self.boundaries):

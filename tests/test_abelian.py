@@ -276,11 +276,12 @@ class TestChecksAtTheBoundary:
             build()
         assert exc.value.code == "not_prime"
 
-    @pytest.mark.parametrize("power", [1.5, True, "3"])
-    def test_cyclic_rejects_a_non_integer_power(self, power):
-        with pytest.raises(DomainError) as exc:
-            Cyclic(2, power)
-        assert exc.value.code == "bad_power"
+    @pytest.mark.parametrize("value", [1.5, True, "3", 4.0])
+    def test_cyclic_rejects_a_non_integer_power(self, value):
+        for build, code in ((lambda: Cyclic(2, value), "bad_power"), (lambda: cyclic(value), "bad_modulus")):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == code
 
     @pytest.mark.parametrize("count", [1.5, 0.5, True])
     def test_from_counts_rejects_a_non_integer_multiplicity(self, count):

@@ -238,8 +238,10 @@ class TestInfiniteGapWitness:
             infinite_gap_witness(cyclic(2), cyclic(4), 1)
 
     def test_bad_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            infinite_gap_witness(cyclic(4), Q, 0)
+        for build in (lambda: infinite_gap_witness(cyclic(4), Q, 0), lambda: unit_gap_witness(Q, Z, 0)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert (exc.value.code, exc.value.message) == ("bad_dimension", "separation degree m must be >= 1")
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, True])

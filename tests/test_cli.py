@@ -475,10 +475,15 @@ class TestHostileInputs:
         assert (status, out) == (2, "") and err.startswith(f"error[{code}]: ")
 
     def test_deeply_nested_document_is_a_parse_error(self, tmp_path):
-        doc = tmp_path / "deep.json"
-        doc.write_text("[" * 50000)
+        deep, latin = tmp_path / "deep.json", tmp_path / "latin.json"
+        deep.write_text("[" * 50000)
+        latin.write_bytes(b"\xff[[1]]")  # not UTF-8
         for command in ("snf", "homology", "bfcheck"):
-            assert error_of(command, str(doc), expect_code=2)["code"] == "bad_document"
+            for doc in (deep, latin):
+                assert error_of(command, str(doc), expect_code=2)["code"] == "bad_document"
+                status, out, err = run([command, str(doc)])
+                assert (status, out) == (2, "") and err.startswith("error[bad_document]: ")
+                assert "Traceback" not in err
 
     @pytest.mark.parametrize("args", [("canon", f"Z/{LONG}"), ("snf", f"[[{LONG}]]"), ("snf", "[" * 50000)])
     def test_hostile_literals_print_no_traceback(self, args):

@@ -27,6 +27,7 @@ from extcalc import (
     moore_matches_em,
     prufer,
     sp_factors_as_em,
+    suspend,
 )
 
 Z2, Z3, Z4 = cyclic(2), cyclic(3), cyclic(4)
@@ -77,6 +78,10 @@ class TestSpFactorsAsEm:
             sp_factors_as_em(GradedGroup.of({1: Z}), Z, 0)
         with pytest.raises(DomainError):
             sp_factors_as_em(GradedGroup.of({0: Z}), Z, 1)
+        for n in (1.5, True):
+            with pytest.raises(DomainError) as exc:
+                sp_factors_as_em(GradedGroup.of({1: Q}), Q, n)
+            assert exc.value.code == "bad_degree"
 
 
 class TestModP:
@@ -183,6 +188,9 @@ class TestMooreMatchesEm:
             moore_matches_em(TRIVIAL, 1)
         with pytest.raises(DomainError):
             moore_matches_em(Z, 0)
+        with pytest.raises(DomainError) as exc:
+            moore_matches_em(Q, 2.5)
+        assert exc.value.code == "bad_degree"
 
     def test_seeded_zoo_consistency(self):
         # matches in degree >= 2 iff sigma is exactly {Q}; cross-check the
@@ -195,3 +203,18 @@ class TestMooreMatchesEm:
             g = random_group(rng, allow_trivial=False)
             n = rng.randint(2, 5)
             assert moore_matches_em(g, n).matches == (sigma(g) == RATIONAL_ONLY)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: sp_factors_as_em(GradedGroup.of({1: Q}), Q, 0), "target degree must be >= 1"),
+        (lambda: moore_matches_em(Q, 0), "a Moore complex needs degree >= 1"),
+        (lambda: suspend(GradedGroup.of({1: Q}), -1), "suspension count must be nonnegative"),
+    ],
+    ids=["spaek", "moore-em", "suspend"],
+)
+def test_out_of_range_integers_keep_their_messages(build, message):
+    with pytest.raises(DomainError) as exc:
+        build()
+    assert (exc.value.code, exc.value.message) == ("bad_degree", message)

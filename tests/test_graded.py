@@ -149,9 +149,11 @@ class TestSuspension:
             suspend(GradedGroup.of({1: Z2}), -1)
 
     def test_rejects_a_non_integer_count(self):
-        with pytest.raises(DomainError) as exc:
-            suspend(GradedGroup.of({1: Z2}), 1.5)
-        assert exc.value.code == "bad_degree"
+        k = GradedGroup.of({1: Q})
+        for build in (lambda: suspend(k, 1.5), lambda: vanishing_check(k, k, 1.5)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == "bad_degree"
 
     @given(st_graded, st_nontrivial_group, st.integers(min_value=0, max_value=3))
     def test_dimension_shifts_with_suspension(self, k, g, r):

@@ -58,6 +58,9 @@ class TestIntMatrix:
             IntMatrix(1, 1, (True,))
         with pytest.raises(DomainError):
             IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(DomainError) as exc:
+            IntMatrix(2.0, 1, (1, 2))
+        assert exc.value.code == "bad_shape"
 
     def test_round_trip(self):
         rows = [[1, 2], [3, 4], [5, 6]]
@@ -316,6 +319,10 @@ class TestPresentedGroups:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             group_from_presentation(3, IntMatrix.from_rows([[1, 2]]))
+        for generators, rows in ((2.0, [[2, 0]]), (True, [[2]])):
+            with pytest.raises(DomainError) as exc:
+                group_from_presentation(generators, IntMatrix.from_rows(rows))
+            assert exc.value.code == "bad_shape"
 
     def test_row_operations_preserve_cokernel(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -421,6 +428,10 @@ class TestChainHomology:
             ChainComplex.from_json({"ranks": [1]})
         with pytest.raises(DomainError):
             ChainComplex.from_json({"ranks": [1, 1], "boundaries": [[]]})
+        for build in (lambda: ChainComplex((1.5,), ()), lambda: chain_homology(ChainComplex((2.0,), ()))):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == "malformed_complex"
 
     def test_json_round_trip(self):
         doc = {"ranks": [1, 2, 1], "boundaries": [[[0, 0]], [[2], [-2]]]}
