@@ -28,7 +28,6 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Generic, NamedTuple, TypeVar
 
 from .errors import DomainError, ParseError
@@ -152,8 +151,45 @@ INFINITY = ExtNat(None)
 # Prime sets.
 
 
+def _record(cls):
+    """`cls` as a frozen record of its annotated fields: the `__init__` (which
+    ends in `__post_init__` when there is one), `__eq__`, `__hash__`, `__repr__`
+    and `__match_args__` of `dataclass(frozen=True)`, generated as source the
+    way dataclasses does, so they run as fast, without its import at start-up.
+    A field with a class-level value takes it as its default."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    body = [f"_set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    mine = "(" + "".join(f"self.{n}," for n in names) + ")"
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    scope = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(
+        f"def __init__(self{params}):\n    {'; '.join(body) or 'pass'}\n"
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return {mine} == {mine.replace('self.', 'other.')}\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash({mine})\n"
+        f"def __repr__(self):\n    return f'{{self.__class__.__qualname__}}({shown})'\n",
+        scope,
+    )
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if cls.__dict__.get(name) is None:  # a class that defines __eq__ has __hash__ None
+            setattr(cls, name, scope[name])
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__match_args__ = names
+    return cls
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"field {name!r} of a frozen record cannot change")
+
+
 def _trusted(cls, *values):
-    """The frozen dataclass `cls` with these field values, without the checks
+    """The frozen record `cls` with these field values, without the checks
     of `__post_init__`: primality is checked where input enters (the DSL, the
     JSON readers, the public constructors), not again for known primes."""
     obj = object.__new__(cls)
@@ -183,7 +219,7 @@ def _checked_int(value, least=None, *, code, message):
     return value
 
 
-@dataclass(frozen=True)
+@_record
 class PrimeSet:
     """A finite or cofinite set of primes.
 
@@ -245,14 +281,14 @@ def fresh_prime(used) -> int:
 # Atoms.
 
 
-@dataclass(frozen=True)
+@_record
 class Localization:
     """Z localized at a set of primes: Z_(l) is Z for l = all, Q for l = none."""
 
     primes: PrimeSet
 
 
-@dataclass(frozen=True)
+@_record
 class Cyclic:
     """The cyclic group of order prime**power."""
 
@@ -264,7 +300,7 @@ class Cyclic:
         _checked_int(self.power, 1, code="bad_power", message="cyclic atom needs an integer power >= 1, got {!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class Prufer:
     """The Prufer group Z/p^oo, the union of all Z/p^k."""
 
@@ -301,12 +337,12 @@ def _atom_support(a: Atom):
 # Groups.
 
 
-@dataclass(frozen=True)
+@_record
 class AdmissibleGroup:
     """A finite direct sum of atoms, stored canonically.
 
     ``summands`` is a sorted tuple of (atom, multiplicity) pairs with positive
-    multiplicities; two groups are isomorphic iff the dataclasses are equal.
+    multiplicities; two groups are isomorphic iff the records are equal.
 
     >>> cyclic(12)
     AdmissibleGroup(Z/4 + Z/3)
@@ -448,7 +484,7 @@ R = TypeVar("R")
 V = TypeVar("V")
 
 
-@dataclass(frozen=True)
+@_record
 class PrimeIndexed(Generic[R, V]):
     """A value on Q plus a value at every prime, uniform in the prime
     outside finitely many exceptions.

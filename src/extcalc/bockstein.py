@@ -17,21 +17,12 @@ or by exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from .abelian import (
-    BOCKSTEIN_FLAGS,
-    AdmissibleGroup,
-    ExtNat,
-    PrimeIndexed,
-    PrimePattern,
-    PrimeTriple,
-    SigmaSet,
-    _checked_int,
-    sigma,
-    tau_closure,
+    BOCKSTEIN_FLAGS, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, SigmaSet, _checked_int,
+    _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
@@ -90,7 +81,7 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
 # Validation.
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     """One failed inequality; prime None means the default triple."""
 

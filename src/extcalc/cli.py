@@ -25,9 +25,15 @@ text mode argparse prints its usage and message on stderr.  The one
 exception to "every ``--json`` run prints one envelope": ``-h``, ``--help``
 and ``--version`` print plain text on stdout and exit 0, with or without
 ``--json``.
-``to_text`` runs only in text mode.  Rows call the library through this
-module's names at run time, so a name replaced here (a test double, the
-benchmark's tracer) is the one called.
+``to_text`` runs only in text mode.
+
+A command imports only the modules it runs.  ``abelian``, ``dsl`` and
+``graded`` load with this module, and rows call them through this module's
+names at run time, so a name replaced here (a test double) is the one called.
+``presentation``, ``exttype`` and ``bockstein`` load on first use: their names
+are looked up in their own module at call time, so a name replaced there (a
+test double, the benchmark's tracer) is the one called.  The parser holds
+only the subcommand that ``argv[0]`` names, when it names one.
 """
 
 from __future__ import annotations
@@ -40,18 +46,12 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .abelian import sigma, tau
-from .bockstein import (
-    BocksteinFunction, coef_dimension, covering_dimension, infinite_gap_witness, minimal_wedge, sp_in_ae,
-    unit_gap_witness, validate_bockstein,
-)
 from .dsl import format_graded, format_group, format_sigma, parse_graded, parse_group
 from .errors import DomainError, ExtcalcError, ParseError
-from .exttype import classify_finite_type, has_compact_type, mod_p_trivial, moore_matches_em, sp_factors_as_em
 from .graded import (
     graded_order_leq, homological_dimension, homology_with_coefficients, moore_graded, pairing, smash, suspend,
     vanishing_check,
 )
-from .presentation import ChainComplex, IntMatrix, chain_homology, group_from_presentation, require_integers, snf
 
 SCHEMA_VERSION = "extcalc/1"
 
@@ -87,7 +87,15 @@ def _load_json_source(arg: str):
         raise ParseError(f"malformed JSON: {exc}", code="bad_document") from exc
 
 
-def _matrix_arg(arg: str) -> IntMatrix:
+def _late(module: str, name: str) -> Callable[..., Any]:
+    """A call of `extcalc.<module>.<name>` that imports the module and looks
+    the name up when it runs (`__import__` with a fromlist gives the module)."""
+    return lambda *args: getattr(__import__(f"extcalc.{module}", fromlist=(name,)), name)(*args)
+
+
+def _matrix_arg(arg: str):
+    from .presentation import IntMatrix, require_integers
+
     data = _load_json_source(arg)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError("a matrix document is a JSON list of rows", code="bad_document")
@@ -95,16 +103,20 @@ def _matrix_arg(arg: str) -> IntMatrix:
     return IntMatrix.from_rows(data)
 
 
-def _chain_arg(arg: str) -> ChainComplex:
+def _chain_arg(arg: str):
+    from .presentation import ChainComplex
+
     data = _load_json_source(arg)
     if not isinstance(data, dict):
         raise ParseError("a chain complex document is a JSON object", code="bad_document")
     return ChainComplex.from_json(data)
 
 
-def _bf_arg(arg: str) -> BocksteinFunction:
+def _bf_arg(arg: str):
     """Load and fully validate a Bockstein function document; violations of
     the five inequalities are a domain error carrying the complete list."""
+    from .bockstein import BocksteinFunction, validate_bockstein
+
     data = _load_json_source(arg)
     alpha = BocksteinFunction.from_json(data)
     violations = validate_bockstein(alpha)
@@ -232,7 +244,9 @@ def _mooreem_text(v) -> str:
 # The command table.
 
 
-def _present(relations: IntMatrix, generators: Optional[int]):
+def _present(relations, generators: Optional[int]):
+    from .presentation import IntMatrix, group_from_presentation
+
     if generators is None:
         if relations.rows == 0:
             raise ParseError("--generators is required when there are no relations", code="bad_document")
@@ -270,15 +284,15 @@ COMMANDS = (
     Command("tau", "closure of the Bockstein basis of a group", (_group("group"),), lambda g: tau(g),
             _under("tau", lambda s: format_sigma(s))),
     Command("snf", "Smith normal form D = U M V of an integer matrix",
-            (_document(_matrix_arg, "matrix", help="JSON row list, inline or a file path"),), lambda m: snf(m),
-            Render(_snf_json, _snf_text)),
+            (_document(_matrix_arg, "matrix", help="JSON row list, inline or a file path"),),
+            _late("presentation", "snf"), Render(_snf_json, _snf_text)),
     Command("present", "group presented by a relation matrix",
             (_document(_matrix_arg, "relations", help="JSON row list, one relation per row"),
              _int("-g", "--generators", help="generator count (default: column count)")),
             _present, GROUP),
     Command("homology", "reduced homology of a free chain complex",
             (_document(_chain_arg, "chain", help="JSON document with 'ranks' and 'boundaries'"),),
-            lambda c: chain_homology(c), GRADED),
+            _late("presentation", "chain_homology"), GRADED),
     Command("moore", "graded homology of a Moore complex M(G, n)", (_group("group"), _int("n")),
             lambda g, n: moore_graded(g, n), GRADED),
     Command("hcoef", "homology of a graded complex with coefficients", (_graded("graded"), _group("group")),
@@ -304,34 +318,35 @@ COMMANDS = (
             (_document(_bf_arg, "bf", help="JSON document, inline or a file path"),), lambda alpha: alpha,
             Render(lambda _: {"valid": True, "violations": []}, lambda _: "valid")),
     Command("bfdim", "dimension of a Bockstein function w.r.t. a group", (_document(_bf_arg, "bf"), _group("group")),
-            lambda alpha, g: coef_dimension(alpha, g), VALUE),
+            _late("bockstein", "coef_dimension"), VALUE),
     Command("covdim", "covering dimension of a Bockstein function", (_document(_bf_arg, "bf"),),
-            lambda alpha: covering_dimension(alpha), VALUE),
+            _late("bockstein", "covering_dimension"), VALUE),
     Command("spae", "is every symmetric-product obstruction of the function below the complex",
-            (_document(_bf_arg, "bf"), _graded("graded")), lambda alpha, k: sp_in_ae(alpha, k), VERDICT),
+            (_document(_bf_arg, "bf"), _graded("graded")), _late("bockstein", "sp_in_ae"), VERDICT),
     Command("cohdimmin", "minimal Eilenberg-MacLane wedge realizing a Bockstein function",
-            (_document(_bf_arg, "bf"),), lambda alpha: minimal_wedge(alpha), _under("wedge")),
+            (_document(_bf_arg, "bf"),), _late("bockstein", "minimal_wedge"), _under("wedge")),
     Command("witness73", "function with dimension m on one group, infinite on another",
-            (_group("dim_group"), _group("sep_group"), _int("m")), lambda g, h, m: infinite_gap_witness(g, h, m),
+            (_group("dim_group"), _group("sep_group"), _int("m")), _late("bockstein", "infinite_gap_witness"),
             _under("bf")),
     Command("witness74", "function with dimension m on one group, m+1 on another",
-            (_group("dim_group"), _group("sep_group"), _int("m")), lambda g, h, m: unit_gap_witness(g, h, m),
+            (_group("dim_group"), _group("sep_group"), _int("m")), _late("bockstein", "unit_gap_witness"),
             Render(_witness74_json, lambda found: json.dumps(_witness74_json(found)))),
     Command("spaek", "does SP of a complex have the type of an Eilenberg-MacLane space",
             (_graded("--graded", required=True, help="reduced homology of the complex"),
              _group("--group", required=True, help="coefficient group of the target"),
              _int("--n", required=True, help="degree of the target")),
-            lambda k, g, n: sp_factors_as_em(k, g, n), Render(lambda v: v.to_json(), _spaek_text)),
+            _late("exttype", "sp_factors_as_em"), Render(lambda v: v.to_json(), _spaek_text)),
     Command("modp", "is the complex's symmetric product mod-p trivial", (_graded("graded"), _int("p")),
-            lambda k, p: mod_p_trivial(k, p), VERDICT),
+            _late("exttype", "mod_p_trivial"), VERDICT),
     Command("classify", "finite extension type of a complex's symmetric product", (_graded("graded"),),
-            lambda k: classify_finite_type(k), Render(lambda v: v.to_json(), _classify_text)),
+            _late("exttype", "classify_finite_type"), Render(lambda v: v.to_json(), _classify_text)),
     Command("compact", "does the symmetric product share its type with a compactum of the circle kind",
-            (_graded("graded"),), lambda k: has_compact_type(k), VERDICT),
+            (_graded("graded"),), _late("exttype", "has_compact_type"), VERDICT),
     Command("mooreem", "does a Moore complex's SP match the corresponding Eilenberg-MacLane space",
-            (_group("group"), _int("n")), lambda g, n: moore_matches_em(g, n),
+            (_group("group"), _int("n")), _late("exttype", "moore_matches_em"),
             Render(lambda v: v.to_json(), _mooreem_text)),
 )
+_BY_NAME = {command.name: command for command in COMMANDS}
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +375,11 @@ def _json_requested(argv) -> bool:
     return False
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for `argv`.  When argv[0] is exactly a command name, only
+    that subparser is built, and it reads and reports `argv` as the full
+    parser does; otherwise every subparser is built, so top-level help,
+    --version and invalid-choice messages list them all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON result envelope")
 
@@ -371,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
-    for command in COMMANDS:
+    for command in (_BY_NAME[argv[0]],) if argv and argv[0] in _BY_NAME else COMMANDS:
         p = sub.add_parser(command.name, parents=[common], help=command.help, description=command.help)
         p.set_defaults(row=command)
         for a in command.args:
@@ -394,7 +413,7 @@ def _emit_error(ns, exc, status: int) -> int:
 
 def run_command(argv) -> int:
     """Run one invocation; returns the exit status instead of exiting."""
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except _UsageError as exc:

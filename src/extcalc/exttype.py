@@ -12,21 +12,11 @@ localized circle or a rational Eilenberg-MacLane space).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .abelian import (
-    AdmissibleGroup,
-    PrimePattern,
-    PrimeSet,
-    Q,
-    SigmaSet,
-    _checked_int,
-    _checked_prime,
-    localized,
-    sigma,
-    sigma_matches_localization,
-    tau_closure,
+    AdmissibleGroup, PrimePattern, PrimeSet, Q, SigmaSet, _checked_int, _checked_prime, _record, localized, sigma,
+    sigma_matches_localization, tau_closure,
 )
 from .errors import DomainError
 from .graded import GradedGroup, moore_graded
@@ -57,7 +47,7 @@ def _escape_prime(s: SigmaSet, t: SigmaSet) -> Optional[int]:
     return next((p for p in s.primes_to_inspect(t) if s.at(p) & ~t.at(p)), None)
 
 
-@dataclass(frozen=True)
+@_record
 class ClauseFailure:
     """One failed clause, with the degree and, when relevant, a witnessing
     prime (None means the difference already shows at Q)."""
@@ -71,7 +61,7 @@ class ClauseFailure:
         return {"clause": self.clause, "degree": self.degree, "prime": self.prime, "note": self.note}
 
 
-@dataclass(frozen=True)
+@_record
 class ClauseReport:
     verdict: bool
     failures: tuple[ClauseFailure, ...]
@@ -127,7 +117,7 @@ def mod_p_trivial(k: GradedGroup, p: int) -> bool:
     return not any(PrimePattern.PRUFER & sigma(g).at(p) for _, g in k.entries)
 
 
-@dataclass(frozen=True)
+@_record
 class LocalizationType:
     """Extension type of a circle localized at `primes` (K(Z_(l), 1))."""
 
@@ -137,7 +127,7 @@ class LocalizationType:
         return {"kind": "localization", "primes": self.primes.to_json(), "degree": 1}
 
 
-@dataclass(frozen=True)
+@_record
 class RationalType:
     """Extension type of a rational Eilenberg-MacLane space K(Q, degree)."""
 
@@ -147,7 +137,7 @@ class RationalType:
         return {"kind": "rational", "primes": None, "degree": self.degree}
 
 
-@dataclass(frozen=True)
+@_record
 class NoFiniteType:
     """SP shares its extension type with no finite-dimensional space."""
 
@@ -186,7 +176,7 @@ def has_compact_type(k: GradedGroup) -> bool:
     return isinstance(verdict, LocalizationType) and verdict.primes.is_all
 
 
-@dataclass(frozen=True)
+@_record
 class MooreEmVerdict:
     """Whether a Moore complex's SP is an Eilenberg-MacLane space.
 

@@ -15,32 +15,17 @@ Coefficient operations are degreewise tensor/Tor; the dimension order reads sigm
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from .abelian import (
-    AdmissibleGroup,
-    Cyclic,
-    ExtNat,
-    INFINITY,
-    Localization,
-    PrimeIndexed,
-    PrimePattern,
-    PrimeSet,
-    PrimeTriple,
-    Prufer,
-    Q,
-    TRIVIAL,
-    _checked_int,
-    _trusted,
-    fresh_prime,
-    sigma,
+    AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern, PrimeSet, PrimeTriple,
+    Prufer, Q, TRIVIAL, _checked_int, _record, _trusted, fresh_prime, sigma,
 )
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@_record
 class GradedGroup:
     """Finitely many nontrivial admissible groups indexed by degree.
 
@@ -55,7 +40,7 @@ class GradedGroup:
         items = []
         for degree, group in dict(mapping).items():
             _checked_int(degree, code="bad_degree", message="a graded group is indexed by degrees")
-            if not group.is_trivial:
+            if not _checked_group(group).is_trivial:
                 items.append((degree, group))
         items.sort()
         return cls(tuple(items))
@@ -75,6 +60,7 @@ class GradedGroup:
         return not self.entries
 
     def shift(self, r: int) -> "GradedGroup":
+        _checked_int(r, code="bad_degree", message="a graded group shifts by a whole number of degrees")
         return GradedGroup(tuple((d + r, g) for d, g in self.entries))
 
     def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
@@ -99,12 +85,19 @@ class GradedGroup:
 EMPTY_GRADED = GradedGroup(())
 
 
+def _checked_group(group) -> AdmissibleGroup:
+    if not isinstance(group, AdmissibleGroup):
+        raise DomainError(f"an admissible group is required, not {group!r}", code="not_a_group")
+    return group
+
+
 def _collect(terms) -> GradedGroup:
-    """Sum (degree, group) terms degreewise."""
+    """Sum (degree, group) terms degreewise; the terms come from graded groups
+    and operations on them, so they are not checked again."""
     out = {}
     for d, g in terms:
         out[d] = out[d] + g if d in out else g
-    return GradedGroup.of(out)
+    return GradedGroup(tuple(sorted((d, g) for d, g in out.items() if not g.is_trivial)))
 
 
 def _natural(k: GradedGroup) -> GradedGroup:
@@ -116,7 +109,7 @@ def _natural(k: GradedGroup) -> GradedGroup:
 
 
 def _require_coefficient(group: AdmissibleGroup):
-    if group.is_trivial:
+    if _checked_group(group).is_trivial:
         raise DomainError("coefficient group must be nontrivial", code="trivial_group")
 
 
@@ -168,9 +161,14 @@ def pairing(x: GradedGroup, k: GradedGroup) -> tuple[GradedGroup, GradedGroup]:
     components compute the same answer along the two expansion orders and
     must agree degreewise.
     """
-    via_cohomology = _collect((j - d, h) for j, g in k.entries for d, h in cohomology_with_coefficients(x, g).entries)
+    via_cohomology = _paired_via_cohomology(x, k)
     via_homology = _collect((i - d, h) for d, g in x.entries for i, h in homology_with_coefficients(k, g).entries)
     return via_cohomology, via_homology
+
+
+def _paired_via_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
+    """The first component of `pairing`, expanded through the cohomology of x."""
+    return _collect((j - d, h) for j, g in k.entries for d, h in cohomology_with_coefficients(x, g).entries)
 
 
 def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool, bool]:
@@ -181,8 +179,7 @@ def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool,
     3. cohomology of x with coefficients k_j vanishes in degrees i >= j + m.
     """
     _checked_int(m, code="bad_degree", message="the vanishing test takes a degree m")
-    paired = pairing(x, k)[0]
-    first = all(n > -m for n in paired.degrees)
+    first = all(n > -m for n in _paired_via_cohomology(x, k).degrees)
     second = all(
         i > d - m
         for d, g in x.entries
@@ -196,7 +193,7 @@ def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool,
     return first, second, third
 
 
-@dataclass(frozen=True)
+@_record
 class GradedOrderVerdict:
     """Outcome of the graded dimension-order test.
 
@@ -264,7 +261,7 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
 
 def moore_graded(group: AdmissibleGroup, degree: int) -> GradedGroup:
     """Homology of a Moore complex: one group concentrated in one degree."""
-    if group.is_trivial:
+    if _checked_group(group).is_trivial:
         raise DomainError("a Moore complex needs a nontrivial group", code="trivial_group")
     _checked_int(degree, 1, code="bad_degree", message="a Moore complex needs degree >= 1")
     return GradedGroup.of({degree: group})

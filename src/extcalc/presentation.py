@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd
 
-from .abelian import ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _is_int, _trusted
+from .abelian import (
+    ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _is_int, _record, _trusted,
+)
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
 from .primes import factorint
@@ -49,7 +50,7 @@ __all__ = [
 # Matrices.
 
 
-@dataclass(frozen=True)
+@_record
 class IntMatrix:
     """A rows x cols integer matrix stored row-major; exact int entries."""
 
@@ -161,7 +162,7 @@ def det(a: IntMatrix) -> int:
 # Smith normal form.
 
 
-@dataclass(frozen=True)
+@_record
 class SNFResult:
     """d = u * m * v with u, v unimodular and d diagonal, nonnegative, and
     each diagonal entry dividing the next."""
@@ -496,7 +497,7 @@ def tor_from_presentations(rel_a: IntMatrix, rel_b: IntMatrix) -> AdmissibleGrou
 # Chain complexes.
 
 
-@dataclass(frozen=True)
+@_record
 class ChainComplex:
     """Free chain complex data: ranks of C_0..C_N and boundary matrices.
 

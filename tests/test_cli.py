@@ -332,6 +332,38 @@ class TestCommandTable:
         assert len(names) == 29
         assert names == listed == [ok[0] for ok, _, _ in CLI_BATTERY]
 
+    def test_a_command_builds_only_its_own_subparser(self):
+        assert cli.build_parser(["canon"]).parse_args(["canon", "Z"]).row.name == "canon"
+        with pytest.raises(cli._UsageError):
+            cli.build_parser(["canon"]).parse_args(["tensor", "Z", "Z"])
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    def test_one_subparser_prints_what_the_full_parser_prints(self, mode):
+        # help, a missing argument and an unknown option for every command, run
+        # once as is and once with the parser forced to hold all 29 subparsers
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from extcalc import cli\n"
+            "def run(argv):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        return cli.run_command(argv), out.getvalue(), err.getvalue()\n"
+            f"cases = [case + {mode!r} for c in cli.COMMANDS for case in ([c.name, '-h'], [c.name], [c.name, '--x'])]\n"
+            "one = [run(case) for case in cases]\n"
+            "full = cli.build_parser\n"
+            "cli.build_parser = lambda argv: full()\n"
+            "print(json.dumps([[case, a] for case, a, b in zip(cases, one, map(run, cases)) if a != b]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
 
 class TestExitCodes:
     def test_usage_errors(self):

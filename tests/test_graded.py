@@ -68,6 +68,19 @@ class TestGradedGroup:
         assert k.shift(2) == GradedGroup.of({3: Z2})
         assert k.direct_sum(GradedGroup.of({1: Z})) == GradedGroup.of({1: Z2 + Z})
 
+    def test_entries_and_shifts_are_checked(self):
+        k = GradedGroup.of({1: Z2})
+        for build, code in [
+            (lambda: GradedGroup.of({1: 5}), "not_a_group"),
+            (lambda: moore_graded(5, 1), "not_a_group"),
+            (lambda: homology_with_coefficients(k, 5), "not_a_group"),
+            (lambda: cohomology_with_coefficients(k, "Z"), "not_a_group"),
+            (lambda: k.shift(1.5), "bad_degree"),
+        ]:
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == code
+
 
 class TestNegativeDegrees:
     """Pairing outputs reach below degree 0, where a dimension is undefined."""
@@ -204,6 +217,23 @@ class TestVanishing:
         x = GradedGroup.of({2: Z2})
         k = GradedGroup.of({1: Z2})
         assert vanishing_check(x, k, 1) == (False, False, False)
+
+    def test_reads_one_pairing_route(self, monkeypatch):
+        x, k = GradedGroup.of({2: Z2, 3: Q}), GradedGroup.of({1: Z2})
+        expected = vanishing_check(x, k, 2)
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("the pairing's second route was computed")
+
+        def counted(*args):
+            calls.append(args)
+            return homology_with_coefficients(*args)
+
+        monkeypatch.setattr("extcalc.graded.pairing", refuse)
+        monkeypatch.setattr("extcalc.graded.homology_with_coefficients", counted)
+        assert vanishing_check(x, k, 2) == expected
+        assert len(calls) == len(x.entries)  # condition 2 only
 
     @given(st_graded, st_graded, st.integers(min_value=0, max_value=5))
     def test_conditions_agree(self, x, k, m):

@@ -1,12 +1,16 @@
-"""The package as a whole: its public names, its documented error codes, and
-that it runs without sympy."""
+"""The package as a whole: its public names, its documented error codes, that
+it runs without sympy, and that it loads a module only when it is used."""
 
+import hashlib
+import json
 import os
 import re
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import extcalc
 
@@ -37,7 +41,7 @@ def test_readme_tables_every_error_code_raised():
     tabled = re.findall(r"^\| `([a-z_]+)` \| (?:1|2|2 or 1|3) \|", (ROOT / "README.md").read_text(), re.M)
     assert len(tabled) == len(set(tabled))
     assert set(tabled) == raised
-    assert len(raised) == 27
+    assert len(raised) == 28
 
 
 def test_removed_names_stay_gone():
@@ -60,3 +64,51 @@ def test_readme_tour_runs_with_sympy_blocked():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("README tour: 10 commands")
+
+
+def loaded_modules(code: str) -> list[str]:
+    """The extcalc modules a fresh interpreter holds after running `code`."""
+    proc = python(code + "\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('extcalc'))))")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert loaded_modules("import json, sys, extcalc") == ["extcalc"]
+
+
+CORE = ["extcalc", "extcalc.abelian", "extcalc.cli", "extcalc.dsl", "extcalc.errors", "extcalc.graded", "extcalc.primes"]
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["canon", "Z/12"], []),
+        (["snf", "[[2, 4], [6, 8]]", "--json"], ["extcalc.presentation"]),
+        (["classify", "{1: Q}"], ["extcalc.exttype"]),
+        (["bfcheck", '{"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}}'], ["extcalc.bockstein"]),
+    ],
+)
+def test_a_command_loads_only_its_own_modules(argv, own):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from extcalc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run_command({argv!r}) == 0\n"
+    )
+    assert loaded_modules(code) == sorted(CORE + own)
+
+
+def test_public_names_are_unchanged_and_are_their_modules_objects():
+    # the digest pins the 77 names and their order as they were when the package imported every module eagerly
+    proc = python(
+        "import extcalc, importlib\n"
+        "for name in extcalc.__all__[1:]:\n"
+        "    home = importlib.import_module('extcalc.' + extcalc._HOME[name])\n"
+        "    assert getattr(extcalc, name) is getattr(home, name), name\n"
+        "print(' '.join(extcalc.__all__))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.split()
+    assert len(names) == 77
+    assert hashlib.sha256(" ".join(names).encode()).hexdigest()[:16] == "d1ad786bfbe876bc"
