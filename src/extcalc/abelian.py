@@ -105,7 +105,7 @@ class ExtNat:
         return self._value < other._value
 
     def __hash__(self):
-        return hash(("ExtNat", self._value))
+        return hash(self._value)  # ExtNat(3) == 3, so the two hash alike
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -217,6 +217,17 @@ def _checked_int(value, least=None, *, code, message):
     if least is not None and value < least:
         raise DomainError(message.format(value), code=code)
     return value
+
+
+def _checked_group(group, trivial=None) -> "AdmissibleGroup":
+    """`group` when it is an AdmissibleGroup, and nontrivial when `trivial`
+    (the message for a trivial one) is given; otherwise a DomainError,
+    `not_a_group` or `trivial_group`."""
+    if not isinstance(group, AdmissibleGroup):
+        raise DomainError(f"an admissible group is required, not {group!r}", code="not_a_group")
+    if trivial is not None and group.is_trivial:
+        raise DomainError(trivial, code="trivial_group")
+    return group
 
 
 @_record
@@ -377,6 +388,8 @@ class AdmissibleGroup:
             yield from itertools.repeat(a, n)
 
     def __add__(self, other: "AdmissibleGroup") -> "AdmissibleGroup":
+        if not isinstance(other, AdmissibleGroup):
+            return NotImplemented  # Python's rule for operators: `Z + 5` is a TypeError
         counts = Counter(dict(self.summands))
         for a, n in other.summands:
             counts[a] += n
@@ -401,7 +414,7 @@ class AdmissibleGroup:
         # Both tables vanish on torsion atoms at different primes, so a
         # torsion atom meets only the localizations and its own prime's atoms.
         flat, by_prime = [], {}
-        for b, m in other.summands:
+        for b, m in _checked_group(other).summands:
             if type(b) is Localization:
                 flat.append((b, m))
             else:
@@ -665,8 +678,7 @@ def sigma(group: AdmissibleGroup) -> SigmaSet:
     >>> sigma(cyclic(12)).to_json()
     {'rational': False, 'default': [], 'exceptions': {'2': ['cyclic', 'prufer'], '3': ['cyclic', 'prufer']}}
     """
-    if group.is_trivial:
-        raise DomainError("the Bockstein basis of the trivial group is undefined", code="trivial_group")
+    _checked_group(group, "the Bockstein basis of the trivial group is undefined")
     first, *rest = {_atom_sigma(a) for a, _ in group.summands}
     return first.union(*rest)
 

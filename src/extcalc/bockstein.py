@@ -25,7 +25,7 @@ from .abelian import (
     _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
-from .graded import GradedGroup
+from .graded import GradedGroup, _checked_graded
 from .primes import isprime
 
 
@@ -150,12 +150,8 @@ def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
     True iff dim with respect to k's degree-i homology is at most i, for
     every nontrivial degree.  Empty homology (a point) always extends.
     """
-    for i, g in k.entries:
-        if i < 1:
-            raise DomainError("complex homology must live in degrees >= 1", code="bad_degree")
-        if not coef_dimension(alpha, g) <= i:
-            return False
-    return True
+    k = _checked_graded(k, 1, "complex homology must live in degrees >= 1")
+    return all(coef_dimension(alpha, g) <= i for i, g in k.entries)
 
 
 # ---------------------------------------------------------------------------

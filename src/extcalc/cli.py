@@ -30,9 +30,10 @@ and ``--version`` print plain text on stdout and exit 0, with or without
 A command imports only the modules it runs.  ``abelian``, ``dsl`` and
 ``graded`` load with this module, and rows call them through this module's
 names at run time, so a name replaced here (a test double) is the one called.
-``presentation``, ``exttype`` and ``bockstein`` load on first use: their names
-are looked up in their own module at call time, so a name replaced there (a
-test double, the benchmark's tracer) is the one called.  The parser holds
+``presentation``, ``exttype`` and ``bockstein`` load on first use: rows and
+readers look their names up on the package at call time (``extcalc.snf``),
+whose PEP 562 table imports the home module on first access and caches the
+name, so a name replaced on the package is the one called.  The parser holds
 only the subcommand that ``argv[0]`` names, when it names one.
 """
 
@@ -44,7 +45,8 @@ import sys
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional
 
-from . import __version__
+import extcalc
+
 from .abelian import sigma, tau
 from .dsl import format_graded, format_group, format_sigma, parse_graded, parse_group
 from .errors import DomainError, ExtcalcError, ParseError
@@ -87,39 +89,27 @@ def _load_json_source(arg: str):
         raise ParseError(f"malformed JSON: {exc}", code="bad_document") from exc
 
 
-def _late(module: str, name: str) -> Callable[..., Any]:
-    """A call of `extcalc.<module>.<name>` that imports the module and looks
-    the name up when it runs (`__import__` with a fromlist gives the module)."""
-    return lambda *args: getattr(__import__(f"extcalc.{module}", fromlist=(name,)), name)(*args)
-
-
 def _matrix_arg(arg: str):
-    from .presentation import IntMatrix, require_integers
-
     data = _load_json_source(arg)
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError("a matrix document is a JSON list of rows", code="bad_document")
-    require_integers((e for row in data for e in row), "matrix entries")
-    return IntMatrix.from_rows(data)
+    extcalc.presentation.require_integers((e for row in data for e in row), "matrix entries")
+    return extcalc.IntMatrix.from_rows(data)
 
 
 def _chain_arg(arg: str):
-    from .presentation import ChainComplex
-
     data = _load_json_source(arg)
     if not isinstance(data, dict):
         raise ParseError("a chain complex document is a JSON object", code="bad_document")
-    return ChainComplex.from_json(data)
+    return extcalc.ChainComplex.from_json(data)
 
 
 def _bf_arg(arg: str):
     """Load and fully validate a Bockstein function document; violations of
     the five inequalities are a domain error carrying the complete list."""
-    from .bockstein import BocksteinFunction, validate_bockstein
-
     data = _load_json_source(arg)
-    alpha = BocksteinFunction.from_json(data)
-    violations = validate_bockstein(alpha)
+    alpha = extcalc.BocksteinFunction.from_json(data)
+    violations = extcalc.validate_bockstein(alpha)
     if violations:
         raise DomainError(
             f"{len(violations)} Bockstein inequality violation(s)",
@@ -245,8 +235,6 @@ def _mooreem_text(v) -> str:
 
 
 def _present(relations, generators: Optional[int]):
-    from .presentation import IntMatrix, group_from_presentation
-
     if generators is None:
         if relations.rows == 0:
             raise ParseError("--generators is required when there are no relations", code="bad_document")
@@ -254,8 +242,8 @@ def _present(relations, generators: Optional[int]):
     elif relations.rows == 0:
         # `[]` reads as 0x0; with no relations the columns are the generators
         # (a negative count keeps its error from group_from_presentation)
-        relations = IntMatrix(0, max(generators, 0), ())
-    return group_from_presentation(generators, relations)
+        relations = extcalc.IntMatrix(0, max(generators, 0), ())
+    return extcalc.group_from_presentation(generators, relations)
 
 
 def _pairing(x, k):
@@ -285,14 +273,14 @@ COMMANDS = (
             _under("tau", lambda s: format_sigma(s))),
     Command("snf", "Smith normal form D = U M V of an integer matrix",
             (_document(_matrix_arg, "matrix", help="JSON row list, inline or a file path"),),
-            _late("presentation", "snf"), Render(_snf_json, _snf_text)),
+            lambda m: extcalc.snf(m), Render(_snf_json, _snf_text)),
     Command("present", "group presented by a relation matrix",
             (_document(_matrix_arg, "relations", help="JSON row list, one relation per row"),
              _int("-g", "--generators", help="generator count (default: column count)")),
             _present, GROUP),
     Command("homology", "reduced homology of a free chain complex",
             (_document(_chain_arg, "chain", help="JSON document with 'ranks' and 'boundaries'"),),
-            _late("presentation", "chain_homology"), GRADED),
+            lambda c: extcalc.chain_homology(c), GRADED),
     Command("moore", "graded homology of a Moore complex M(G, n)", (_group("group"), _int("n")),
             lambda g, n: moore_graded(g, n), GRADED),
     Command("hcoef", "homology of a graded complex with coefficients", (_graded("graded"), _group("group")),
@@ -318,32 +306,32 @@ COMMANDS = (
             (_document(_bf_arg, "bf", help="JSON document, inline or a file path"),), lambda alpha: alpha,
             Render(lambda _: {"valid": True, "violations": []}, lambda _: "valid")),
     Command("bfdim", "dimension of a Bockstein function w.r.t. a group", (_document(_bf_arg, "bf"), _group("group")),
-            _late("bockstein", "coef_dimension"), VALUE),
+            lambda alpha, g: extcalc.coef_dimension(alpha, g), VALUE),
     Command("covdim", "covering dimension of a Bockstein function", (_document(_bf_arg, "bf"),),
-            _late("bockstein", "covering_dimension"), VALUE),
+            lambda alpha: extcalc.covering_dimension(alpha), VALUE),
     Command("spae", "is every symmetric-product obstruction of the function below the complex",
-            (_document(_bf_arg, "bf"), _graded("graded")), _late("bockstein", "sp_in_ae"), VERDICT),
+            (_document(_bf_arg, "bf"), _graded("graded")), lambda alpha, k: extcalc.sp_in_ae(alpha, k), VERDICT),
     Command("cohdimmin", "minimal Eilenberg-MacLane wedge realizing a Bockstein function",
-            (_document(_bf_arg, "bf"),), _late("bockstein", "minimal_wedge"), _under("wedge")),
+            (_document(_bf_arg, "bf"),), lambda alpha: extcalc.minimal_wedge(alpha), _under("wedge")),
     Command("witness73", "function with dimension m on one group, infinite on another",
-            (_group("dim_group"), _group("sep_group"), _int("m")), _late("bockstein", "infinite_gap_witness"),
-            _under("bf")),
+            (_group("dim_group"), _group("sep_group"), _int("m")),
+            lambda g, f, m: extcalc.infinite_gap_witness(g, f, m), _under("bf")),
     Command("witness74", "function with dimension m on one group, m+1 on another",
-            (_group("dim_group"), _group("sep_group"), _int("m")), _late("bockstein", "unit_gap_witness"),
+            (_group("dim_group"), _group("sep_group"), _int("m")), lambda g, f, m: extcalc.unit_gap_witness(g, f, m),
             Render(_witness74_json, lambda found: json.dumps(_witness74_json(found)))),
     Command("spaek", "does SP of a complex have the type of an Eilenberg-MacLane space",
             (_graded("--graded", required=True, help="reduced homology of the complex"),
              _group("--group", required=True, help="coefficient group of the target"),
              _int("--n", required=True, help="degree of the target")),
-            _late("exttype", "sp_factors_as_em"), Render(lambda v: v.to_json(), _spaek_text)),
+            lambda k, g, n: extcalc.sp_factors_as_em(k, g, n), Render(lambda v: v.to_json(), _spaek_text)),
     Command("modp", "is the complex's symmetric product mod-p trivial", (_graded("graded"), _int("p")),
-            _late("exttype", "mod_p_trivial"), VERDICT),
+            lambda k, p: extcalc.mod_p_trivial(k, p), VERDICT),
     Command("classify", "finite extension type of a complex's symmetric product", (_graded("graded"),),
-            _late("exttype", "classify_finite_type"), Render(lambda v: v.to_json(), _classify_text)),
+            lambda k: extcalc.classify_finite_type(k), Render(lambda v: v.to_json(), _classify_text)),
     Command("compact", "does the symmetric product share its type with a compactum of the circle kind",
-            (_graded("graded"),), _late("exttype", "has_compact_type"), VERDICT),
+            (_graded("graded"),), lambda k: extcalc.has_compact_type(k), VERDICT),
     Command("mooreem", "does a Moore complex's SP match the corresponding Eilenberg-MacLane space",
-            (_group("group"), _int("n")), _late("exttype", "moore_matches_em"),
+            (_group("group"), _int("n")), lambda g, n: extcalc.moore_matches_em(g, n),
             Render(lambda v: v.to_json(), _mooreem_text)),
 )
 _BY_NAME = {command.name: command for command in COMMANDS}
@@ -388,7 +376,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
         description="symbolic calculus of admissible abelian groups, graded homology, "
         "Bockstein dimension functions, and extension types of symmetric products",
     )
-    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    top.add_argument("--version", action="version", version=f"%(prog)s {extcalc.__version__}")
     sub = top.add_subparsers(dest="command", metavar="command", required=True)
     for command in (_BY_NAME[argv[0]],) if argv and argv[0] in _BY_NAME else COMMANDS:
         p = sub.add_parser(command.name, parents=[common], help=command.help, description=command.help)

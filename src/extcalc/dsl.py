@@ -39,11 +39,12 @@ from .abelian import (
     PrimeSet,
     Prufer,
     SigmaSet,
+    _checked_group,
     _trusted,
     pattern_flags,
 )
 from .errors import ParseError
-from .graded import GradedGroup
+from .graded import GradedGroup, _checked_graded
 from .primes import factorint, isprime
 
 _TERM = re.compile(
@@ -198,12 +199,12 @@ def _format_atom(atom) -> str:
 
 
 def format_group(group: AdmissibleGroup) -> str:
-    terms = [_format_atom(atom) + ("" if count == 1 else f"^{count}") for atom, count in group.summands]
+    terms = [_format_atom(atom) + ("" if count == 1 else f"^{count}") for atom, count in _checked_group(group).summands]
     return " + ".join(terms) or "Z^0"
 
 
 def format_graded(graded: GradedGroup) -> str:
-    if graded.is_zero:
+    if _checked_graded(graded).is_zero:
         return "{}"
     inner = ", ".join(f"{d}: {format_group(g)}" for d, g in graded.entries)
     return "{" + inner + "}"

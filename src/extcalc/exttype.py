@@ -12,25 +12,22 @@ localized circle or a rational Eilenberg-MacLane space).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Union
 
 from .abelian import (
-    AdmissibleGroup, PrimePattern, PrimeSet, Q, SigmaSet, _checked_int, _checked_prime, _record, localized, sigma,
-    sigma_matches_localization, tau_closure,
+    AdmissibleGroup, PrimePattern, PrimeSet, Q, SigmaSet, _checked_group, _checked_int, _checked_prime, _record,
+    localized, sigma, sigma_matches_localization, tau_closure,
 )
 from .errors import DomainError
-from .graded import GradedGroup, moore_graded
+from .graded import GradedGroup, _checked_graded, moore_graded
 
 RATIONAL_ONLY = SigmaSet.build(True, PrimePattern.EMPTY, {})
 
-
-def _check_connected(k: GradedGroup):
-    for d, _ in k.entries:
-        if d < 1:
-            raise DomainError(
-                "connected complex data may not carry homology in degrees < 1",
-                code="degree_zero_entry",
-            )
+_check_connected = partial(
+    _checked_graded, least=1, message="connected complex data may not carry homology in degrees < 1",
+    code="degree_zero_entry",
+)
 
 
 def _distinguishing_prime(s1: SigmaSet, s2: SigmaSet) -> Optional[int]:
@@ -80,8 +77,7 @@ def sp_factors_as_em(k: GradedGroup, group: AdmissibleGroup, n: int) -> ClauseRe
     b. the degree-n homology has the same Bockstein basis as `group`,
     c. every degree >= n has its basis inside tau(group).
     """
-    if group.is_trivial:
-        raise DomainError("comparison group must be nontrivial", code="trivial_group")
+    _checked_group(group, "comparison group must be nontrivial")
     _checked_int(n, 1, code="bad_degree", message="target degree must be >= 1")
     _check_connected(k)
     failures = []

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .abelian import (
     AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern, PrimeSet, PrimeTriple,
-    Prufer, Q, TRIVIAL, _checked_int, _record, _trusted, fresh_prime, sigma,
+    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _record, _trusted, fresh_prime, sigma,
 )
 from .errors import DomainError
 
@@ -64,7 +64,7 @@ class GradedGroup:
         return GradedGroup(tuple((d + r, g) for d, g in self.entries))
 
     def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        return _collect(self.entries + other.entries)
+        return _collect(self.entries + _checked_graded(other).entries)
 
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
@@ -85,10 +85,15 @@ class GradedGroup:
 EMPTY_GRADED = GradedGroup(())
 
 
-def _checked_group(group) -> AdmissibleGroup:
-    if not isinstance(group, AdmissibleGroup):
-        raise DomainError(f"an admissible group is required, not {group!r}", code="not_a_group")
-    return group
+def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGroup:
+    """`k` when it is a GradedGroup with no degree below `least`; otherwise a
+    DomainError, `not_a_group`, or `code` with `message` (a `{}` in it stands
+    for the lowest degree)."""
+    if not isinstance(k, GradedGroup):
+        raise DomainError(f"a graded group is required, not {k!r}", code="not_a_group")
+    if least is not None and k.entries and k.entries[0][0] < least:
+        raise DomainError(message.format(k.entries[0][0]), code=code)
+    return k
 
 
 def _collect(terms) -> GradedGroup:
@@ -100,17 +105,8 @@ def _collect(terms) -> GradedGroup:
     return GradedGroup(tuple(sorted((d, g) for d, g in out.items() if not g.is_trivial)))
 
 
-def _natural(k: GradedGroup) -> GradedGroup:
-    """`k` itself when no degree is negative: dimensions are natural numbers,
-    and only pairing outputs reach below degree 0."""
-    if k.entries and k.entries[0][0] < 0:
-        raise DomainError(f"a dimension needs degrees >= 0, got degree {k.entries[0][0]}", code="bad_degree")
-    return k
-
-
-def _require_coefficient(group: AdmissibleGroup):
-    if _checked_group(group).is_trivial:
-        raise DomainError("coefficient group must be nontrivial", code="trivial_group")
+# Dimensions are natural numbers, and only pairing outputs reach below degree 0.
+_natural = partial(_checked_graded, least=0, message="a dimension needs degrees >= 0, got degree {}")
 
 
 def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
@@ -119,8 +115,8 @@ def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> Graded
     Universal coefficients degreewise: degree n holds
     (k_n (x) G) (+) Tor(k_{n-1}, G).
     """
-    _require_coefficient(group)
-    return _collect(term for d, g in k.entries for term in ((d, g.tensor(group)), (d + 1, g.tor(group))))
+    _checked_group(group, "coefficient group must be nontrivial")
+    return _collect(t for d, g in _checked_graded(k).entries for t in ((d, g.tensor(group)), (d + 1, g.tor(group))))
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
@@ -131,12 +127,14 @@ def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
 def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
     """Homology of a smash product, by the Kunneth rule (all Tor terms are
     direct summands here, so the answer is exact, not just up to extension)."""
+    k, l = _checked_graded(k), _checked_graded(l)
     return _collect((i + d, h) for d, g in l.entries for i, h in homology_with_coefficients(k, g).entries)
 
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:
     """Homology of the r-fold suspension: shift every degree up by r."""
-    return k.shift(_checked_int(r, 0, code="bad_degree", message="suspension count must be nonnegative"))
+    r = _checked_int(r, 0, code="bad_degree", message="suspension count must be nonnegative")
+    return _checked_graded(k).shift(r)
 
 
 def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
@@ -147,8 +145,8 @@ def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> Grad
     opposite to the reversed grading in which the coefficient formula is
     stated.
     """
-    _require_coefficient(group)
-    return _collect(term for d, g in x.entries for term in ((d, group.tensor(g)), (d - 1, group.tor(g))))
+    _checked_group(group, "coefficient group must be nontrivial")
+    return _collect(t for d, g in _checked_graded(x).entries for t in ((d, group.tensor(g)), (d - 1, group.tor(g))))
 
 
 def pairing(x: GradedGroup, k: GradedGroup) -> tuple[GradedGroup, GradedGroup]:
@@ -168,6 +166,7 @@ def pairing(x: GradedGroup, k: GradedGroup) -> tuple[GradedGroup, GradedGroup]:
 
 def _paired_via_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
     """The first component of `pairing`, expanded through the cohomology of x."""
+    x, k = _checked_graded(x), _checked_graded(k)
     return _collect((j - d, h) for j, g in k.entries for d, h in cohomology_with_coefficients(x, g).entries)
 
 
@@ -261,7 +260,6 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
 
 def moore_graded(group: AdmissibleGroup, degree: int) -> GradedGroup:
     """Homology of a Moore complex: one group concentrated in one degree."""
-    if _checked_group(group).is_trivial:
-        raise DomainError("a Moore complex needs a nontrivial group", code="trivial_group")
+    _checked_group(group, "a Moore complex needs a nontrivial group")
     _checked_int(degree, 1, code="bad_degree", message="a Moore complex needs degree >= 1")
     return GradedGroup.of({degree: group})

@@ -84,6 +84,9 @@ class TestExtNat:
 
     def test_hashable(self):
         assert len({ExtNat(1), ExtNat(1), INFINITY}) == 2
+        # ExtNat(3) == 3, so the two must hash alike
+        assert len({ExtNat(3), 3}) == 1
+        assert {ExtNat(3): "a"}.get(3) == "a"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The package as a whole: its public names, its documented error codes, that
-it runs without sympy, and that it loads a module only when it is used."""
+it runs without sympy, that it loads a module only when it is used, and that
+every public call types the groups and graded groups it takes."""
 
 import hashlib
+import inspect
 import json
+import operator
 import os
 import re
 import subprocess
@@ -112,3 +115,78 @@ def test_public_names_are_unchanged_and_are_their_modules_objects():
     names = proc.stdout.split()
     assert len(names) == 77
     assert hashlib.sha256(" ".join(names).encode()).hexdigest()[:16] == "d1ad786bfbe876bc"
+
+
+# ---------------------------------------------------------------------------
+# The typed boundary: every parameter annotated as a group or a graded group.
+
+KINDS = ("AdmissibleGroup", "GradedGroup")
+SAMPLES = {
+    "AdmissibleGroup": extcalc.parse_group("Z/4 + Q"),
+    "GradedGroup": extcalc.parse_graded("{1: Z/2 + Q, 3: Z}"),
+    "BocksteinFunction": extcalc.BocksteinFunction.constant(1),
+    "int": 2,  # a prime, so it also fills mod_p_trivial's p
+}
+
+
+def _annotation(param) -> str:
+    # a string under `from __future__ import annotations`, still quoted when the source quoted it
+    return str(param.annotation).strip("'\"")
+
+
+def group_callables() -> dict:
+    """Qualified name -> (the callable's owner class or None, function, the
+    names of its group and graded-group parameters), over the functions in
+    `extcalc.__all__` and the public methods and operators of its classes."""
+    found = {}
+    for name in extcalc.__all__[1:]:
+        obj = getattr(extcalc, name)
+        if inspect.isfunction(obj):
+            members = [(None, name, obj)]
+        elif inspect.isclass(obj):
+            members = [
+                (obj, f"{name}.{attr}", fn)
+                for attr, fn in vars(obj).items()
+                if inspect.isfunction(fn) and (not attr.startswith("_") or attr.endswith("__"))
+            ]
+        else:
+            continue
+        for owner, qualname, fn in members:
+            params = [p.name for p in inspect.signature(fn).parameters.values() if _annotation(p) in KINDS]
+            if params:
+                found[qualname] = (owner, fn, params)
+    return found
+
+
+GROUP_CALLABLES = group_callables()
+
+
+def test_the_walk_finds_every_group_parameter():
+    # a renamed annotation would silently shrink the walk below
+    assert len(GROUP_CALLABLES) == 27
+    assert sum(len(params) for _, _, params in GROUP_CALLABLES.values()) == 37
+
+
+@pytest.mark.parametrize(
+    "qualname, param", [(qualname, param) for qualname, (_, _, params) in GROUP_CALLABLES.items() for param in params]
+)
+def test_a_value_of_another_kind_is_not_a_group(qualname, param):
+    owner, fn, _ = GROUP_CALLABLES[qualname]
+    signature = inspect.signature(fn)
+    kind = _annotation(signature.parameters[param])
+    for bad in (5, 1.5, True, None, "Z", SAMPLES[KINDS[1 - KINDS.index(kind)]]):
+        args = []
+        for p in signature.parameters.values():
+            if p.name == param:
+                args.append(bad)
+            elif owner is not None and p.name == "self":
+                args.append(SAMPLES[owner.__name__])
+            else:
+                args.append(SAMPLES[_annotation(p)])
+        if fn.__name__.startswith("__"):  # an operator follows Python's rule: TypeError
+            with pytest.raises(TypeError):
+                getattr(operator, fn.__name__.strip("_"))(*args)
+            continue
+        with pytest.raises(extcalc.ExtcalcError) as caught:
+            fn(*args)
+        assert caught.value.code == "not_a_group", (bad, caught.value)
