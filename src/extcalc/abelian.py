@@ -219,12 +219,20 @@ def _checked_int(value, least=None, *, code, message):
     return value
 
 
+def _checked_kind(value, kind, name):
+    """`value` when it is an instance of `kind`; otherwise a DomainError
+    `not_a_group`, the one code for a value of another kind, saying that
+    `name` is required."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} is required, not {value!r}", code="not_a_group")
+    return value
+
+
 def _checked_group(group, trivial=None) -> "AdmissibleGroup":
     """`group` when it is an AdmissibleGroup, and nontrivial when `trivial`
     (the message for a trivial one) is given; otherwise a DomainError,
     `not_a_group` or `trivial_group`."""
-    if not isinstance(group, AdmissibleGroup):
-        raise DomainError(f"an admissible group is required, not {group!r}", code="not_a_group")
+    _checked_kind(group, AdmissibleGroup, "an admissible group")
     if trivial is not None and group.is_trivial:
         raise DomainError(trivial, code="trivial_group")
     return group
@@ -265,6 +273,9 @@ class PrimeSet:
         return not self.cofinite and not self.members
 
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
+        return self._intersect(_checked_kind(other, PrimeSet, "a prime set"))
+
+    def _intersect(self, other: "PrimeSet") -> "PrimeSet":  # the tensor table's, on atoms' prime sets
         if self.cofinite and other.cofinite:
             return _trusted(PrimeSet, True, tuple(sorted(set(self.members).union(other.members))))
         fin, other = (other, self) if self.cofinite else (self, other)
@@ -280,8 +291,11 @@ NO_PRIMES = PrimeSet.of()
 
 
 def fresh_prime(used) -> int:
-    """The smallest prime not in `used`."""
-    used = set(used)
+    """The smallest prime not in `used`, a collection of ints."""
+    try:
+        used = set(used)
+    except TypeError:  # not iterable, or holding an unhashable value
+        raise DomainError(f"a collection of primes is required, not {used!r}", code="not_a_group") from None
     p = 2
     while p in used or not isprime(p):
         p += 1
@@ -297,6 +311,9 @@ class Localization:
     """Z localized at a set of primes: Z_(l) is Z for l = all, Q for l = none."""
 
     primes: PrimeSet
+
+    def __post_init__(self):
+        _checked_kind(self.primes, PrimeSet, "a prime set")
 
 
 @_record
@@ -465,7 +482,7 @@ def localized(primes: PrimeSet) -> AdmissibleGroup:
 def _tensor_atoms(a: Atom, b: Atom) -> Atom | None:
     match (a, b):
         case (Localization(primes=l1), Localization(primes=l2)):
-            return Localization(l1.intersect(l2))
+            return _trusted(Localization, l1._intersect(l2))
         case (Localization(primes=l), Cyclic(prime=p) | Prufer(prime=p)):
             return b if p in l else None
         case (Cyclic(prime=p) | Prufer(prime=p), Localization(primes=l)):
@@ -516,6 +533,8 @@ class PrimeIndexed(Generic[R, V]):
         pairs = sorted((p, v) for p, v in dict(exceptions).items() if v != default)
         return cls(rational, default, tuple(pairs))
 
+    _build = build  # `build` unchecked, for a subclass whose `build` checks its primes
+
     @classmethod
     def combine(cls, rational_fn, value_fn, *items: "PrimeIndexed"):
         """The `cls` instance holding rational_fn of the items' values on Q
@@ -523,7 +542,7 @@ class PrimeIndexed(Generic[R, V]):
         tables = [dict(x.exceptions) for x in items]
         defaults = [x.default for x in items]
         primes = set().union(*tables)
-        return cls.build(
+        return cls._build(
             rational_fn(*(x.rational for x in items)),
             value_fn(*defaults),
             {p: value_fn(*(t.get(p, d) for t, d in zip(tables, defaults))) for p in primes},
@@ -635,16 +654,23 @@ class SigmaSet(PrimeIndexed[bool, PrimePattern]):
     """A set of Bockstein groups: ``rational`` records whether Q belongs and
     the pattern at a prime which of Z/p, Z/p^oo, Z_(p) do."""
 
+    def escapes(self, other: "SigmaSet", flags: PrimePattern = FULL_PATTERN) -> tuple[int, ...]:
+        """The primes, in `primes_to_inspect` order, where self has a test
+        group in `flags` that `other` lacks."""
+        _checked_sigma(other)
+        return tuple(p for p in self.primes_to_inspect(other) if self.at(p) & flags not in other.at(p))
+
     def issubset(self, other: "SigmaSet") -> bool:
-        if self.rational and not other.rational:
-            return False
-        return all(not (self.at(p) & ~other.at(p)) for p in self.primes_to_inspect(other))
+        return (_checked_sigma(other).rational or not self.rational) and not self.escapes(other)
 
     def union(self, *others: "SigmaSet") -> "SigmaSet":
-        return SigmaSet.combine(_join, _join, self, *others)
+        return SigmaSet.combine(_join, _join, self, *(_checked_sigma(s) for s in others))
 
     def to_json(self):
         return self._to_json("rational", self.rational, lambda pat: list(pattern_flags(pat)))
+
+
+_checked_sigma = functools.partial(_checked_kind, kind=SigmaSet, name="a Bockstein basis")
 
 
 def _atom_sigma(atom: Atom) -> SigmaSet:
@@ -679,8 +705,7 @@ def sigma(group: AdmissibleGroup) -> SigmaSet:
     {'rational': False, 'default': [], 'exceptions': {'2': ['cyclic', 'prufer'], '3': ['cyclic', 'prufer']}}
     """
     _checked_group(group, "the Bockstein basis of the trivial group is undefined")
-    first, *rest = {_atom_sigma(a) for a, _ in group.summands}
-    return first.union(*rest)
+    return SigmaSet.combine(_join, _join, *{_atom_sigma(a) for a, _ in group.summands})
 
 
 def tau_closure(s: SigmaSet) -> SigmaSet:
@@ -690,7 +715,7 @@ def tau_closure(s: SigmaSet) -> SigmaSet:
     in, and Z_(p) joins exactly when both Z/p^oo and Q are in.  The result
     always contains the input.
     """
-    closed = FULL_PATTERN if s.rational else PrimePattern.CYCLIC | PrimePattern.PRUFER
+    closed = FULL_PATTERN if _checked_sigma(s).rational else PrimePattern.CYCLIC | PrimePattern.PRUFER
     return SigmaSet.combine(bool, lambda pat: closed if PrimePattern.PRUFER in pat else PrimePattern.EMPTY, s)
 
 
@@ -705,7 +730,7 @@ def sigma_matches_localization(s: SigmaSet) -> PrimeSet | None:
     groups (p in l) or none (p not in l); anything else matches no
     localization.
     """
-    if not s.rational:
+    if not _checked_sigma(s).rational:
         return None
     if s.default not in (PrimePattern.EMPTY, FULL_PATTERN):
         return None

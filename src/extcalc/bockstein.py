@@ -21,8 +21,8 @@ from functools import partial
 from typing import Optional
 
 from .abelian import (
-    BOCKSTEIN_FLAGS, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, SigmaSet, _checked_int,
-    _record, sigma, tau_closure,
+    BOCKSTEIN_FLAGS, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, _checked_int, _checked_kind,
+    _checked_prime, _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup, _checked_graded
@@ -35,7 +35,8 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
 
     @classmethod
     def build(cls, rational, default: PrimeTriple, exceptions=()) -> "BocksteinFunction":
-        return super().build(ExtNat.of(rational), default, exceptions)
+        exceptions = {_checked_prime(p): t for p, t in dict(exceptions).items()}
+        return cls._build(ExtNat.of(rational), default, exceptions)
 
     @classmethod
     def constant(cls, value) -> "BocksteinFunction":
@@ -74,7 +75,10 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
             if str(p) != key:
                 raise ParseError(f"exception key {key!r} is not in canonical decimal form", code="bad_document")
             exceptions[p] = PrimeTriple.from_json(raw)
-        return cls.build(rational, default, exceptions)
+        return cls._build(rational, default, exceptions)
+
+
+_checked_alpha = partial(_checked_kind, kind=BocksteinFunction, name="a Bockstein function")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,7 @@ def validate_bockstein(alpha: BocksteinFunction) -> list[Violation]:
     The value 0 is accepted wherever the inequalities allow it, even though
     the witness constructions themselves only emit values >= 1.
     """
-    out = _triple_violations(None, alpha.rational, alpha.default)
+    out = _triple_violations(None, _checked_alpha(alpha).rational, alpha.default)
     for p, t in alpha.exceptions:
         out.extend(_triple_violations(p, alpha.rational, t))
     return out
@@ -131,7 +135,7 @@ def coef_dimension(alpha: BocksteinFunction, group: AdmissibleGroup) -> ExtNat:
     Finitely computable because sigma and alpha are both eventually uniform
     in the prime: one generic prime stands in for all unlisted ones.
     """
-    s = sigma(group)
+    s, alpha = sigma(group), _checked_alpha(alpha)
     values = [alpha.rational] if s.rational else []
     for p in s.primes_to_inspect(alpha):
         values.extend(alpha.at(p).select(s.at(p)))
@@ -140,7 +144,7 @@ def coef_dimension(alpha: BocksteinFunction, group: AdmissibleGroup) -> ExtNat:
 
 def covering_dimension(alpha: BocksteinFunction) -> ExtNat:
     """The supremum of alpha over the whole basis (the dimension w.r.t. Z)."""
-    return max(alpha.rational, *alpha.default, *(v for _, t in alpha.exceptions for v in t))
+    return max(_checked_alpha(alpha).rational, *alpha.default, *(v for _, t in alpha.exceptions for v in t))
 
 
 def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
@@ -150,7 +154,7 @@ def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
     True iff dim with respect to k's degree-i homology is at most i, for
     every nontrivial degree.  Empty homology (a point) always extends.
     """
-    k = _checked_graded(k, 1, "complex homology must live in degrees >= 1")
+    alpha, k = _checked_alpha(alpha), _checked_graded(k, 1, "complex homology must live in degrees >= 1")
     return all(coef_dimension(alpha, g) <= i for i, g in k.entries)
 
 
@@ -189,7 +193,7 @@ def minimal_wedge(alpha: BocksteinFunction) -> MinimalWedge:
     """The wedge of Eilenberg-MacLane spaces K(H, alpha(H)) over all basis
     groups with finite value; its symmetric-product type is the minimal one
     extending over the compactum realizing alpha."""
-    return MinimalWedge.combine(_finite, lambda t: PrimeTriple._make(map(_finite, t)), alpha)
+    return MinimalWedge.combine(_finite, lambda t: PrimeTriple._make(map(_finite, t)), _checked_alpha(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +222,6 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
     )
 
 
-def _smallest_flag_gap(flag: PrimePattern, sf: SigmaSet, sg: SigmaSet) -> Optional[int]:
-    """Smallest prime where `flag` is in sf's pattern but not sg's."""
-    return min((p for p in sf.primes_to_inspect(sg) if flag & sf.at(p) and not flag & sg.at(p)), default=None)
-
-
 def unit_gap_witness(
     dim_group: AdmissibleGroup, sep_group: AdmissibleGroup, m: int
 ) -> tuple[BocksteinFunction, str]:
@@ -240,9 +239,9 @@ def unit_gap_witness(
     base, up = PrimeTriple.constant(ExtNat(m)), ExtNat(m + 1)
     case_i, case_ii = base._replace(cyclic=up, local=up), base._replace(local=up)
     for label, flag, bumped in ("I", PrimePattern.CYCLIC, case_i), ("II", PrimePattern.LOCAL, case_ii):
-        q = _smallest_flag_gap(flag, sf, sg)
+        q = min(sf.escapes(sg, flag), default=None)
         if q is not None:
-            return BocksteinFunction.build(ExtNat(m), base, {q: bumped}), label
+            return BocksteinFunction._build(ExtNat(m), base, {q: bumped}), label
     raise DomainError(
         "no unit gap: no cyclic or localization test group separates the bases",
         code="not_applicable",

@@ -40,8 +40,8 @@ from .abelian import (
     Prufer,
     SigmaSet,
     _checked_group,
+    _checked_sigma,
     _trusted,
-    pattern_flags,
 )
 from .errors import ParseError
 from .graded import GradedGroup, _checked_graded
@@ -119,12 +119,12 @@ def _atom(m: re.Match) -> list:
                 pos = item.end()
             if item.end() < end or not m["close"]:
                 _expected(item.end(), ")")
-        return [Localization(_trusted(PrimeSet, m["cofinite"] == "~", tuple(sorted(set(primes)))))]
+        return [_trusted(Localization, _trusted(PrimeSet, m["cofinite"] == "~", tuple(sorted(set(primes)))))]
     if m["inverted"] is not None:
         p = _prime(m, "inverted")
         if not m["bracket"]:
             _expected(m.start("bracket"), "]")
-        return [Localization(_trusted(PrimeSet, True, (p,)))]
+        return [_trusted(Localization, _trusted(PrimeSet, True, (p,)))]
     return [_Z]
 
 
@@ -218,7 +218,7 @@ def format_sigma(s: SigmaSet) -> str:
     """Human-readable listing, e.g. ``{Z/2, Z/2^oo, Z/3, Z/3^oo}``; an
     eventually-uniform part is described once with a generic prime p."""
     chunks = []
-    if s.rational:
+    if _checked_sigma(s).rational:
         chunks.append("Q")
     for p, pattern in s.exceptions:
         chunks.extend(_pattern_names(pattern, p))
@@ -230,13 +230,3 @@ def format_sigma(s: SigmaSet) -> str:
         else:
             chunks.append(f"{generic} for every prime p")
     return "{" + ", ".join(chunks) + "}"
-
-
-__all__ = [
-    "parse_group",
-    "parse_graded",
-    "format_group",
-    "format_graded",
-    "format_sigma",
-    "pattern_flags",
-]

@@ -37,13 +37,6 @@ def _distinguishing_prime(s1: SigmaSet, s2: SigmaSet) -> Optional[int]:
     return next((p for p in s1.primes_to_inspect(s2) if s1.at(p) != s2.at(p)), None)
 
 
-def _escape_prime(s: SigmaSet, t: SigmaSet) -> Optional[int]:
-    """A prime witnessing that s is not contained in t; None if Q-level."""
-    if s.rational and not t.rational:
-        return None
-    return next((p for p in s.primes_to_inspect(t) if s.at(p) & ~t.at(p)), None)
-
-
 @_record
 class ClauseFailure:
     """One failed clause, with the degree and, when relevant, a witnessing
@@ -99,9 +92,8 @@ def sp_factors_as_em(k: GradedGroup, group: AdmissibleGroup, n: int) -> ClauseRe
         if i >= n:
             si = sigma(g)
             if not si.issubset(tg):
-                failures.append(
-                    ClauseFailure("c", i, _escape_prime(si, tg), "Bockstein basis escapes tau of the comparison group")
-                )
+                prime = None if si.rational and not tg.rational else si.escapes(tg)[0]  # None: it escapes at Q
+                failures.append(ClauseFailure("c", i, prime, "Bockstein basis escapes tau of the comparison group"))
     return ClauseReport(not failures, tuple(failures))
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .abelian import (
     AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern, PrimeSet, PrimeTriple,
-    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _record, _trusted, fresh_prime, sigma,
+    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _checked_kind, _record, _trusted, fresh_prime, sigma,
 )
 from .errors import DomainError
 
@@ -89,8 +89,7 @@ def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGr
     """`k` when it is a GradedGroup with no degree below `least`; otherwise a
     DomainError, `not_a_group`, or `code` with `message` (a `{}` in it stands
     for the lowest degree)."""
-    if not isinstance(k, GradedGroup):
-        raise DomainError(f"a graded group is required, not {k!r}", code="not_a_group")
+    _checked_kind(k, GradedGroup, "a graded group")
     if least is not None and k.entries and k.entries[0][0] < least:
         raise DomainError(message.format(k.entries[0][0]), code=code)
     return k
@@ -171,11 +170,14 @@ def _paired_via_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
 
 
 def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool, bool]:
-    """Three equivalent vanishing statements, each computed independently.
+    """Three equivalent vanishing statements.
 
     1. the pairing of x and k vanishes in all output degrees <= -m,
     2. homology of k with coefficients x_d vanishes in degrees i <= d - m,
     3. cohomology of x with coefficients k_j vanishes in degrees i >= j + m.
+
+    Only 2 and 3 are independent expansions: 1 and 3 both read the groups
+    cohomology_with_coefficients(x, k_j), 1 after summing them degreewise.
     """
     _checked_int(m, code="bad_degree", message="the vanishing test takes a degree m")
     first = all(n > -m for n in _paired_via_cohomology(x, k).degrees)
@@ -249,7 +251,7 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
     family, dims_k, dims_l = [Q], [left.rational], [right.rational]
     for p in sorted(primes):
         # p is a support prime or fresh_prime's, so the atoms take the trusted path
-        local = Localization(_trusted(PrimeSet, False, (p,)))
+        local = _trusted(Localization, _trusted(PrimeSet, False, (p,)))
         atoms = PrimeTriple(cyclic=_trusted(Cyclic, p, 1), prufer=_trusted(Prufer, p), local=local)
         family += map(AdmissibleGroup.of, atoms)
         dims_k += left.at(p)

@@ -21,29 +21,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import partial
 from itertools import chain, compress
 from math import gcd
 
 from .abelian import (
-    ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _is_int, _record, _trusted,
+    ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _checked_kind, _is_int, _record, _trusted,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
 from .primes import factorint
-
-__all__ = [
-    "IntMatrix",
-    "SNFResult",
-    "ChainComplex",
-    "snf",
-    "invariant_factors",
-    "group_from_presentation",
-    "tensor_from_presentations",
-    "tor_from_presentations",
-    "chain_homology",
-    "matmul",
-    "det",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +77,9 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.to_rows()})"
 
 
+_checked_matrix = partial(_checked_kind, kind=IntMatrix, name="an integer matrix")
+
+
 def require_integers(values, what: str):
     """A document's numbers must be JSON integers: a float, string or bool is
     a document error that names it, never a silent coercion."""
@@ -99,7 +89,7 @@ def require_integers(values, what: str):
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
+    if _checked_matrix(a).cols != _checked_matrix(b).rows:
         raise DomainError("matrix shape mismatch in product", code="bad_shape")
     ar, bc, n = a.rows, b.cols, a.cols
     arows, brows = a.to_rows(), b.to_rows()
@@ -152,7 +142,7 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
 def det(a: IntMatrix) -> int:
     """Exact determinant: the signed minor of one `_bareiss` pass, or 0 when
     the rank falls short."""
-    if a.rows != a.cols:
+    if _checked_matrix(a).rows != a.cols:
         raise DomainError("determinant needs a square matrix", code="bad_shape")
     rank, minor = _bareiss(a.to_rows())
     return minor if rank == a.rows else 0
@@ -281,7 +271,7 @@ def snf(matrix: IntMatrix) -> SNFResult:
     the minors of M rather than growing with every elimination step.
     `invariant_factors` is the independent route to the same diagonal.
     """
-    r, c = matrix.rows, matrix.cols
+    r, c = _checked_matrix(matrix).rows, matrix.cols
     if r * r + c * c > SNF_MAX_CELLS:
         raise DomainError(
             f"the transforms of a {r}x{c} matrix have {r * r + c * c} cells, past the limit of {SNF_MAX_CELLS}",
@@ -411,7 +401,7 @@ def invariant_factors(matrix: IntMatrix) -> list[int]:
     by pairwise gcd/lcm, which needs no factoring.  `snf` is the other
     route: exact elimination with its transforms.
     """
-    if not matrix.entries:
+    if not _checked_matrix(matrix).entries:
         return []
     rank, minor = _bareiss(matrix.to_rows())
     if rank == 0:
@@ -437,7 +427,7 @@ def invariant_factors(matrix: IntMatrix) -> list[int]:
 def _cokernel(free: int, factors) -> AdmissibleGroup:
     """Z^free plus Z/d for each factor d, in canonical atom form; a rank is
     a count here, never a list of that many atoms, and factorint's primes are trusted."""
-    counts = Counter({Localization(ALL_PRIMES): free})
+    counts = Counter({_trusted(Localization, ALL_PRIMES): free})
     counts.update(_trusted(Cyclic, p, e) for d in factors if d > 1 for p, e in factorint(d).items())
     return AdmissibleGroup.from_counts(counts)
 
@@ -449,7 +439,7 @@ def group_from_presentation(generators: int, relations: IntMatrix) -> Admissible
     the column count must equal `generators`.
     """
     _checked_int(generators, 0, code="bad_shape", message="generator count must be nonnegative")
-    if relations.cols != generators:
+    if _checked_matrix(relations).cols != generators:
         raise DomainError(
             f"relations have {relations.cols} columns but there are {generators} generators",
             code="bad_shape",
@@ -464,7 +454,7 @@ def tensor_from_presentations(rel_a: IntMatrix, rel_b: IntMatrix) -> AdmissibleG
     coker(A) (x) coker(B) is presented on the g_a * g_b generator pairs by
     the stacked block matrix [A (x) I ; I (x) B].
     """
-    ga, gb = rel_a.cols, rel_b.cols
+    ga, gb = _checked_matrix(rel_a).cols, _checked_matrix(rel_b).cols
     arows, brows = rel_a.to_rows(), rel_b.to_rows()
     block = []
     for a in arows:
@@ -515,7 +505,7 @@ class ChainComplex:
         if len(self.boundaries) != max(0, len(self.ranks) - 1):
             raise DomainError("need one boundary map per adjacent pair of degrees", code="malformed_complex")
         for i, b in enumerate(self.boundaries):
-            if b.rows != self.ranks[i] or b.cols != self.ranks[i + 1]:
+            if _checked_matrix(b).rows != self.ranks[i] or b.cols != self.ranks[i + 1]:
                 raise DomainError(
                     f"boundary {i + 1} has shape {b.rows}x{b.cols}, expected {self.ranks[i]}x{self.ranks[i + 1]}",
                     code="malformed_complex",
@@ -565,6 +555,7 @@ def chain_homology(chain: ChainComplex) -> GradedGroup:
     torsion comes from the invariant factors of d_{i+1}; one free summand in
     degree 0 is dropped for the reduction whenever it exists.
     """
+    chain = _checked_kind(chain, ChainComplex, "a chain complex")
     factors = [invariant_factors(b) for b in chain.boundaries] + [[]]  # no boundary maps into the top degree
     entries = {}
     for i, rank in enumerate(chain.ranks):

@@ -117,6 +117,12 @@ class TestPrimeSet:
         assert fresh_prime([]) == 2
         assert fresh_prime([2, 3, 7]) == 5
 
+    @pytest.mark.parametrize("used", [5, None, [[2]]])
+    def test_fresh_prime_needs_a_collection_of_primes(self, used):
+        with pytest.raises(DomainError) as exc:
+            fresh_prime(used)
+        assert exc.value.code == "not_a_group"
+
 
 # ---------------------------------------------------------------------------
 # Atoms and canonical form.
@@ -285,6 +291,21 @@ class TestChecksAtTheBoundary:
             with pytest.raises(DomainError) as exc:
                 build()
             assert exc.value.code == code
+
+    def test_localization_needs_a_prime_set(self):
+        # the atom was built, broken, and failed only when a table or sigma read it
+        for build in (lambda: Localization(5), lambda: localized(sigma(Z))):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == "not_a_group"
+
+    def test_tau_closure_rejects_a_bockstein_function(self):
+        # both are PrimeIndexed, and tau_closure answered with a SigmaSet built from the function's values
+        from extcalc import BocksteinFunction
+
+        with pytest.raises(DomainError) as exc:
+            tau_closure(BocksteinFunction.constant(1))
+        assert exc.value.code == "not_a_group"
 
     @pytest.mark.parametrize("count", [1.5, 0.5, True])
     def test_from_counts_rejects_a_non_integer_multiplicity(self, count):
@@ -532,6 +553,15 @@ class TestSigmaSetOps:
     def test_subset_counterexample(self):
         assert not sigma(Z).issubset(sigma(Q))
         assert sigma(Q).issubset(sigma(Z))
+
+    def test_escapes_in_inspection_order(self):
+        s, t = sigma(parse_group("Z/9 + Z/5^oo + Z_(7)")), sigma(parse_group("Z/5 + Q"))
+        assert s.primes_to_inspect(t) == (3, 5, 7, 2)
+        assert s.escapes(t) == (3, 7)  # Z/5^oo is in sigma(Z/5); the fresh prime 2 holds nothing
+        assert s.escapes(t, LOC) == (7,)
+        assert s.escapes(t, PRU) == (3, 7)
+        assert t.escapes(s) == (5,) and t.escapes(s, PRU) == ()  # Z/5 is in sigma(Z/5) alone
+        assert sigma(Z).escapes(sigma(Q)) == sigma(Z).primes_to_inspect(sigma(Q))
 
     def test_flag_names_round_trip(self):
         assert pattern_flags(PrimePattern.EMPTY) == ()

@@ -71,6 +71,13 @@ class TestDocuments:
                 {"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "rogue": {}}
             )
 
+    @pytest.mark.parametrize("key", [4, 1, True, "3"])
+    def test_build_rejects_a_non_prime_key(self, key):
+        # a key 4 was kept, and never read: coef_dimension on Z/4 looks at the prime 2
+        with pytest.raises(DomainError) as exc:
+            BocksteinFunction.build(1, PrimeTriple.constant(ExtNat(1)), {key: PrimeTriple.constant(ExtNat(2))})
+        assert exc.value.code == "not_prime"
+
     def test_exception_keys_must_be_primes(self):
         doc = {"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "exceptions": {"4": {"Zp": 1, "ZpInf": 1, "Zploc": 1}}}
         with pytest.raises(ParseError):
@@ -166,6 +173,14 @@ class TestSpInAe:
         alpha = BocksteinFunction.constant(1)
         with pytest.raises(DomainError):
             sp_in_ae(alpha, GradedGroup.of({0: Z}))
+
+    def test_a_point_still_needs_a_function(self):
+        # the empty homology extends over every compactum, so no degree ever read alpha
+        from extcalc import EMPTY_GRADED
+
+        with pytest.raises(DomainError) as exc:
+            sp_in_ae(5, EMPTY_GRADED)
+        assert exc.value.code == "not_a_group"
 
 
 class TestPrimeTripleValues:

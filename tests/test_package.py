@@ -1,6 +1,7 @@
 """The package as a whole: its public names, its documented error codes, that
 it runs without sympy, that it loads a module only when it is used, and that
-every public call types the groups and graded groups it takes."""
+every public call types the records it takes: groups, graded groups,
+matrices, chain complexes, Bockstein functions and bases, and prime sets."""
 
 import hashlib
 import inspect
@@ -118,14 +119,29 @@ def test_public_names_are_unchanged_and_are_their_modules_objects():
 
 
 # ---------------------------------------------------------------------------
-# The typed boundary: every parameter annotated as a group or a graded group.
+# The typed boundary: every parameter annotated as one of the record kinds.
 
-KINDS = ("AdmissibleGroup", "GradedGroup")
+# Each kind, and the kinds whose values are nearest to it: each is tried in its place.
+SIBLINGS = {
+    "AdmissibleGroup": ("GradedGroup",),
+    "GradedGroup": ("AdmissibleGroup",),
+    "IntMatrix": ("ChainComplex",),
+    "ChainComplex": ("IntMatrix",),
+    "BocksteinFunction": ("SigmaSet",),
+    "SigmaSet": ("BocksteinFunction", "PrimeSet"),
+    "PrimeSet": ("SigmaSet",),
+}
+KINDS = tuple(SIBLINGS)
 SAMPLES = {
     "AdmissibleGroup": extcalc.parse_group("Z/4 + Q"),
     "GradedGroup": extcalc.parse_graded("{1: Z/2 + Q, 3: Z}"),
+    "IntMatrix": extcalc.IntMatrix.from_rows([[2, 4], [6, 8]]),
+    "ChainComplex": extcalc.ChainComplex((1, 1), (extcalc.IntMatrix.from_rows([[2]]),)),
     "BocksteinFunction": extcalc.BocksteinFunction.constant(1),
-    "int": 2,  # a prime, so it also fills mod_p_trivial's p
+    "SigmaSet": extcalc.sigma(extcalc.parse_group("Z/4 + Q")),
+    "PrimeSet": extcalc.PrimeSet.of(2, 3),
+    "PrimePattern": extcalc.PrimePattern.CYCLIC,
+    "int": 2,  # a prime, so it also fills mod_p_trivial's p, and the column count of the sample matrix
 }
 
 
@@ -136,7 +152,7 @@ def _annotation(param) -> str:
 
 def group_callables() -> dict:
     """Qualified name -> (the callable's owner class or None, function, the
-    names of its group and graded-group parameters), over the functions in
+    names of its parameters of a kind in KINDS), over the functions in
     `extcalc.__all__` and the public methods and operators of its classes."""
     found = {}
     for name in extcalc.__all__[1:]:
@@ -163,8 +179,10 @@ GROUP_CALLABLES = group_callables()
 
 def test_the_walk_finds_every_group_parameter():
     # a renamed annotation would silently shrink the walk below
-    assert len(GROUP_CALLABLES) == 27
-    assert sum(len(params) for _, _, params in GROUP_CALLABLES.values()) == 37
+    assert len(GROUP_CALLABLES) == 46
+    assert sum(len(params) for _, _, params in GROUP_CALLABLES.values()) == 61
+    found = {_annotation(inspect.signature(fn).parameters[p]) for _, fn, params in GROUP_CALLABLES.values() for p in params}
+    assert found == set(KINDS)
 
 
 @pytest.mark.parametrize(
@@ -174,7 +192,7 @@ def test_a_value_of_another_kind_is_not_a_group(qualname, param):
     owner, fn, _ = GROUP_CALLABLES[qualname]
     signature = inspect.signature(fn)
     kind = _annotation(signature.parameters[param])
-    for bad in (5, 1.5, True, None, "Z", SAMPLES[KINDS[1 - KINDS.index(kind)]]):
+    for bad in (5, 1.5, True, None, "Z", *(SAMPLES[sibling] for sibling in SIBLINGS[kind])):
         args = []
         for p in signature.parameters.values():
             if p.name == param:

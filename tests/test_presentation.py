@@ -433,6 +433,12 @@ class TestChainHomology:
                 build()
             assert exc.value.code == "malformed_complex"
 
+    def test_a_boundary_must_be_a_matrix(self):
+        for boundaries in ((5,), ([[1]],), (ChainComplex((1,), ()),)):
+            with pytest.raises(DomainError) as exc:
+                ChainComplex((1, 1), boundaries)
+            assert exc.value.code == "not_a_group"
+
     def test_json_round_trip(self):
         doc = {"ranks": [1, 2, 1], "boundaries": [[[0, 0]], [[2], [-2]]]}
         assert ChainComplex.from_json(doc).to_json() == doc
