@@ -588,6 +588,7 @@ class PrimePattern(enum.Flag):
 
 
 FULL_PATTERN = PrimePattern.CYCLIC | PrimePattern.PRUFER | PrimePattern.LOCAL
+_CYCLIC_PRUFER = PrimePattern.CYCLIC | PrimePattern.PRUFER
 
 
 class BocksteinFlag(NamedTuple):
@@ -645,9 +646,7 @@ def pattern_flags(pat: PrimePattern) -> tuple[str, ...]:
 
 
 def _join(*values):
-    # A wide union repeats a handful of distinct patterns many times, and
-    # each Flag `|` is a Python-level call, so join the distinct ones only.
-    return functools.reduce(operator.or_, set(values))
+    return functools.reduce(operator.or_, values)
 
 
 class SigmaSet(PrimeIndexed[bool, PrimePattern]):
@@ -673,17 +672,6 @@ class SigmaSet(PrimeIndexed[bool, PrimePattern]):
 _checked_sigma = functools.partial(_checked_kind, kind=SigmaSet, name="a Bockstein basis")
 
 
-def _atom_sigma(atom: Atom) -> SigmaSet:
-    match atom:
-        case Localization(primes=ps):
-            inside, outside = (PrimePattern.EMPTY, FULL_PATTERN) if ps.cofinite else (FULL_PATTERN, PrimePattern.EMPTY)
-            return SigmaSet.build(True, outside, {p: inside for p in ps.members})
-        case Cyclic(prime=p):
-            return SigmaSet.build(False, PrimePattern.EMPTY, {p: PrimePattern.CYCLIC | PrimePattern.PRUFER})
-        case Prufer(prime=p):
-            return SigmaSet.build(False, PrimePattern.EMPTY, {p: PrimePattern.PRUFER})
-
-
 def sigma(group: AdmissibleGroup) -> SigmaSet:
     """The Bockstein basis of a nontrivial admissible group.
 
@@ -695,7 +683,7 @@ def sigma(group: AdmissibleGroup) -> SigmaSet:
     * Z/p^oo  belongs iff Tor(Z/p^oo, G) is nonzero or Z/p (x) G is nonzero.
 
     Both functors are additive, so sigma of a sum is the union over its
-    atoms, and each atom answers in closed form:
+    summands, taken in one pass; each atom answers in closed form:
 
     * Z_(l)   gives Q and, at each prime in l, all of Z/p, Z/p^oo, Z_(p),
     * Z/p^k   gives Z/p and Z/p^oo at p,
@@ -705,7 +693,22 @@ def sigma(group: AdmissibleGroup) -> SigmaSet:
     {'rational': False, 'default': [], 'exceptions': {'2': ['cyclic', 'prufer'], '3': ['cyclic', 'prufer']}}
     """
     _checked_group(group, "the Bockstein basis of the trivial group is undefined")
-    return SigmaSet.combine(_join, _join, *{_atom_sigma(a) for a, _ in group.summands})
+    rational, at, outside = False, {}, None  # outside: the primes no cofinite localization holds
+    for a, _ in group.summands:
+        if type(a) is Localization:
+            rational, ps = True, a.primes
+            if ps.cofinite:
+                outside = set(ps.members) if outside is None else outside.intersection(ps.members)
+            else:
+                at.update(dict.fromkeys(ps.members, FULL_PATTERN))
+        # The patterns at a prime form a chain, Z/p^oo < +Z/p < +Z_(p), so a union keeps the larger.
+        elif type(a) is Prufer:
+            at.setdefault(a.prime, PrimePattern.PRUFER)
+        elif at.get(a.prime) is not FULL_PATTERN:
+            at[a.prime] = _CYCLIC_PRUFER
+    if outside is None:
+        return SigmaSet.build(rational, PrimePattern.EMPTY, at)
+    return SigmaSet.build(True, FULL_PATTERN, {p: at.get(p, PrimePattern.EMPTY) for p in outside})
 
 
 def tau_closure(s: SigmaSet) -> SigmaSet:
@@ -715,7 +718,7 @@ def tau_closure(s: SigmaSet) -> SigmaSet:
     in, and Z_(p) joins exactly when both Z/p^oo and Q are in.  The result
     always contains the input.
     """
-    closed = FULL_PATTERN if _checked_sigma(s).rational else PrimePattern.CYCLIC | PrimePattern.PRUFER
+    closed = FULL_PATTERN if _checked_sigma(s).rational else _CYCLIC_PRUFER
     return SigmaSet.combine(bool, lambda pat: closed if PrimePattern.PRUFER in pat else PrimePattern.EMPTY, s)
 
 

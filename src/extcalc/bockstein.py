@@ -35,12 +35,11 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
 
     @classmethod
     def build(cls, rational, default: PrimeTriple, exceptions=()) -> "BocksteinFunction":
-        exceptions = {_checked_prime(p): t for p, t in dict(exceptions).items()}
-        return cls._build(ExtNat.of(rational), default, exceptions)
+        exceptions = {_checked_prime(p): _checked_triple(t) for p, t in dict(exceptions).items()}
+        return cls._build(_checked_value(rational), _checked_triple(default), exceptions)
 
     @classmethod
     def constant(cls, value) -> "BocksteinFunction":
-        value = ExtNat.of(value)
         return cls.build(value, PrimeTriple.constant(value))
 
     def to_json(self):
@@ -79,6 +78,19 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
 
 
 _checked_alpha = partial(_checked_kind, kind=BocksteinFunction, name="a Bockstein function")
+
+
+def _checked_value(value) -> ExtNat:
+    """`value` (an int, an ExtNat or "inf") as an ExtNat, else `bad_dimension`."""
+    try:
+        return ExtNat.of(value)
+    except ValueError as exc:
+        raise DomainError(str(exc), code="bad_dimension") from None
+
+
+def _checked_triple(t) -> PrimeTriple:
+    _checked_kind(t, PrimeTriple, "a PrimeTriple")
+    return t if set(map(type, t)) == {ExtNat} else PrimeTriple(*map(_checked_value, t))
 
 
 # ---------------------------------------------------------------------------

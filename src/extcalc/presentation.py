@@ -500,6 +500,11 @@ class ChainComplex:
     boundaries: tuple[IntMatrix, ...]
 
     def __post_init__(self):
+        for name in ("ranks", "boundaries"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:
+                raise DomainError(f"chain {name} must be a sequence, not {getattr(self, name)!r}", code="malformed_complex") from None
         for r in self.ranks:
             _checked_int(r, 0, code="malformed_complex", message="chain ranks must be nonnegative")
         if len(self.boundaries) != max(0, len(self.ranks) - 1):

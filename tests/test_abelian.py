@@ -1,7 +1,11 @@
 """Core algebra: extended naturals, prime sets, canonical groups, the
 tensor/Tor tables, and Bockstein bases."""
 
+import functools
+import itertools
+import operator
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -442,7 +446,31 @@ def sigma_by_tensor_tests(group):
     return sset(rational, tests(fresh_prime(support)), {p: tests(p) for p in support})
 
 
+def atom_sigma(atom):
+    """sigma of one atom, read from the closed-form table."""
+    match atom:
+        case Localization(primes=ps):
+            inside, outside = (PrimePattern.EMPTY, FULL_PATTERN) if ps.cofinite else (FULL_PATTERN, PrimePattern.EMPTY)
+            return sset(True, outside, {p: inside for p in ps.members})
+        case Cyclic(prime=p):
+            return sset(False, PrimePattern.EMPTY, {p: CYC | PRU})
+        case Prufer(prime=p):
+            return sset(False, PrimePattern.EMPTY, {p: PRU})
+
+
+def sigma_by_atom_union(group):
+    """The union of the bases of the distinct atoms, each read from the
+    table and combined at every prime any of them lists: the route `sigma`
+    took before it read the summands in one pass, now a second oracle."""
+
+    def join(*values):  # a wide union repeats a few patterns, and each Flag `|` is a Python call
+        return functools.reduce(operator.or_, set(values))
+
+    return SigmaSet.combine(join, join, *{atom_sigma(a) for a, _ in group.summands})
+
+
 WIDE_PRIMES = tuple(primerange(2, 2742))  # the first 400 primes
+SCALING_PRIMES = tuple(primerange(2, 40000))
 
 
 def wide_group(rng, size):
@@ -461,6 +489,26 @@ def wide_group(rng, size):
             atoms.append(Cyclic(rng.choice(WIDE_PRIMES), rng.randint(1, 4)))
         else:
             atoms.append(Prufer(rng.choice(WIDE_PRIMES)))
+    return AdmissibleGroup.of(*atoms)
+
+
+def scaling_group(rng, size):
+    """A sum of `size` atoms over SCALING_PRIMES whose localizations list 50
+    primes each; the cofinite ones share 25 excluded primes, which a tenth
+    of the torsion atoms also use."""
+    shared = rng.sample(SCALING_PRIMES, 25)
+    atoms = []
+    while len(atoms) < size:
+        roll = rng.random()
+        p = rng.choice(shared) if rng.random() < 0.1 else rng.choice(SCALING_PRIMES)
+        if roll < 0.05:
+            atoms.append(Localization(PrimeSet.excluding(*shared, *rng.sample(SCALING_PRIMES, 25))))
+        elif roll < 0.1:
+            atoms.append(Localization(PrimeSet.of(*rng.sample(SCALING_PRIMES, 50))))
+        elif roll < 0.55:
+            atoms.append(Cyclic(p, rng.randint(1, 4)))
+        else:
+            atoms.append(Prufer(p))
     return AdmissibleGroup.of(*atoms)
 
 
@@ -496,17 +544,43 @@ class TestSigma:
 
     @given(st_nontrivial_group)
     def test_closed_form_matches_tensor_tests(self, g):
-        assert sigma(g) == sigma_by_tensor_tests(g)
+        assert sigma(g) == sigma_by_tensor_tests(g) == sigma_by_atom_union(g)
 
     def test_closed_form_matches_tensor_tests_on_wide_groups(self):
         rng = random.Random(2004)
         for size in (100, 150, 200, 250, 300, 350, 400, 120):
             g = wide_group(rng, size)
-            assert sigma(g) == sigma_by_tensor_tests(g)
+            assert sigma(g) == sigma_by_tensor_tests(g) == sigma_by_atom_union(g)
 
     def test_cofinite_localization_with_torsion_at_an_excluded_prime(self):
         g = localized(PrimeSet.excluding(2, 3)) + Z2 + P3
         assert sigma(g) == sset(True, FULL_PATTERN, {2: CYC | PRU, 3: PRU}) == sigma_by_tensor_tests(g)
+        assert sigma(g) == sigma_by_atom_union(g)
+
+    def test_several_cofinite_localizations(self):
+        # only the primes every cofinite localization excludes are exceptions,
+        # and a finite localization or a torsion atom fills them in
+        g = parse_group("Z_(~2,3,5,7) + Z_(~3,5,7,11) + Z_(~5,7,13) + Z_(5) + Z/49 + Z/3^oo")
+        assert sigma(g) == sset(True, FULL_PATTERN, {7: CYC | PRU}) == sigma_by_tensor_tests(g)
+        assert sigma(g) == sigma_by_atom_union(g)
+        g = localized(PrimeSet.excluding(2)) + localized(PrimeSet.excluding(3)) + Q + Z2
+        assert sigma(g) == sigma(Z) == sigma_by_tensor_tests(g) == sigma_by_atom_union(g)
+
+    def test_summand_order_does_not_matter(self):
+        # a group built from its record keeps its summands in the order given
+        atoms = (Prufer(2), Cyclic(2, 1), Localization(PrimeSet.of(2)), Prufer(3), Cyclic(3, 2), Localization(PrimeSet.excluding(3)))
+        expected = sigma(AdmissibleGroup.of(*atoms))
+        for order in itertools.permutations(atoms):
+            assert sigma(AdmissibleGroup(tuple((a, 1) for a in order))) == expected
+
+    def test_scales_with_the_summands(self):
+        # the union of per-atom bases took over a second on this group: it
+        # read every atom at every prime any atom lists
+        g = scaling_group(random.Random(1600), 1600)
+        start = time.perf_counter()
+        s = sigma(g)
+        assert time.perf_counter() - start < 0.5
+        assert s.exceptions and s == sigma_by_atom_union(g)
 
     @given(st_nontrivial_group)
     def test_membership_chain(self, g):

@@ -78,6 +78,33 @@ class TestDocuments:
             BocksteinFunction.build(1, PrimeTriple.constant(ExtNat(1)), {key: PrimeTriple.constant(ExtNat(2))})
         assert exc.value.code == "not_prime"
 
+    @pytest.mark.parametrize("default", [5, None, (1, 1, 1), PrimeTriple.constant(ExtNat(1)).to_json()])
+    def test_build_rejects_a_default_that_is_not_a_triple(self, default):
+        # a default 5 was kept, and covering_dimension then raised a TypeError
+        with pytest.raises(DomainError) as exc:
+            BocksteinFunction.build(1, default)
+        assert exc.value.code == "not_a_group"
+        with pytest.raises(DomainError) as exc:
+            BocksteinFunction.build(1, PrimeTriple.constant(ExtNat(1)), {2: default})
+        assert exc.value.code == "not_a_group"
+
+    @pytest.mark.parametrize("value", ["x", -1, 1.5, None])
+    def test_build_rejects_a_value_that_is_not_a_natural(self, value):
+        # the rational value "x" raised a ValueError from ExtNat.of
+        for build in (
+            lambda: BocksteinFunction.build(value, PrimeTriple.constant(ExtNat(1))),
+            lambda: BocksteinFunction.build(1, PrimeTriple(ExtNat(1), value, ExtNat(1))),
+            lambda: BocksteinFunction.constant(value),
+        ):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == "bad_dimension"
+
+    def test_build_reads_int_and_inf_values(self):
+        alpha = BocksteinFunction.build(2, PrimeTriple(1, "inf", ExtNat(2)), {3: PrimeTriple(0, 0, 0)})
+        assert alpha == bf(2, (1, "inf", 2), {3: triple(0, 0, 0)})
+        assert alpha.to_json()["default"] == {"Zp": 1, "ZpInf": "inf", "Zploc": 2}
+
     def test_exception_keys_must_be_primes(self):
         doc = {"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "exceptions": {"4": {"Zp": 1, "ZpInf": 1, "Zploc": 1}}}
         with pytest.raises(ParseError):

@@ -433,6 +433,18 @@ class TestChainHomology:
                 build()
             assert exc.value.code == "malformed_complex"
 
+    @pytest.mark.parametrize("ranks, boundaries", [(5, ()), ((1,), 5), (None, ()), ((1, 1), None)])
+    def test_ranks_and_boundaries_must_be_sequences(self, ranks, boundaries):
+        # ChainComplex(5, ()) raised a TypeError from iterating 5
+        with pytest.raises(DomainError) as exc:
+            ChainComplex(ranks, boundaries)
+        assert exc.value.code == "malformed_complex"
+
+    def test_lists_are_read_as_tuples(self):
+        c = ChainComplex([1, 1], [IntMatrix.from_rows([[2]])])
+        assert c == ChainComplex((1, 1), (IntMatrix.from_rows([[2]]),))
+        hash(c)  # list fields made the record unhashable
+
     def test_a_boundary_must_be_a_matrix(self):
         for boundaries in ((5,), ([[1]],), (ChainComplex((1,), ()),)):
             with pytest.raises(DomainError) as exc:
