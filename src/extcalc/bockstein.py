@@ -89,8 +89,7 @@ def _checked_value(value) -> ExtNat:
 
 
 def _checked_triple(t) -> PrimeTriple:
-    _checked_kind(t, PrimeTriple, "a PrimeTriple")
-    return t if set(map(type, t)) == {ExtNat} else PrimeTriple(*map(_checked_value, t))
+    return PrimeTriple(*map(_checked_value, _checked_kind(t, PrimeTriple, "a PrimeTriple")))
 
 
 # ---------------------------------------------------------------------------
