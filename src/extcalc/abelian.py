@@ -228,6 +228,15 @@ def _checked_kind(value, kind, name):
     return value
 
 
+def _converted(value, convert, name, code="not_a_group"):
+    """convert(value) of a collection a record takes (to a dict, set, list or
+    length); a DomainError `code` saying that `name` is required if it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):  # not a collection, unhashable, or (dict) not of pairs
+        raise DomainError(f"{name} is required, not {value!r}", code=code) from None
+
+
 def _checked_group(group, trivial=None) -> "AdmissibleGroup":
     """`group` when it is an AdmissibleGroup, and nontrivial when `trivial`
     (the message for a trivial one) is given; otherwise a DomainError,
@@ -251,7 +260,8 @@ class PrimeSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(map(_checked_prime, sorted(set(self.members)))))
+        members = _converted(self.members, lambda m: sorted(set(m)), "a collection of primes")
+        object.__setattr__(self, "members", tuple(map(_checked_prime, members)))
 
     @classmethod
     def of(cls, *primes: int) -> "PrimeSet":
@@ -292,10 +302,7 @@ NO_PRIMES = PrimeSet.of()
 
 def fresh_prime(used) -> int:
     """The smallest prime not in `used`, a collection of ints."""
-    try:
-        used = set(used)
-    except TypeError:  # not iterable, or holding an unhashable value
-        raise DomainError(f"a collection of primes is required, not {used!r}", code="not_a_group") from None
+    used = _converted(used, set, "a collection of primes")
     p = 2
     while p in used or not isprime(p):
         p += 1

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .abelian import (
     BOCKSTEIN_FLAGS, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, _checked_int, _checked_kind,
-    _checked_prime, _record, sigma, tau_closure,
+    _checked_prime, _converted, _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup, _checked_graded
@@ -35,7 +35,8 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
 
     @classmethod
     def build(cls, rational, default: PrimeTriple, exceptions=()) -> "BocksteinFunction":
-        exceptions = {_checked_prime(p): _checked_triple(t) for p, t in dict(exceptions).items()}
+        listed = _converted(exceptions, dict, "a mapping of primes to PrimeTriples").items()
+        exceptions = {_checked_prime(p): _checked_triple(t) for p, t in listed}
         return cls._build(_checked_value(rational), _checked_triple(default), exceptions)
 
     @classmethod

@@ -91,9 +91,9 @@ def sp_factors_as_em(k: GradedGroup, group: AdmissibleGroup, n: int) -> ClauseRe
     for i, g in k.entries:
         if i >= n:
             si = sigma(g)
-            if not si.issubset(tg):
-                prime = None if si.rational and not tg.rational else si.escapes(tg)[0]  # None: it escapes at Q
-                failures.append(ClauseFailure("c", i, prime, "Bockstein basis escapes tau of the comparison group"))
+            primes = (None,) if si.rational and not tg.rational else si.escapes(tg)  # None: it escapes at Q
+            if primes:
+                failures.append(ClauseFailure("c", i, primes[0], "Bockstein basis escapes tau of the comparison group"))
     return ClauseReport(not failures, tuple(failures))
 
 

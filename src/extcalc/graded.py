@@ -10,7 +10,8 @@ integer degrees.  Two readings are used side by side:
   a complex is paired against a compactum and the natural index is the
   difference of the two gradings.
 
-Coefficient operations are degreewise tensor/Tor; the dimension order reads sigma.
+Coefficient operations are degreewise tensor/Tor, and cohomology is homology
+on the reflected grading (degree d moved to -d); the dimension order reads sigma.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Optional
 
 from .abelian import (
     AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern, PrimeSet, PrimeTriple,
-    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _checked_kind, _record, _trusted, fresh_prime, sigma,
+    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _checked_kind, _converted, _record, _trusted, fresh_prime,
+    sigma,
 )
 from .errors import DomainError
 
@@ -38,7 +40,7 @@ class GradedGroup:
     @classmethod
     def of(cls, mapping) -> "GradedGroup":
         items = []
-        for degree, group in dict(mapping).items():
+        for degree, group in _converted(mapping, dict, "a mapping of degrees to groups").items():
             _checked_int(degree, code="bad_degree", message="a graded group is indexed by degrees")
             if not _checked_group(group).is_trivial:
                 items.append((degree, group))
@@ -136,37 +138,32 @@ def suspend(k: GradedGroup, r: int) -> GradedGroup:
     return _checked_graded(k).shift(r)
 
 
+def _reflect(x: GradedGroup) -> GradedGroup:
+    """x with each degree d moved to -d: the grading in which a compactum's
+    stored cohomology reads as homology."""
+    return GradedGroup(tuple((-d, g) for d, g in reversed(_checked_graded(x).entries)))
+
+
 def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
     """Cohomology of a compactum with stored cohomology `x` and coefficients
-    `group`: degree d holds (G (x) x_d) (+) Tor(G, x_{d+1}).
-
-    The Tor partner sits one stored degree up because stored degrees run
-    opposite to the reversed grading in which the coefficient formula is
-    stated.
-    """
-    _checked_group(group, "coefficient group must be nontrivial")
-    return _collect(t for d, g in _checked_graded(x).entries for t in ((d, group.tensor(g)), (d - 1, group.tor(g))))
+    `group`: degree d holds (G (x) x_d) (+) Tor(G, x_{d+1}), which is homology
+    with coefficients on the reflected grading."""
+    _checked_group(group, "coefficient group must be nontrivial")  # before x, as in homology_with_coefficients
+    return _reflect(homology_with_coefficients(_reflect(x), group))
 
 
 def pairing(x: GradedGroup, k: GradedGroup) -> tuple[GradedGroup, GradedGroup]:
     """Pair a compactum (cohomology data `x`) against a complex (homology
-    data `k`).
+    data `k`): the smash of k with x on the reflected grading.
 
     Output degree n holds the mixed cohomology in reversed degree n, where a
     complex contribution in degree j against a compactum contribution in
     stored degree d lands at n = j - d; negative n can occur.  The two
-    components compute the same answer along the two expansion orders and
-    must agree degreewise.
+    components are the smash's two expansion orders, through the cohomology
+    of x and through the homology of k, and must agree degreewise.
     """
-    via_cohomology = _paired_via_cohomology(x, k)
-    via_homology = _collect((i - d, h) for d, g in x.entries for i, h in homology_with_coefficients(k, g).entries)
-    return via_cohomology, via_homology
-
-
-def _paired_via_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
-    """The first component of `pairing`, expanded through the cohomology of x."""
-    x, k = _checked_graded(x), _checked_graded(k)
-    return _collect((j - d, h) for j, g in k.entries for d, h in cohomology_with_coefficients(x, g).entries)
+    reflected = _reflect(x)
+    return smash(reflected, k), smash(k, reflected)
 
 
 def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool, bool]:
@@ -176,22 +173,14 @@ def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool,
     2. homology of k with coefficients x_d vanishes in degrees i <= d - m,
     3. cohomology of x with coefficients k_j vanishes in degrees i >= j + m.
 
-    Only 2 and 3 are independent expansions: 1 and 3 both read the groups
-    cohomology_with_coefficients(x, k_j), 1 after summing them degreewise.
+    Only 2 and 3 are independent expansions, the pairing's two routes; a sum
+    of nonzero groups is nonzero, so 1 and 3 are one predicate on the first.
     """
     _checked_int(m, code="bad_degree", message="the vanishing test takes a degree m")
-    first = all(n > -m for n in _paired_via_cohomology(x, k).degrees)
-    second = all(
-        i > d - m
-        for d, g in x.entries
-        for i in homology_with_coefficients(k, g).degrees
-    )
-    third = all(
-        i < j + m
-        for j, g in k.entries
-        for i in cohomology_with_coefficients(x, g).degrees
-    )
-    return first, second, third
+    reflected = _reflect(x)
+    first = all(n > -m for n in smash(reflected, k).degrees)
+    second = all(n > -m for n in smash(k, reflected).degrees)
+    return first, second, first
 
 
 @_record

@@ -26,7 +26,8 @@ from itertools import chain, compress
 from math import gcd
 
 from .abelian import (
-    ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _checked_kind, _is_int, _record, _trusted,
+    ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _checked_kind, _converted, _is_int, _record,
+    _trusted,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
@@ -48,7 +49,7 @@ class IntMatrix:
     def __post_init__(self):
         for n in (self.rows, self.cols):
             _checked_int(n, 0, code="bad_shape", message="matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if _converted(self.entries, len, "a sequence of matrix entries", "bad_entry") != self.rows * self.cols:
             raise DomainError("entry count does not match dimensions", code="bad_shape")
         if not set(map(type, self.entries)) <= {int}:  # only a subclass or a non-int needs a closer look
             for e in self.entries:
@@ -57,7 +58,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data, cols: int | None = None) -> "IntMatrix":
-        data = [list(row) for row in data]
+        data = _converted(data, lambda rows: [list(row) for row in rows], "a sequence of matrix rows", "bad_shape")
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

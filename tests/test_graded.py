@@ -38,10 +38,30 @@ from extcalc import (
     vanishing_check,
 )
 from extcalc.abelian import BOCKSTEIN_FLAGS
+from extcalc.graded import _collect
 from test_abelian import wide_group
 
 Z2, Z4 = cyclic(2), cyclic(4)
 P2 = prufer(2)
+
+
+def cohomology_by_formula(x: GradedGroup, group) -> GradedGroup:
+    """Oracle: cohomology with coefficients by its own formula on the stored
+    grading (the route `cohomology_with_coefficients` took before it read
+    homology on the reflected grading): degree d holds
+    (G (x) x_d) (+) Tor(G, x_{d+1})."""
+    return _collect(t for d, g in x.entries for t in ((d, group.tensor(g)), (d - 1, group.tor(g))))
+
+
+def paired_by_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
+    """Oracle: the pairing expanded through the cohomology of x, a complex
+    degree j against a stored degree d landing at j - d (the first route
+    before the pairing became a smash on the reflected grading)."""
+    return _collect((j - d, h) for j, g in k.entries for d, h in cohomology_by_formula(x, g).entries)
+
+
+# graded groups with negative degrees too, as pairing outputs have them
+st_signed_graded = st_graded | st.builds(lambda x, k: pairing(x, k)[0], st_graded, st_graded)
 
 
 class TestGradedGroup:
@@ -182,6 +202,10 @@ class TestCohomologyWithCoefficients:
         x = GradedGroup.of({2: Z + Z})
         assert cohomology_with_coefficients(x, Z2) == GradedGroup.of({2: Z2 + Z2})
 
+    @given(st_signed_graded, st_nontrivial_group)
+    def test_matches_the_formula(self, x, g):
+        assert cohomology_with_coefficients(x, g) == cohomology_by_formula(x, g)
+
 
 class TestPairing:
     def test_sphere_against_sphere(self):
@@ -201,6 +225,11 @@ class TestPairing:
         first, second = pairing(x, k)
         assert first == second
 
+    @given(st_signed_graded, st_signed_graded)
+    def test_both_routes_match_the_cohomology_expansion(self, x, k):
+        expected = paired_by_cohomology(x, k)
+        assert pairing(x, k) == (expected, expected)
+
     @given(st_graded, st_graded, st.integers(min_value=0, max_value=3))
     def test_suspension_shifts_pairing(self, x, k, r):
         base = pairing(x, k)[0]
@@ -218,7 +247,7 @@ class TestVanishing:
         k = GradedGroup.of({1: Z2})
         assert vanishing_check(x, k, 1) == (False, False, False)
 
-    def test_reads_one_pairing_route(self, monkeypatch):
+    def test_expands_each_entry_once(self, monkeypatch):
         x, k = GradedGroup.of({2: Z2, 3: Q}), GradedGroup.of({1: Z2})
         expected = vanishing_check(x, k, 2)
         calls = []
@@ -233,7 +262,16 @@ class TestVanishing:
         monkeypatch.setattr("extcalc.graded.pairing", refuse)
         monkeypatch.setattr("extcalc.graded.homology_with_coefficients", counted)
         assert vanishing_check(x, k, 2) == expected
-        assert len(calls) == len(x.entries)  # condition 2 only
+        assert len(calls) == len(x.entries) + len(k.entries)  # one smash of each order
+
+    @given(st_signed_graded, st_graded, st.integers(min_value=-3, max_value=5))
+    def test_statements_match_the_expansions(self, x, k, m):
+        statements = (
+            all(n > -m for n in paired_by_cohomology(x, k).degrees),
+            all(i > d - m for d, g in x.entries for i in homology_with_coefficients(k, g).degrees),
+            all(i < j + m for j, g in k.entries for i in cohomology_by_formula(x, g).degrees),
+        )
+        assert vanishing_check(x, k, m) == statements
 
     @given(st_graded, st_graded, st.integers(min_value=0, max_value=5))
     def test_conditions_agree(self, x, k, m):

@@ -208,3 +208,31 @@ def test_a_value_of_another_kind_is_not_a_group(qualname, param):
         with pytest.raises(extcalc.ExtcalcError) as caught:
             fn(*args)
         assert caught.value.code == "not_a_group", (bad, caught.value)
+
+
+ONES = extcalc.PrimeTriple.constant(extcalc.ExtNat(1))
+
+
+@pytest.mark.parametrize(
+    "build, code",
+    [
+        (lambda: extcalc.BocksteinFunction.build(1, ONES, 5), "not_a_group"),
+        (lambda: extcalc.BocksteinFunction.build(1, ONES, "Z"), "not_a_group"),
+        (lambda: extcalc.IntMatrix(1, 1, 5), "bad_entry"),
+        (lambda: extcalc.GradedGroup.of(5), "not_a_group"),
+        (lambda: extcalc.GradedGroup.of("Z"), "not_a_group"),
+        (lambda: extcalc.PrimeSet(False, 5), "not_a_group"),
+        (lambda: extcalc.PrimeSet(False, ([2],)), "not_a_group"),
+        (lambda: extcalc.IntMatrix.from_rows(5), "bad_shape"),
+        (lambda: extcalc.IntMatrix.from_rows([5]), "bad_shape"),
+    ],
+    ids=[
+        "exceptions 5", "exceptions text", "entries 5", "graded 5", "graded text",
+        "members 5", "unhashable member", "rows 5", "row 5",
+    ],
+)
+def test_a_collection_a_record_takes_is_typed(build, code):
+    # each of these raised a raw TypeError or ValueError from dict(), len(), set() or list()
+    with pytest.raises(extcalc.ExtcalcError) as caught:
+        build()
+    assert caught.value.code == code
