@@ -27,7 +27,6 @@ import enum
 import functools
 import itertools
 import operator
-from collections import Counter
 from typing import Any, Generic, NamedTuple, TypeVar
 
 from .errors import DomainError, ParseError
@@ -219,22 +218,26 @@ def _checked_int(value, least=None, *, code, message):
     return value
 
 
+def _required(name, value, code="not_a_group") -> DomainError:
+    """The DomainError `code` saying that `name` is required, not `value`."""
+    return DomainError(f"{name} is required, not {value!r}", code=code)
+
+
 def _checked_kind(value, kind, name):
-    """`value` when it is an instance of `kind`; otherwise a DomainError
-    `not_a_group`, the one code for a value of another kind, saying that
-    `name` is required."""
+    """`value` when it is an instance of `kind`; otherwise `_required(name)`:
+    `not_a_group` is the one code for a value of another kind."""
     if not isinstance(value, kind):
-        raise DomainError(f"{name} is required, not {value!r}", code="not_a_group")
+        raise _required(name, value)
     return value
 
 
 def _converted(value, convert, name, code="not_a_group"):
-    """convert(value) of a collection a record takes (to a dict, set, list or
-    length); a DomainError `code` saying that `name` is required if it fails."""
+    """convert(value) of a collection a record takes (to a dict, set, tuple or
+    canonical form); `_required(name, code)` if it fails."""
     try:
         return convert(value)
     except (TypeError, ValueError):  # not a collection, unhashable, or (dict) not of pairs
-        raise DomainError(f"{name} is required, not {value!r}", code=code) from None
+        raise _required(name, value, code) from None
 
 
 def _checked_group(group, trivial=None) -> "AdmissibleGroup":
@@ -348,16 +351,18 @@ class Prufer:
 Atom = Localization | Cyclic | Prufer
 
 
-def _atom_key(a: Atom):
+def _summand_key(summand: tuple[Atom, int]):
     # Localizations first (Z-like before Q-like), then cyclics by prime and
     # power, then Prufer groups; gives the canonical display order.
-    match a:
+    match summand[0]:
         case Localization(primes=ps):
             return (0, 0 if ps.cofinite else 1, ps.members)
         case Cyclic(prime=p, power=k):
             return (1, p, k)
         case Prufer(prime=p):
             return (2, p, 0)
+        case other:
+            raise _required("an atom", other)
 
 
 def _atom_support(a: Atom):
@@ -374,10 +379,9 @@ def _atom_support(a: Atom):
 
 @_record
 class AdmissibleGroup:
-    """A finite direct sum of atoms, stored canonically.
-
-    ``summands`` is a sorted tuple of (atom, multiplicity) pairs with positive
-    multiplicities; two groups are isomorphic iff the records are equal.
+    """A finite direct sum of atoms, stored canonically: the constructor (which `of`
+    and `from_counts` call) takes a mapping of atoms to multiplicities or such pairs and
+    stores ``summands`` as sorted pairs with positive multiplicities, so isomorphic groups are equal.
 
     >>> cyclic(12)
     AdmissibleGroup(Z/4 + Z/3)
@@ -387,20 +391,25 @@ class AdmissibleGroup:
 
     summands: tuple[tuple[Atom, int], ...]
 
+    def __post_init__(self):
+        summands, counts = self.summands, {}
+        try:
+            for a, n in summands.items() if hasattr(summands, "items") else summands:
+                if type(n) is not int or n < 0:  # every group sum runs this loop, so not _checked_int
+                    raise DomainError(f"multiplicity must be an integer >= 0, got {n!r}", code="bad_multiplicity")
+                if n:  # pairs may repeat an atom: its multiplicities add
+                    counts[a] = counts.get(a, 0) + n
+        except (TypeError, ValueError):  # not a mapping or a collection of pairs, or an unhashable atom
+            raise _required("a mapping of atoms to multiplicities", summands) from None
+        object.__setattr__(self, "summands", tuple(sorted(counts.items(), key=_summand_key)))
+
     @classmethod
     def of(cls, *atoms: Atom) -> "AdmissibleGroup":
-        return cls.from_counts(Counter(atoms))
+        return cls.from_counts([(a, 1) for a in atoms])
 
     @classmethod
     def from_counts(cls, counts) -> "AdmissibleGroup":
-        items = []
-        for a, n in dict(counts).items():
-            if type(n) is not int or n < 0:  # every group sum runs this loop, so not _checked_int
-                raise DomainError(f"multiplicity must be an integer >= 0, got {n!r}", code="bad_multiplicity")
-            if n:
-                items.append((a, n))
-        items.sort(key=lambda item: _atom_key(item[0]))
-        return cls(tuple(items))
+        return cls(counts)
 
     @property
     def is_trivial(self) -> bool:
@@ -414,10 +423,7 @@ class AdmissibleGroup:
     def __add__(self, other: "AdmissibleGroup") -> "AdmissibleGroup":
         if not isinstance(other, AdmissibleGroup):
             return NotImplemented  # Python's rule for operators: `Z + 5` is a TypeError
-        counts = Counter(dict(self.summands))
-        for a, n in other.summands:
-            counts[a] += n
-        return AdmissibleGroup.from_counts(counts)
+        return AdmissibleGroup.from_counts(self.summands + other.summands)
 
     def support_primes(self) -> tuple[int, ...]:
         """Primes mentioned by any atom (localization lists count)."""
@@ -444,12 +450,12 @@ class AdmissibleGroup:
             else:
                 by_prime.setdefault(b.prime, []).append((b, m))
         at_prime = {p: flat + atoms for p, atoms in by_prime.items()}
-        counts = Counter()
+        terms = []
         for a, n in self.summands:
             for b, m in other.summands if type(a) is Localization else at_prime.get(a.prime, flat):
                 if (c := table(a, b)) is not None:
-                    counts[c] += n * m
-        return AdmissibleGroup.from_counts(counts)
+                    terms.append((c, n * m))
+        return AdmissibleGroup.from_counts(terms)
 
     def __repr__(self):
         from .dsl import format_group  # local import: dsl depends on this module
@@ -526,21 +532,22 @@ class PrimeIndexed(Generic[R, V]):
     """A value on Q plus a value at every prime, uniform in the prime
     outside finitely many exceptions.
 
-    ``default`` is the value at every prime not listed in ``exceptions``;
-    ``exceptions`` is sorted by prime and lists only values different from
-    the default, so equal objects describe equal functions.
+    ``default`` is the value at every prime not listed in ``exceptions``, which the
+    constructor (`build` calls it) takes as a mapping of primes to values or such pairs and
+    stores sorted by prime, with only values unequal to the default: equal objects, equal functions.
     """
 
     rational: R
     default: V
-    exceptions: tuple[tuple[int, V], ...]
+    exceptions: tuple[tuple[int, V], ...] = ()
+
+    def __post_init__(self):
+        listed = _converted(self.exceptions, dict, "a mapping of primes to values").items()
+        object.__setattr__(self, "exceptions", tuple(sorted((p, v) for p, v in listed if v != self.default)))
 
     @classmethod
     def build(cls, rational: R, default: V, exceptions=()):
-        pairs = sorted((p, v) for p, v in dict(exceptions).items() if v != default)
-        return cls(rational, default, tuple(pairs))
-
-    _build = build  # `build` unchecked, for a subclass whose `build` checks its primes
+        return cls(rational, default, exceptions)
 
     @classmethod
     def combine(cls, rational_fn, value_fn, *items: "PrimeIndexed"):
@@ -549,7 +556,7 @@ class PrimeIndexed(Generic[R, V]):
         tables = [dict(x.exceptions) for x in items]
         defaults = [x.default for x in items]
         primes = set().union(*tables)
-        return cls._build(
+        return cls(
             rational_fn(*(x.rational for x in items)),
             value_fn(*defaults),
             {p: value_fn(*(t.get(p, d) for t, d in zip(tables, defaults))) for p in primes},
@@ -596,6 +603,7 @@ class PrimePattern(enum.Flag):
 
 FULL_PATTERN = PrimePattern.CYCLIC | PrimePattern.PRUFER | PrimePattern.LOCAL
 _CYCLIC_PRUFER = PrimePattern.CYCLIC | PrimePattern.PRUFER
+_LOCAL_PATTERNS = {PrimePattern.EMPTY, FULL_PATTERN}  # the patterns of sigma(Z_(l)) at a prime
 
 
 class BocksteinFlag(NamedTuple):
@@ -740,12 +748,7 @@ def sigma_matches_localization(s: SigmaSet) -> PrimeSet | None:
     groups (p in l) or none (p not in l); anything else matches no
     localization.
     """
-    if not _checked_sigma(s).rational:
+    if not _checked_sigma(s).rational or not {s.default, *dict(s.exceptions).values()} <= _LOCAL_PATTERNS:
         return None
-    if s.default not in (PrimePattern.EMPTY, FULL_PATTERN):
-        return None
-    if any(pat not in (PrimePattern.EMPTY, FULL_PATTERN) for _, pat in s.exceptions):
-        return None
-    if s.default == FULL_PATTERN:
-        return PrimeSet.excluding(*(p for p, pat in s.exceptions if pat == PrimePattern.EMPTY))
-    return PrimeSet.of(*(p for p, pat in s.exceptions if pat == FULL_PATTERN))
+    # an exception is stored only where it differs from the default, so here it is the other pattern
+    return PrimeSet(s.default == FULL_PATTERN, s.exception_primes)

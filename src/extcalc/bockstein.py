@@ -30,14 +30,15 @@ from .primes import isprime
 
 
 class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
-    """An extended-natural value for every Bockstein group, stored as the
-    value on Q, a default triple, and finitely many exceptional primes."""
+    """An extended-natural value for every Bockstein group, stored as the value on Q, a default
+    triple and finitely many exceptional primes, which the constructor checks (values as ExtNats)."""
 
-    @classmethod
-    def build(cls, rational, default: PrimeTriple, exceptions=()) -> "BocksteinFunction":
-        listed = _converted(exceptions, dict, "a mapping of primes to PrimeTriples").items()
-        exceptions = {_checked_prime(p): _checked_triple(t) for p, t in listed}
-        return cls._build(_checked_value(rational), _checked_triple(default), exceptions)
+    def __post_init__(self):
+        listed = _converted(self.exceptions, dict, "a mapping of primes to PrimeTriples").items()
+        object.__setattr__(self, "exceptions", {_checked_prime(p): _checked_triple(t) for p, t in listed})
+        object.__setattr__(self, "rational", _checked_value(self.rational))
+        object.__setattr__(self, "default", _checked_triple(self.default))
+        super().__post_init__()
 
     @classmethod
     def constant(cls, value) -> "BocksteinFunction":
@@ -75,7 +76,7 @@ class BocksteinFunction(PrimeIndexed[ExtNat, PrimeTriple]):
             if str(p) != key:
                 raise ParseError(f"exception key {key!r} is not in canonical decimal form", code="bad_document")
             exceptions[p] = PrimeTriple.from_json(raw)
-        return cls._build(rational, default, exceptions)
+        return cls(rational, default, exceptions)
 
 
 _checked_alpha = partial(_checked_kind, kind=BocksteinFunction, name="a Bockstein function")
@@ -253,7 +254,7 @@ def unit_gap_witness(
     for label, flag, bumped in ("I", PrimePattern.CYCLIC, case_i), ("II", PrimePattern.LOCAL, case_ii):
         q = min(sf.escapes(sg, flag), default=None)
         if q is not None:
-            return BocksteinFunction._build(ExtNat(m), base, {q: bumped}), label
+            return BocksteinFunction(ExtNat(m), base, {q: bumped}), label
     raise DomainError(
         "no unit gap: no cyclic or localization test group separates the bases",
         code="not_applicable",

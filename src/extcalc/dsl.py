@@ -26,7 +26,6 @@ tested once, here where the text enters, and the atoms are built trusted
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from .abelian import (
     ALL_PRIMES,
@@ -130,18 +129,17 @@ def _atom(m: re.Match) -> list:
 
 def _group(text: str, pos: int) -> tuple[AdmissibleGroup, int]:
     """The sum whose first term starts at `pos`, and the position after it
-    and the spaces that follow.  Every term goes into one count,
-    canonicalized once, so a sum of n terms costs O(n)."""
-    counts = Counter()
+    and the spaces that follow.  Every term goes into one list of (atom,
+    count) pairs, canonicalized once rather than summed term by term."""
+    terms = []
     while True:
         m = _TERM.match(text, pos)
         atoms = _atom(m)
         count = 1 if m["count"] is None else _number(m, "count")
-        for a in atoms:
-            counts[a] += count
+        terms += [(a, count) for a in atoms]
         pos = m.end()
         if not m["plus"]:
-            return AdmissibleGroup.from_counts(counts), pos
+            return AdmissibleGroup.from_counts(terms), pos
 
 
 def _at_end(text: str, pos: int):

@@ -21,7 +21,8 @@ from typing import Optional
 
 from .abelian import (
     AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern, PrimeSet, PrimeTriple,
-    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _checked_kind, _converted, _record, _trusted, fresh_prime,
+    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _checked_kind, _record, _required, _trusted,
+    fresh_prime,
     sigma,
 )
 from .errors import DomainError
@@ -29,23 +30,29 @@ from .errors import DomainError
 
 @_record
 class GradedGroup:
-    """Finitely many nontrivial admissible groups indexed by degree.
+    """Finitely many nontrivial admissible groups indexed by degree: the
+    constructor (which `of` calls) takes a mapping of degrees to groups or
+    (degree, group) pairs, summing the groups of a repeated degree.
 
-    >>> GradedGroup.of({1: Q, 2: TRIVIAL}) == GradedGroup.of({1: Q})
+    >>> GradedGroup([(2, Q), (1, Q), (2, TRIVIAL), (2, Q)]) == GradedGroup.of({1: Q, 2: Q + Q})
     True
     """
 
     entries: tuple[tuple[int, AdmissibleGroup], ...]
 
+    def __post_init__(self):
+        entries, out = self.entries, {}
+        try:
+            for d, g in entries.items() if hasattr(entries, "items") else entries:
+                _checked_int(d, code="bad_degree", message="a graded group is indexed by degrees")
+                out[d] = out[d] + _checked_group(g) if d in out else _checked_group(g)
+        except (TypeError, ValueError):  # not a mapping or a collection of pairs
+            raise _required("a mapping of degrees to groups", entries) from None
+        object.__setattr__(self, "entries", tuple(sorted((d, g) for d, g in out.items() if not g.is_trivial)))
+
     @classmethod
     def of(cls, mapping) -> "GradedGroup":
-        items = []
-        for degree, group in _converted(mapping, dict, "a mapping of degrees to groups").items():
-            _checked_int(degree, code="bad_degree", message="a graded group is indexed by degrees")
-            if not _checked_group(group).is_trivial:
-                items.append((degree, group))
-        items.sort()
-        return cls(tuple(items))
+        return cls(mapping)
 
     def at(self, degree: int) -> AdmissibleGroup:
         for d, g in self.entries:
@@ -63,10 +70,10 @@ class GradedGroup:
 
     def shift(self, r: int) -> "GradedGroup":
         _checked_int(r, code="bad_degree", message="a graded group shifts by a whole number of degrees")
-        return GradedGroup(tuple((d + r, g) for d, g in self.entries))
+        return GradedGroup([(d + r, g) for d, g in self.entries])
 
     def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        return _collect(self.entries + _checked_graded(other).entries)
+        return GradedGroup(self.entries + _checked_graded(other).entries)
 
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
@@ -97,15 +104,6 @@ def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGr
     return k
 
 
-def _collect(terms) -> GradedGroup:
-    """Sum (degree, group) terms degreewise; the terms come from graded groups
-    and operations on them, so they are not checked again."""
-    out = {}
-    for d, g in terms:
-        out[d] = out[d] + g if d in out else g
-    return GradedGroup(tuple(sorted((d, g) for d, g in out.items() if not g.is_trivial)))
-
-
 # Dimensions are natural numbers, and only pairing outputs reach below degree 0.
 _natural = partial(_checked_graded, least=0, message="a dimension needs degrees >= 0, got degree {}")
 
@@ -117,7 +115,7 @@ def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> Graded
     (k_n (x) G) (+) Tor(k_{n-1}, G).
     """
     _checked_group(group, "coefficient group must be nontrivial")
-    return _collect(t for d, g in _checked_graded(k).entries for t in ((d, g.tensor(group)), (d + 1, g.tor(group))))
+    return GradedGroup(t for d, g in _checked_graded(k).entries for t in ((d, g.tensor(group)), (d + 1, g.tor(group))))
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
@@ -129,7 +127,7 @@ def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
     """Homology of a smash product, by the Kunneth rule (all Tor terms are
     direct summands here, so the answer is exact, not just up to extension)."""
     k, l = _checked_graded(k), _checked_graded(l)
-    return _collect((i + d, h) for d, g in l.entries for i, h in homology_with_coefficients(k, g).entries)
+    return GradedGroup((i + d, h) for d, g in l.entries for i, h in homology_with_coefficients(k, g).entries)
 
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:
@@ -141,7 +139,7 @@ def suspend(k: GradedGroup, r: int) -> GradedGroup:
 def _reflect(x: GradedGroup) -> GradedGroup:
     """x with each degree d moved to -d: the grading in which a compactum's
     stored cohomology reads as homology."""
-    return GradedGroup(tuple((-d, g) for d, g in reversed(_checked_graded(x).entries)))
+    return GradedGroup([(-d, g) for d, g in _checked_graded(x).entries])
 
 
 def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> GradedGroup:

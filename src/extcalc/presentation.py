@@ -20,7 +20,6 @@ eliminates modulo a nonzero maximal minor found by one fraction-free pass
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import partial
 from itertools import chain, compress
 from math import gcd
@@ -40,7 +39,8 @@ from .primes import factorint
 
 @_record
 class IntMatrix:
-    """A rows x cols integer matrix stored row-major; exact int entries."""
+    """A rows x cols integer matrix stored row-major as a tuple of exact ints,
+    read from any sequence of them."""
 
     rows: int
     cols: int
@@ -49,7 +49,9 @@ class IntMatrix:
     def __post_init__(self):
         for n in (self.rows, self.cols):
             _checked_int(n, 0, code="bad_shape", message="matrix dimensions must be nonnegative")
-        if _converted(self.entries, len, "a sequence of matrix entries", "bad_entry") != self.rows * self.cols:
+        entries = _converted(self.entries, tuple, "a sequence of matrix entries", "bad_entry")
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != self.rows * self.cols:
             raise DomainError("entry count does not match dimensions", code="bad_shape")
         if not set(map(type, self.entries)) <= {int}:  # only a subclass or a non-int needs a closer look
             for e in self.entries:
@@ -68,7 +70,7 @@ class IntMatrix:
             cols = width
         elif cols is None:
             cols = 0
-        return cls(len(data), cols, tuple(e for row in data for e in row))
+        return cls(len(data), cols, [e for row in data for e in row])
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
@@ -99,7 +101,7 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         row_a = arows[i]
         for j in range(bc):
             out.append(sum(row_a[k] * brows[k][j] for k in range(n)))
-    return IntMatrix(ar, bc, tuple(out))
+    return IntMatrix(ar, bc, out)
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:
@@ -330,9 +332,9 @@ def snf(matrix: IntMatrix) -> SNFResult:
     for i, x in enumerate([1] * len(u_units) + values):
         d[i * (c + 1)] = x
     return SNFResult(
-        u=IntMatrix(r, r, tuple(chain.from_iterable(u_units + us + u_zero))),
-        d=IntMatrix(r, c, tuple(d)),
-        v=IntMatrix(c, c, tuple(chain.from_iterable(zip(*(v_units + vs + v_zero))))),
+        u=IntMatrix(r, r, chain.from_iterable(u_units + us + u_zero)),
+        d=IntMatrix(r, c, d),
+        v=IntMatrix(c, c, chain.from_iterable(zip(*(v_units + vs + v_zero)))),
     )
 
 
@@ -428,9 +430,8 @@ def invariant_factors(matrix: IntMatrix) -> list[int]:
 def _cokernel(free: int, factors) -> AdmissibleGroup:
     """Z^free plus Z/d for each factor d, in canonical atom form; a rank is
     a count here, never a list of that many atoms, and factorint's primes are trusted."""
-    counts = Counter({_trusted(Localization, ALL_PRIMES): free})
-    counts.update(_trusted(Cyclic, p, e) for d in factors if d > 1 for p, e in factorint(d).items())
-    return AdmissibleGroup.from_counts(counts)
+    torsion = [(_trusted(Cyclic, p, e), 1) for d in factors if d > 1 for p, e in factorint(d).items()]
+    return AdmissibleGroup.from_counts([(_trusted(Localization, ALL_PRIMES), free), *torsion])
 
 
 def group_from_presentation(generators: int, relations: IntMatrix) -> AdmissibleGroup:
@@ -502,10 +503,8 @@ class ChainComplex:
 
     def __post_init__(self):
         for name in ("ranks", "boundaries"):
-            try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-            except TypeError:
-                raise DomainError(f"chain {name} must be a sequence, not {getattr(self, name)!r}", code="malformed_complex") from None
+            value = _converted(getattr(self, name), tuple, f"a sequence of chain {name}", "malformed_complex")
+            object.__setattr__(self, name, value)
         for r in self.ranks:
             _checked_int(r, 0, code="malformed_complex", message="chain ranks must be nonnegative")
         if len(self.boundaries) != max(0, len(self.ranks) - 1):
@@ -548,7 +547,7 @@ class ChainComplex:
                     raise DomainError(f"boundary {i + 1} is not a row list", code="malformed_complex") from exc
                 require_integers((e for row in rows for e in row), f"boundary {i + 1} entries")
                 mats.append(IntMatrix.from_rows(rows))
-        return cls(tuple(ranks), tuple(mats))
+        return cls(ranks, mats)
 
     def to_json(self):
         return {"ranks": list(self.ranks), "boundaries": [b.to_rows() for b in self.boundaries]}

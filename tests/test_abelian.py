@@ -42,7 +42,9 @@ from extcalc import (
     tau_closure,
     unit_gap_witness,
 )
-from extcalc.abelian import BOCKSTEIN_FLAGS, FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, pattern_flags
+from extcalc.abelian import (
+    BOCKSTEIN_FLAGS, FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, _trusted, pattern_flags,
+)
 
 CYC = PrimePattern.CYCLIC
 PRU = PrimePattern.PRUFER
@@ -157,6 +159,23 @@ class TestCanonicalForm:
         assert g.summands == ((Localization(ALL_PRIMES), 2),)
         with pytest.raises(DomainError):
             AdmissibleGroup.from_counts({Cyclic(2, 1): -1})
+
+    @given(st_group)
+    def test_the_constructor_sorts_and_sums_summands(self, g):
+        assert AdmissibleGroup(tuple(reversed(g.summands))) == g
+        assert AdmissibleGroup(dict(reversed(g.summands))) == g == AdmissibleGroup.from_counts(g.summands)
+        # pairs may repeat an atom, as a mapping cannot: its multiplicities add
+        assert AdmissibleGroup(g.summands + tuple(reversed(g.summands))) == g + g
+        assert AdmissibleGroup(((a, 0) for a, _ in g.summands)) == TRIVIAL
+        z, z2 = Localization(ALL_PRIMES), Cyclic(2, 1)
+        assert AdmissibleGroup([(z2, 1), (z, 2), (z2, 3)]) == AdmissibleGroup.from_counts({z: 2, z2: 4})
+
+    @pytest.mark.parametrize("summands", ["Z", ((5, 1),), ((Z, 1),), (([2], 1),), (Cyclic(2, 1),)])
+    def test_the_constructor_takes_atoms_only(self, summands):
+        # each was built, and its repr raised a raw TypeError (5 is among the cases in test_package)
+        with pytest.raises(DomainError) as exc:
+            AdmissibleGroup(summands)
+        assert exc.value.code == "not_a_group"
 
     def test_support_primes(self):
         g = localized(PrimeSet.of(5)) + cyclic(12) + prufer(7)
@@ -571,7 +590,10 @@ class TestSigma:
         atoms = (Prufer(2), Cyclic(2, 1), Localization(PrimeSet.of(2)), Prufer(3), Cyclic(3, 2), Localization(PrimeSet.excluding(3)))
         expected = sigma(AdmissibleGroup.of(*atoms))
         for order in itertools.permutations(atoms):
-            assert sigma(AdmissibleGroup(tuple((a, 1) for a in order))) == expected
+            summands = tuple((a, 1) for a in order)
+            # the constructor sorts, so only an unchecked record keeps this order for sigma to read
+            assert AdmissibleGroup(summands).summands == AdmissibleGroup.of(*atoms).summands
+            assert sigma(_trusted(AdmissibleGroup, summands)) == expected
 
     def test_scales_with_the_summands(self):
         # the union of per-atom bases took over a second on this group: it
@@ -665,6 +687,21 @@ class TestPrimeIndexed:
         assert x.exceptions == ((2, 7), (5, 2))
         assert x.exception_primes == (2, 5)
         assert x.at(5) == 2 and x.at(3) == 0 and x.at(101) == 0
+
+    @given(st_nontrivial_group)
+    def test_the_constructor_sorts_and_drops_default_values(self, g):
+        s = sigma(g)
+        fresh = fresh_prime(s.exception_primes)
+        assert SigmaSet(s.rational, s.default, tuple(reversed(s.exceptions))) == s
+        assert SigmaSet(s.rational, s.default, {fresh: s.default, **dict(reversed(s.exceptions))}) == s
+        assert SigmaSet.build(s.rational, s.default, list(s.exceptions)) == s
+
+    @pytest.mark.parametrize("exceptions", ["Z", ((2,),), (([2], 1),)])
+    def test_the_constructor_takes_a_mapping_of_primes(self, exceptions):
+        # each was built, and failed on use with a raw TypeError (5 is among the cases in test_package)
+        with pytest.raises(DomainError) as exc:
+            SigmaSet(True, PrimePattern.EMPTY, exceptions)
+        assert exc.value.code == "not_a_group"
 
     def test_combine_is_pointwise(self):
         x = PrimeIndexed.build(1, 0, {2: 5, 7: 1})

@@ -100,6 +100,26 @@ class TestDocuments:
                 build()
             assert exc.value.code == "bad_dimension"
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [((1, 5), "not_a_group"), ((1, PrimeTriple.constant(1), {4: PrimeTriple.constant(2)}), "not_prime"),
+         (("x", PrimeTriple.constant(1)), "bad_dimension")],
+    )
+    def test_the_constructor_checks_like_build(self, args, code):
+        # BocksteinFunction(1, 5) was built unchecked; only build held the checks
+        with pytest.raises(DomainError) as exc:
+            BocksteinFunction(*args)
+        assert exc.value.code == code
+
+    def test_the_constructor_stores_the_canonical_form(self):
+        rng = random.Random(20)
+        for _ in range(50):
+            alpha = random_bf(rng, max_exceptions=4)
+            assert BocksteinFunction(alpha.rational, alpha.default, tuple(reversed(alpha.exceptions))) == alpha
+            # the JSON spellings, an int or "inf", read as ExtNats
+            listed = {p: t._replace(cyclic=t.cyclic.to_json()) for p, t in alpha.exceptions}
+            assert BocksteinFunction(alpha.rational.to_json(), alpha.default, listed) == alpha
+
     def test_build_reads_int_and_inf_values(self):
         alpha = BocksteinFunction.build(2, PrimeTriple(1, "inf", ExtNat(2)), {3: PrimeTriple(0, 0, 0)})
         assert alpha == bf(2, (1, "inf", 2), {3: triple(0, 0, 0)})

@@ -248,6 +248,26 @@ class TestJsonEnvelopes:
         doc = json.dumps({"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "exceptions": exceptions})
         assert error_of("bfcheck", doc, expect_code=2)["code"] == "bad_document"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[1]",
+            '{"Q": "x", "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}}',
+            '{"Q": 1, "default": {"Zp": 1, "ZpInf": 1, "Zploc": 1}, "exceptions": {"x": {"Zp": 1, "ZpInf": 1, "Zploc": 1}}}',
+            '{"Q": 1, "default": {"Zp": 1.5, "ZpInf": 1, "Zploc": 1}}',
+        ],
+        ids=["not an object", "Q not a natural", "key not a number", "value a float"],
+    )
+    def test_a_malformed_function_document_is_bad_document(self, doc):
+        assert error_of("bfcheck", doc, expect_code=2)["code"] == "bad_document"
+
+    def test_a_difference_at_q_has_no_prime(self):
+        # Q's basis has Q, which Z/2's lacks: clause b fails at Q, not at a prime
+        args = ("spaek", "--graded", "{1: Z/2}", "--group", "Q", "--n", "1")
+        clause_b = result_of(*args)["failures"][0]
+        assert clause_b["clause"] == "b" and clause_b["prime"] is None
+        assert text_of(*args).splitlines()[1] == "  clause b, degree 1: Bockstein basis differs from the comparison group"
+
     @pytest.mark.parametrize("spelling", ["02", " 2", "+2"])
     def test_exception_keys_are_canonical_primes(self, spelling):
         # a second spelling of 2 would otherwise silently replace the entry for "2"

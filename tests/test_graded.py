@@ -38,7 +38,6 @@ from extcalc import (
     vanishing_check,
 )
 from extcalc.abelian import BOCKSTEIN_FLAGS
-from extcalc.graded import _collect
 from test_abelian import wide_group
 
 Z2, Z4 = cyclic(2), cyclic(4)
@@ -50,14 +49,14 @@ def cohomology_by_formula(x: GradedGroup, group) -> GradedGroup:
     grading (the route `cohomology_with_coefficients` took before it read
     homology on the reflected grading): degree d holds
     (G (x) x_d) (+) Tor(G, x_{d+1})."""
-    return _collect(t for d, g in x.entries for t in ((d, group.tensor(g)), (d - 1, group.tor(g))))
+    return GradedGroup(t for d, g in x.entries for t in ((d, group.tensor(g)), (d - 1, group.tor(g))))
 
 
 def paired_by_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
     """Oracle: the pairing expanded through the cohomology of x, a complex
     degree j against a stored degree d landing at j - d (the first route
     before the pairing became a smash on the reflected grading)."""
-    return _collect((j - d, h) for j, g in k.entries for d, h in cohomology_by_formula(x, g).entries)
+    return GradedGroup((j - d, h) for j, g in k.entries for d, h in cohomology_by_formula(x, g).entries)
 
 
 # graded groups with negative degrees too, as pairing outputs have them
@@ -68,6 +67,27 @@ class TestGradedGroup:
     def test_construction_drops_trivial_entries(self):
         assert GradedGroup.of({1: Z, 2: TRIVIAL}) == GradedGroup.of({1: Z})
         assert GradedGroup.of({}) == EMPTY_GRADED
+
+    @given(st_signed_graded)
+    def test_the_constructor_sorts_and_sums_degreewise(self, x):
+        assert GradedGroup(tuple(reversed(x.entries))) == x == GradedGroup.of(dict(reversed(x.entries)))
+        doubled = GradedGroup.of({d: g + g for d, g in x.entries})
+        assert GradedGroup(x.entries + tuple(reversed(x.entries))) == doubled == GradedGroup.of(x.entries * 2)
+
+    def test_repeated_degrees_are_summed(self):
+        # GradedGroup.of read pairs through dict(), which kept the last group of a degree
+        assert GradedGroup.of([(1, Z2), (2, TRIVIAL), (1, Z4), (3, Q)]) == GradedGroup.of({1: Z2 + Z4, 3: Q})
+        assert GradedGroup.of(iter([(1, Z2), (1, TRIVIAL)])) == GradedGroup.of({1: Z2})
+
+    @pytest.mark.parametrize(
+        "entries, code",
+        [("Z", "not_a_group"), ((1,), "not_a_group"), (((1.5, Z2),), "bad_degree"), (((True, Z2),), "bad_degree")],
+    )
+    def test_the_constructor_checks_its_entries(self, entries, code):
+        # each was built unchecked (5 and ((1, 5),) are among the cases in test_package)
+        with pytest.raises(DomainError) as exc:
+            GradedGroup(entries)
+        assert exc.value.code == code
 
     def test_degrees_are_ints(self):
         with pytest.raises(DomainError):

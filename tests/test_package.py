@@ -225,14 +225,20 @@ ONES = extcalc.PrimeTriple.constant(extcalc.ExtNat(1))
         (lambda: extcalc.PrimeSet(False, ([2],)), "not_a_group"),
         (lambda: extcalc.IntMatrix.from_rows(5), "bad_shape"),
         (lambda: extcalc.IntMatrix.from_rows([5]), "bad_shape"),
+        (lambda: extcalc.AdmissibleGroup(5), "not_a_group"),
+        (lambda: extcalc.GradedGroup(5), "not_a_group"),
+        (lambda: extcalc.GradedGroup(((1, 5),)), "not_a_group"),
+        (lambda: extcalc.SigmaSet(5, 5, 5), "not_a_group"),
     ],
     ids=[
         "exceptions 5", "exceptions text", "entries 5", "graded 5", "graded text",
         "members 5", "unhashable member", "rows 5", "row 5",
+        "group record 5", "graded record 5", "graded record entry 5", "sigma record 5",
     ],
 )
 def test_a_collection_a_record_takes_is_typed(build, code):
-    # each of these raised a raw TypeError or ValueError from dict(), len(), set() or list()
+    # each of these raised a raw TypeError or ValueError from dict(), len(), set() or list(), or was
+    # built unchecked (the records' own constructors) and raised one on use
     with pytest.raises(extcalc.ExtcalcError) as caught:
         build()
     assert caught.value.code == code

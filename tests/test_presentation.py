@@ -62,6 +62,18 @@ class TestIntMatrix:
             IntMatrix(2.0, 1, (1, 2))
         assert exc.value.code == "bad_shape"
 
+    def test_entries_are_stored_as_a_tuple(self):
+        # a list was kept: the matrix was unequal to its tuple twin and hash raised a raw TypeError
+        m = IntMatrix(1, 2, [5, 6])
+        assert m == IntMatrix(1, 2, (5, 6)) and hash(m) == hash(IntMatrix(1, 2, (5, 6)))
+        assert m.entries == (5, 6) and IntMatrix(1, 2, iter([5, 6])) == m
+
+    def test_shapes_are_checked(self):
+        for build in (lambda: det(IntMatrix.from_rows([[1, 2]])), lambda: IntMatrix.from_rows([[1, 2]], cols=3)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert exc.value.code == "bad_shape"
+
     def test_round_trip(self):
         rows = [[1, 2], [3, 4], [5, 6]]
         assert IntMatrix.from_rows(rows).to_rows() == rows
