@@ -5,10 +5,11 @@ Random presentation matrices feed both the closed-form atom tables and the
 Smith-normal-form oracle, and each matrix feeds both reductions inside the
 oracle: the invariant factors read modulo a maximal minor, and the diagonal
 of the exact Smith form with its transforms.  Random graded pairs feed both routes to the
-dimension order: the closed-form dimension profiles that `leqgr` compares,
-and homological dimensions read off full homology groups, on every member
-of the coefficient family `leqgr` checks.  Any disagreement is printed with
-enough detail to reproduce and the run exits nonzero.
+dimension order: the dimension profiles that `leqgr` compares, read from
+sigma, and homological dimensions read off full homology groups, which the
+atom tables build, on every member of the coefficient family `leqgr`
+checks.  Any disagreement is printed with enough detail to reproduce and
+the run exits nonzero.
 """
 
 import argparse
@@ -31,7 +32,7 @@ from extcalc import (
     format_graded,
     graded_order_leq,
     group_from_presentation,
-    homological_dimension,
+    homology_with_coefficients,
     invariant_factors,
     snf,
     tensor_from_presentations,
@@ -116,7 +117,7 @@ def main() -> int:
         checked = graded_order_leq(k, l).checked
         for side in (k, l):
             profile = profile_readings(dimension_profile(side), checked)
-            homology = [homological_dimension(side, g) for g in checked]
+            homology = [homology_with_coefficients(side, g).min_degree() for g in checked]
             if profile != homology:
                 mismatches += 1
                 print(f"MISMATCH pair {i} leqgr dimensions of {format_graded(side)}:")

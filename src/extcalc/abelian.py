@@ -23,6 +23,7 @@ same shape, PrimeIndexed, also carries Bockstein functions and wedges.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -126,12 +127,6 @@ class ExtNat:
         if other._value is None:
             raise ValueError("cannot subtract infinity")
         return ExtNat(max(0, self._value - other._value))
-
-    @staticmethod
-    def layered(m: int, inner: bool, outer: bool = False) -> "ExtNat":
-        """m on the inner layer, m+1 on the outer layer only, infinity elsewhere:
-        sigma and tau in the witnesses, tensor and Tor in dimension profiles."""
-        return ExtNat(m) if inner else ExtNat(m + 1) if outer else INFINITY
 
     def to_json(self):
         return "inf" if self._value is None else self._value
@@ -280,10 +275,6 @@ class PrimeSet:
     @property
     def is_all(self) -> bool:
         return self.cofinite and not self.members
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.cofinite and not self.members
 
     def intersect(self, other: "PrimeSet") -> "PrimeSet":
         return self._intersect(_checked_kind(other, PrimeSet, "a prime set"))
@@ -563,10 +554,8 @@ class PrimeIndexed(Generic[R, V]):
         )
 
     def at(self, p: int) -> V:
-        for q, v in self.exceptions:
-            if q == p:
-                return v
-        return self.default
+        i = bisect.bisect_left(self.exceptions, (p,))  # (p,) sorts just before (p, value)
+        return self.exceptions[i][1] if i < len(self.exceptions) and self.exceptions[i][0] == p else self.default
 
     @property
     def exception_primes(self) -> tuple[int, ...]:

@@ -21,8 +21,8 @@ from functools import partial
 from typing import Optional
 
 from .abelian import (
-    BOCKSTEIN_FLAGS, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, _checked_int, _checked_kind,
-    _checked_prime, _converted, _record, sigma, tau_closure,
+    BOCKSTEIN_FLAGS, INFINITY, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, _checked_int,
+    _checked_kind, _checked_prime, _converted, _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup, _checked_graded
@@ -183,17 +183,6 @@ class MinimalWedge(PrimeIndexed[Optional[int], PrimeTriple]):
     `exceptions`, so the description is finite even when the wedge is not.
     """
 
-    def listed_summands(self) -> set[tuple[str, int]]:
-        """Concrete (group name, degree) pairs at the exceptional primes."""
-        out = set()
-        if self.rational is not None:
-            out.add(("Q", self.rational))
-        for p, t in self.exceptions:
-            for f, deg in zip(BOCKSTEIN_FLAGS, t):
-                if deg is not None:
-                    out.add((f.display.format(p=p), deg))
-        return out
-
     def to_json(self):
         return self._to_json("rational", self.rational, lambda t: t.to_json(lambda deg: deg))
 
@@ -229,7 +218,10 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
             "no infinite gap: the separating group's basis lies in tau of the base group",
             code="not_separable",
         )
-    layer = partial(ExtNat.layered, m)
+
+    def layer(inner, outer):  # m on sigma, m+1 on tau only, infinity elsewhere
+        return ExtNat(m) if inner else ExtNat(m + 1) if outer else INFINITY
+
     return BocksteinFunction.combine(
         layer, lambda sp, tp: PrimeTriple._make([layer(f.flag in sp, f.flag in tp) for f in BOCKSTEIN_FLAGS]), s, t
     )

@@ -11,7 +11,7 @@ integer degrees.  Two readings are used side by side:
   difference of the two gradings.
 
 Coefficient operations are degreewise tensor/Tor, and cohomology is homology
-on the reflected grading (degree d moved to -d); the dimension order reads sigma.
+on the reflected grading (degree d moved to -d); `_shift` reads zero-ness from sigma.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from functools import partial
 from typing import Optional
 
 from .abelian import (
-    AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern, PrimeSet, PrimeTriple,
-    Prufer, Q, TRIVIAL, _checked_group, _checked_int, _checked_kind, _record, _required, _trusted,
-    fresh_prime,
-    sigma,
+    BOCKSTEIN_FLAGS, FULL_PATTERN, AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern,
+    PrimeSet, PrimeTriple, Prufer, Q, TRIVIAL, _CYCLIC_PRUFER, _checked_group, _checked_int, _checked_kind, _record,
+    _required, _trusted, fresh_prime, sigma,
 )
 from .errors import DomainError
 
@@ -72,9 +71,6 @@ class GradedGroup:
         _checked_int(r, code="bad_degree", message="a graded group shifts by a whole number of degrees")
         return GradedGroup([(d + r, g) for d, g in self.entries])
 
-    def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        return GradedGroup(self.entries + _checked_graded(other).entries)
-
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
         return ExtNat(_natural(self).entries[0][0]) if self.entries else INFINITY
@@ -108,6 +104,37 @@ def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGr
 _natural = partial(_checked_graded, least=0, message="a dimension needs degrees >= 0, got degree {}")
 
 
+# Z/p, Z/p^oo and Z_(p) as int bits: a Flag's `in` and `&` cost ten times an int's
+_ZP, _ZPINF, _ZPLOC = (f.flag._value_ for f in BOCKSTEIN_FLAGS)
+
+
+def _shift(rational: bool, patterns) -> Optional[int]:
+    """0 when g (x) h is nonzero, 1 when only Tor(g, h) is, else None: Q in both sigmas (`rational`), or at a prime
+    p where they have patterns (a, b) in `patterns`, Z_(p) in one and Z/p^oo in the other or Z/p in both; Tor
+    needs p-torsion on both sides, which puts Z/p^oo in both."""
+    if rational:
+        return 0
+    shift = None
+    for a, b in patterns:
+        a, b = a._value_, b._value_
+        if a & _ZPLOC and b & _ZPINF or a & _ZPINF and b & _ZPLOC or a & b & _ZP:
+            return 0
+        if a & b & _ZPINF:
+            shift = 1
+    return shift
+
+
+def _lowest(k: GradedGroup, l: GradedGroup) -> Optional[int]:
+    """The lowest degree of smash(k, l), None when it is zero: the least i + j + _shift over entries (i, g), (j, h)."""
+    bases, degrees = [(j, sigma(h)) for j, h in _checked_graded(l).entries], []
+    for i, s in [(i, sigma(g)) for i, g in _checked_graded(k).entries]:
+        for j, t in bases:
+            shift = _shift(s.rational and t.rational, ((s.at(p), t.at(p)) for p in s.primes_to_inspect(t)))
+            if shift is not None:
+                degrees.append(i + j + shift)
+    return min(degrees, default=None)
+
+
 def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
     """Homology of a complex with given homology `k` and coefficients `group`.
 
@@ -119,8 +146,9 @@ def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> Graded
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
-    """Least degree where homology with these coefficients is nonzero."""
-    return homology_with_coefficients(_natural(k), group).min_degree()
+    """Least degree where homology with these coefficients is nonzero: smash with `group` in degree 0."""
+    lowest = _lowest(_natural(k), GradedGroup({0: _checked_group(group, "coefficient group must be nontrivial")}))
+    return INFINITY if lowest is None else ExtNat(lowest)
 
 
 def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
@@ -171,14 +199,11 @@ def vanishing_check(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool,
     2. homology of k with coefficients x_d vanishes in degrees i <= d - m,
     3. cohomology of x with coefficients k_j vanishes in degrees i >= j + m.
 
-    Only 2 and 3 are independent expansions, the pairing's two routes; a sum
-    of nonzero groups is nonzero, so 1 and 3 are one predicate on the first.
+    Each says the smash of k with x on the reflected grading has no degree <= -m: one reading of sigma.
     """
     _checked_int(m, code="bad_degree", message="the vanishing test takes a degree m")
-    reflected = _reflect(x)
-    first = all(n > -m for n in smash(reflected, k).degrees)
-    second = all(n > -m for n in smash(k, reflected).degrees)
-    return first, second, first
+    lowest = _lowest(_reflect(x), k)
+    return (lowest is None or lowest > -m,) * 3
 
 
 @_record
@@ -195,32 +220,25 @@ class GradedOrderVerdict:
     witness: Optional[tuple[AdmissibleGroup, ExtNat, ExtNat]] = None
 
 
-def _entry_profile(d: int, group: AdmissibleGroup) -> PrimeIndexed:
-    # d where the tensor term is nonzero, d+1 where only the Tor term is
-    s, P, lowest = sigma(group), PrimePattern, partial(ExtNat.layered, d)
-    return PrimeIndexed.combine(
-        lowest,
-        lambda pat: PrimeTriple(
-            cyclic=lowest(P.CYCLIC in pat, P.PRUFER in pat),
-            prufer=lowest(P.LOCAL in pat, P.PRUFER in pat),
-            local=lowest(s.rational or P.PRUFER in pat),
-        ),
-        s,
-    )
+# (Q in sigma(H), sigma(H) at p) for the p-local test groups H, whose sigma is empty at every other prime
+_TEST_BASES = PrimeTriple((False, _CYCLIC_PRUFER), (False, PrimePattern.PRUFER), (True, FULL_PATTERN))
 
 
 def dimension_profile(k: GradedGroup) -> PrimeIndexed:
     """homological_dimension(k, H) for every Bockstein test group H: a value on
-    Q and a Z/p, Z/p^oo, Z_(p) triple at each prime.  An entry G in degree d
-    gives d where G (x) H is nonzero and d+1 where only Tor(G, H) is, read from
-    sigma(G): Q needs Q, Z/p needs Z/p, Z/p^oo needs Z_(p), Z_(p) needs Q or
-    Z/p^oo, and the Tor terms need p-torsion, which puts Z/p^oo in sigma(G)."""
+    Q and a Z/p, Z/p^oo, Z_(p) triple at each prime, the least d + _shift of an
+    entry G in degree d against H, read from sigma(G) and sigma(H)."""
+    degrees, bases = [d for d, _ in _natural(k).entries], [sigma(g) for _, g in k.entries]
+
+    def lowest(q, pairs):  # q: Q is in sigma(H); pairs: each entry's pattern paired with H's
+        values = [d + x for d, s, pr in zip(degrees, bases, pairs) if (x := _shift(s.rational and q, pr)) is not None]
+        return ExtNat(min(values)) if values else INFINITY
+
     # _make of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
     return PrimeIndexed.combine(
-        lambda *values: min(values),
-        lambda *triples: PrimeTriple._make([min(values) for values in zip(*triples)]),
-        PrimeIndexed.build(INFINITY, PrimeTriple.constant(INFINITY)),
-        *(_entry_profile(d, g) for d, g in _natural(k).entries),
+        lambda *_: lowest(True, [()] * len(bases)),
+        lambda *patterns: PrimeTriple._make([lowest(q, [((a, test),) for a in patterns]) for q, test in _TEST_BASES]),
+        *bases,
     )
 
 

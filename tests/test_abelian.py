@@ -108,7 +108,7 @@ class TestPrimeSet:
     def test_membership(self):
         assert 2 in PrimeSet.of(2, 5) and 3 not in PrimeSet.of(2, 5)
         assert 3 in PrimeSet.excluding(2) and 2 not in PrimeSet.excluding(2)
-        assert ALL_PRIMES.is_all and NO_PRIMES.is_empty
+        assert ALL_PRIMES.is_all and NO_PRIMES == PrimeSet.of() and 2 not in NO_PRIMES
 
     def test_intersect_all_shapes(self):
         fin, cof = PrimeSet.of(2, 3, 5), PrimeSet.excluding(3)

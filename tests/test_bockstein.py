@@ -246,7 +246,11 @@ class TestMinimalWedge:
         assert w.rational == 2
         assert w.default == (None, None, None)
         assert w.at(2) == (3, 2, None)
-        assert w.listed_summands() == {("Q", 2), ("Z/2", 3), ("Z/2^oo", 2)}
+        assert w.to_json() == {
+            "rational": 2,
+            "default": {"Zp": None, "ZpInf": None, "Zploc": None},
+            "exceptions": {"2": {"Zp": 3, "ZpInf": 2, "Zploc": None}},
+        }
 
     def test_uniform_part_is_kept_once(self):
         alpha = bf(1, (1, 1, 1))

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_graded, st_graded, st_nonempty_graded, st_nontrivial_group
+from conftest import random_graded, random_group, st_graded, st_nonempty_graded, st_nontrivial_group
 from extcalc import (
     AdmissibleGroup,
     Cyclic,
     DomainError,
     EMPTY_GRADED,
+    ExtNat,
     GradedGroup,
     GradedOrderVerdict,
     INFINITY,
@@ -38,6 +39,7 @@ from extcalc import (
     vanishing_check,
 )
 from extcalc.abelian import BOCKSTEIN_FLAGS
+from extcalc.graded import _lowest, _reflect
 from test_abelian import wide_group
 
 Z2, Z4 = cyclic(2), cyclic(4)
@@ -57,6 +59,24 @@ def paired_by_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
     degree j against a stored degree d landing at j - d (the first route
     before the pairing became a smash on the reflected grading)."""
     return GradedGroup((j - d, h) for j, g in k.entries for d, h in cohomology_by_formula(x, g).entries)
+
+
+def homological_dimension_by_homology(k: GradedGroup, group) -> ExtNat:
+    """Oracle: the homological dimension read off the full homology with
+    these coefficients (the route `homological_dimension` took before it
+    read sigma)."""
+    return homology_with_coefficients(k, group).min_degree()
+
+
+def vanishing_by_smash(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bool, bool]:
+    """Oracle: the three vanishing statements read off the two expansion
+    orders of the smash of k with x on the reflected grading (the route
+    `vanishing_check` took before it read sigma); 1 and 3 are one predicate
+    on the first order."""
+    reflected = _reflect(x)
+    first = all(n > -m for n in smash(reflected, k).degrees)
+    second = all(n > -m for n in smash(k, reflected).degrees)
+    return first, second, first
 
 
 # graded groups with negative degrees too, as pairing outputs have them
@@ -106,7 +126,7 @@ class TestGradedGroup:
     def test_shift_and_sum(self):
         k = GradedGroup.of({1: Z2})
         assert k.shift(2) == GradedGroup.of({3: Z2})
-        assert k.direct_sum(GradedGroup.of({1: Z})) == GradedGroup.of({1: Z2 + Z})
+        assert GradedGroup(k.entries + GradedGroup.of({1: Z}).entries) == GradedGroup.of({1: Z2 + Z})
 
     def test_entries_and_shifts_are_checked(self):
         k = GradedGroup.of({1: Z2})
@@ -163,7 +183,7 @@ class TestHomologyWithCoefficients:
     @given(st_graded, st_nontrivial_group, st_nontrivial_group)
     def test_additive_in_coefficients(self, k, g, h):
         left = homology_with_coefficients(k, g + h)
-        right = homology_with_coefficients(k, g).direct_sum(homology_with_coefficients(k, h))
+        right = GradedGroup(homology_with_coefficients(k, g).entries + homology_with_coefficients(k, h).entries)
         assert left == right
 
     def test_dimension_examples(self):
@@ -267,22 +287,33 @@ class TestVanishing:
         k = GradedGroup.of({1: Z2})
         assert vanishing_check(x, k, 1) == (False, False, False)
 
-    def test_expands_each_entry_once(self, monkeypatch):
-        x, k = GradedGroup.of({2: Z2, 3: Q}), GradedGroup.of({1: Z2})
-        expected = vanishing_check(x, k, 2)
-        calls = []
+    def test_builds_no_group(self, monkeypatch, capsys):
+        from extcalc.cli import run_command
+
+        cases = [
+            (GradedGroup.of({2: Z2, 3: Q}), GradedGroup.of({1: Z2}), 2),
+            (GradedGroup.of({2: P2}), GradedGroup.of({1: P2 + localized(PrimeSet.excluding(3))}), 1),
+            (pairing(GradedGroup.of({3: Z}), GradedGroup.of({1: Z2}))[0], GradedGroup.of({4: Q}), -3),
+        ]
+        dims = [(GradedGroup.of({2: Z4 + Q}), Z2), (GradedGroup.of({1: P2}), Q), (EMPTY_GRADED, P2)]
+        expected = [vanishing_check(*case) for case in cases], [homological_dimension(k, g) for k, g in dims]
 
         def refuse(*args):
-            raise AssertionError("the pairing's second route was computed")
+            raise AssertionError("a zero-ness reader built a group")
 
-        def counted(*args):
-            calls.append(args)
-            return homology_with_coefficients(*args)
-
-        monkeypatch.setattr("extcalc.graded.pairing", refuse)
-        monkeypatch.setattr("extcalc.graded.homology_with_coefficients", counted)
-        assert vanishing_check(x, k, 2) == expected
-        assert len(calls) == len(x.entries) + len(k.entries)  # one smash of each order
+        for name in ("tensor", "tor"):
+            monkeypatch.setattr(AdmissibleGroup, name, refuse)
+        for name in ("homology_with_coefficients", "smash"):
+            monkeypatch.setattr(f"extcalc.graded.{name}", refuse)
+        assert ([vanishing_check(*case) for case in cases], [homological_dimension(k, g) for k, g in dims]) == expected
+        for argv, out in [
+            (["vanish", "{2: Z/2, 3: Q}", "{1: Z/2}", "2"], "yes [conditions: True, True, True]"),
+            (["vanish", "{2: Z/2, 3: Q}", "{1: Z/2}", "1"], "no [conditions: False, False, False]"),
+            (["dim", "{2: Z/6}", "Z/3"], "2"),
+            (["dim", "{2: Q}", "Z/3"], "oo"),
+        ]:
+            assert run_command(argv) == 0
+            assert capsys.readouterr().out == out + "\n"
 
     @given(st_signed_graded, st_graded, st.integers(min_value=-3, max_value=5))
     def test_statements_match_the_expansions(self, x, k, m):
@@ -297,6 +328,73 @@ class TestVanishing:
     def test_conditions_agree(self, x, k, m):
         a, b, c = vanishing_check(x, k, m)
         assert a == b == c
+
+
+def smash_bottom_by_tables(g, h):
+    """Oracle for the pair rule: 0 when g (x) h is nonzero, 1 when only
+    Tor(g, h) is, None when both vanish, by the atom tables."""
+    return 0 if not g.tensor(h).is_trivial else 1 if not g.tor(h).is_trivial else None
+
+
+def seeded_bank(rng, n):
+    """n (x, k, m, g) cases: x with negative degrees a third of the time,
+    groups with cofinite localizations and Prufer atoms among their atoms."""
+    out = []
+    for _ in range(n):
+        x, k = random_graded(rng, max_entries=4), random_graded(rng, max_entries=4)
+        if rng.random() < 1 / 3:
+            x = pairing(x, random_graded(rng, max_entries=2))[0]
+        out.append((x, k, rng.randint(-6, 8), random_group(rng, allow_trivial=False)))
+    return out
+
+
+class TestZeroFromSigma:
+    """`vanishing_check`, `homological_dimension` and `dimension_profile` read
+    zero-ness from sigma; the oracles build the groups."""
+
+    @given(st_nontrivial_group, st_nontrivial_group, st.integers(min_value=-3, max_value=3))
+    def test_the_pair_rule_matches_the_atom_tables(self, g, h, i):
+        expected = smash_bottom_by_tables(g, h)
+        assert _lowest(GradedGroup({i: g}), GradedGroup({0: h})) == (None if expected is None else i + expected)
+
+    def test_the_pair_rule_matches_the_atom_tables_on_a_seeded_bank(self):
+        rng = random.Random(21)
+        pairs = [(random_group(rng, allow_trivial=False), random_group(rng, allow_trivial=False)) for _ in range(5000)]
+        found = [_lowest(GradedGroup({0: g}), GradedGroup({0: h})) for g, h in pairs]
+        assert found == [smash_bottom_by_tables(g, h) for g, h in pairs]
+        assert set(found) == {0, 1, None}
+
+    @given(st_signed_graded, st_signed_graded, st.integers(min_value=-6, max_value=8))
+    def test_vanishing_matches_the_smash_orders(self, x, k, m):
+        assert vanishing_check(x, k, m) == vanishing_by_smash(x, k, m)
+
+    @given(st_graded, st_nontrivial_group)
+    def test_dimension_matches_the_homology(self, k, g):
+        assert homological_dimension(k, g) == homological_dimension_by_homology(k, g)
+
+    def test_all_three_match_the_oracles_on_a_seeded_bank(self):
+        bank = seeded_bank(random.Random(2021), 3000)
+        vanishing = [vanishing_check(x, k, m) for x, k, m, _ in bank]
+        assert vanishing == [vanishing_by_smash(x, k, m) for x, k, m, _ in bank]
+        dims = [homological_dimension(k, g) for _, k, _, g in bank]
+        assert dims == [homological_dimension_by_homology(k, g) for _, k, _, g in bank]
+        rng = random.Random(21)
+        for _, k, _, g in bank:  # Q and the test groups at one support prime of k or g, or a fresh prime
+            primes = set(k.support_primes()).union(g.support_primes())
+            p = rng.choice(sorted(primes) + [fresh_prime(primes)])
+            profile, tests = dimension_profile(k), (cyclic(p), prufer(p), localized(PrimeSet.of(p)))
+            assert [profile.rational, *profile.at(p)] == [homological_dimension_by_homology(k, h) for h in (Q, *tests)]
+        # both verdicts, negative degrees, and empty smashes of nonempty inputs
+        assert {v[0] for v in vanishing} == {True, False} and INFINITY in dims
+        assert any(x.entries and x.entries[0][0] < 0 for x, _, _, _ in bank)
+        assert any(x.entries and k.entries and _lowest(_reflect(x), k) is None for x, k, _, _ in bank)
+
+    def test_empty_smashes(self):
+        torsion, rational = GradedGroup.of({1: Z2 + P2}), GradedGroup.of({2: Q + localized(PrimeSet.excluding(2))})
+        assert _lowest(torsion, GradedGroup.of({1: cyclic(3) + prufer(5)})) is None
+        assert _lowest(_reflect(rational), torsion) is None and _lowest(EMPTY_GRADED, rational) is None
+        assert vanishing_check(rational, torsion, -100) == (True, True, True)
+        assert homological_dimension(torsion, Q) == homological_dimension(EMPTY_GRADED, Z) == INFINITY
 
 
 class TestGradedOrder:
@@ -360,7 +458,7 @@ def graded_order_leq_by_homology(k, l):
     for p in sorted(primes):
         family += [AdmissibleGroup.of(Cyclic(p, 1)), prufer(p), localized(PrimeSet.of(p))]
     for g in family:
-        dk, dl = homological_dimension(k, g), homological_dimension(l, g)
+        dk, dl = homological_dimension_by_homology(k, g), homological_dimension_by_homology(l, g)
         if not dk <= dl:
             return GradedOrderVerdict(False, tuple(family), (g, dk, dl))
     return GradedOrderVerdict(True, tuple(family))
@@ -402,7 +500,7 @@ class TestDimensionProfile:
         checked = graded_order_leq(k, l).checked
         for side in (k, l):
             for g, value in family_readings(dimension_profile(side), checked):
-                assert value == homological_dimension(side, g)
+                assert value == homological_dimension_by_homology(side, g) == homological_dimension(side, g)
 
     @given(st_graded, st_nontrivial_group)
     def test_dimension_is_the_least_value_over_sigma(self, k, g):
@@ -422,7 +520,8 @@ class TestDimensionProfile:
         pairs = [(random_graded(rng, max_entries=4), random_graded(rng, max_entries=4)) for _ in range(300)]
         for _ in range(3):
             k, l = wide_graded(rng), wide_graded(rng)
-            pairs += [(k, l), (l, k), (k, k.direct_sum(l)), (k.direct_sum(l), k.shift(1))]
+            both = GradedGroup(k.entries + l.entries)
+            pairs += [(k, l), (l, k), (k, both), (both, k.shift(1))]
         verdicts = [graded_order_leq(k, l) for k, l in pairs]
         assert verdicts == [graded_order_leq_by_homology(k, l) for k, l in pairs]
         assert {v.holds for v in verdicts} == {True, False}
