@@ -24,7 +24,6 @@ same shape, PrimeIndexed, also carries Bockstein functions and wedges.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import itertools
 import operator
@@ -43,7 +42,7 @@ class ExtNat:
     """A natural number or infinity.
 
     Ordered and hashable; compares against plain ints.  Addition with a
-    natural is defined and infinity absorbs it; subtraction saturates at 0.
+    natural is defined and infinity absorbs it.
 
     >>> ExtNat(3) + 1
     ExtNat(4)
@@ -116,17 +115,6 @@ class ExtNat:
         return ExtNat(self._value + other._value)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        # Saturating: n - m is 0 when m >= n; infinity minus a natural stays infinite.
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self._value is None:
-            return INFINITY
-        if other._value is None:
-            raise ValueError("cannot subtract infinity")
-        return ExtNat(max(0, self._value - other._value))
 
     def to_json(self):
         return "inf" if self._value is None else self._value
@@ -532,9 +520,14 @@ class PrimeIndexed(Generic[R, V]):
     default: V
     exceptions: tuple[tuple[int, V], ...] = ()
 
+    _entry_check = None  # a subclass's check of the default and of each value kept: returns the value or raises
+
     def __post_init__(self):
-        listed = _converted(self.exceptions, dict, "a mapping of primes to values").items()
-        object.__setattr__(self, "exceptions", tuple(sorted((p, v) for p, v in listed if v != self.default)))
+        if (check := self._entry_check) is not None:
+            check(self.default)
+        listed, default = _converted(self.exceptions, dict, "a mapping of primes to values").items(), self.default
+        kept = [(p, v if check is None else check(v)) for p, v in listed if v != default]
+        object.__setattr__(self, "exceptions", tuple(sorted(kept)))
 
     @classmethod
     def build(cls, rational: R, default: V, exceptions=()):
@@ -581,43 +574,12 @@ class PrimeIndexed(Generic[R, V]):
 # Bockstein basis.
 
 
-class PrimePattern(enum.Flag):
-    """Which of the three p-local Bockstein groups are present at a prime."""
-
-    EMPTY = 0
-    CYCLIC = enum.auto()  # Z/p
-    PRUFER = enum.auto()  # Z/p^oo
-    LOCAL = enum.auto()   # Z_(p)
-
-
-FULL_PATTERN = PrimePattern.CYCLIC | PrimePattern.PRUFER | PrimePattern.LOCAL
-_CYCLIC_PRUFER = PrimePattern.CYCLIC | PrimePattern.PRUFER
-_LOCAL_PATTERNS = {PrimePattern.EMPTY, FULL_PATTERN}  # the patterns of sigma(Z_(l)) at a prime
-
-
-class BocksteinFlag(NamedTuple):
-    """How one p-local test group is spelled: ``name`` in sigma documents
-    and as the PrimeTriple field, ``key`` in Bockstein function and wedge
-    documents, ``display`` in text with ``{p}`` standing for the prime."""
-
-    flag: PrimePattern
-    name: str
-    key: str
-    display: str
-
-
-BOCKSTEIN_FLAGS = (
-    BocksteinFlag(PrimePattern.CYCLIC, "cyclic", "Zp", "Z/{p}"),
-    BocksteinFlag(PrimePattern.PRUFER, "prufer", "ZpInf", "Z/{p}^oo"),
-    BocksteinFlag(PrimePattern.LOCAL, "local", "Zploc", "Z_({p})"),
-)
-
-
 class PrimeTriple(NamedTuple):
-    """One value on each p-local test group at a prime, its fields named
-    and ordered as BOCKSTEIN_FLAGS: ExtNats in Bockstein functions and
-    dimension profiles, a degree or None in minimal wedges, the test groups
-    themselves in `leqgr`'s family."""
+    """One value on each p-local test group at a prime: Z/p, Z/p^oo, Z_(p),
+    the one place that fixes their order.  ExtNats in Bockstein functions
+    and dimension profiles, a degree or None in minimal wedges, the test
+    groups themselves in `leqgr`'s family.  A PrimePattern is a set of test
+    groups as the bits of the fields: bit i stands for field i."""
 
     cyclic: Any
     prufer: Any
@@ -627,41 +589,71 @@ class PrimeTriple(NamedTuple):
     def constant(cls, value) -> "PrimeTriple":
         return cls(value, value, value)
 
-    def select(self, pattern: PrimePattern) -> list:
-        """The values on the test groups in `pattern`."""
-        return [v for f, v in zip(BOCKSTEIN_FLAGS, self) if f.flag & pattern]
+    def select(self, pattern: int) -> list:
+        """The values on the test groups in `pattern`: field i when bit i is set."""
+        return [v for i, v in enumerate(self) if pattern >> i & 1]
 
     def to_json(self, value_json=ExtNat.to_json):
-        return {f.key: value_json(v) for f, v in zip(BOCKSTEIN_FLAGS, self)}
+        return {key: value_json(v) for key, v in zip(_TRIPLE_KEYS, self)}
 
     @classmethod
     def from_json(cls, data) -> "PrimeTriple":
-        keys = [f.key for f in BOCKSTEIN_FLAGS]
-        if not isinstance(data, dict) or set(data) != set(keys):
-            raise ParseError(f"a triple needs exactly the keys {', '.join(keys)}", code="bad_document")
+        if not isinstance(data, dict) or set(data) != set(_TRIPLE_KEYS):
+            raise ParseError(f"a triple needs exactly the keys {', '.join(_TRIPLE_KEYS)}", code="bad_document")
         try:
-            return cls(*(ExtNat.of(data[key]) for key in keys))
+            return cls._make([ExtNat.of(data[key]) for key in _TRIPLE_KEYS])
         except ValueError as exc:
             raise ParseError(str(exc), code="bad_document") from exc
 
 
-def pattern_flags(pat: PrimePattern) -> tuple[str, ...]:
-    return tuple(f.name for f in BOCKSTEIN_FLAGS if f.flag & pat)
+# How the test groups are spelled: in Bockstein function and wedge documents, and in text with {p} for the prime.
+_TRIPLE_KEYS = PrimeTriple("Zp", "ZpInf", "Zploc")
+_TRIPLE_DISPLAY = PrimeTriple("Z/{p}", "Z/{p}^oo", "Z_({p})")
+
+
+class PrimePattern:
+    """Which of the three p-local test groups are present at a prime: an int
+    whose bit i is set when the group of PrimeTriple field i is."""
+
+    EMPTY = 0
+    CYCLIC = 1  # Z/p
+    PRUFER = 2  # Z/p^oo
+    LOCAL = 4   # Z_(p)
+
+
+FULL_PATTERN = PrimePattern.CYCLIC | PrimePattern.PRUFER | PrimePattern.LOCAL
+_CYCLIC_PRUFER = PrimePattern.CYCLIC | PrimePattern.PRUFER
+_LOCAL_PATTERNS = {PrimePattern.EMPTY, FULL_PATTERN}  # the patterns of sigma(Z_(l)) at a prime
+# The patterns of a sigma at a prime, which form the chain Z/p^oo < +Z/p < +Z_(p).
+_CHAIN_PATTERNS = frozenset({PrimePattern.EMPTY, PrimePattern.PRUFER, _CYCLIC_PRUFER, FULL_PATTERN})
+
+
+def pattern_flags(pat: int) -> tuple[str, ...]:
+    """The field names of the test groups in `pat`, as sigma documents spell them."""
+    return tuple(PrimeTriple.select(PrimeTriple._fields, pat))
 
 
 def _join(*values):
     return functools.reduce(operator.or_, values)
 
 
-class SigmaSet(PrimeIndexed[bool, PrimePattern]):
+class SigmaSet(PrimeIndexed[bool, int]):
     """A set of Bockstein groups: ``rational`` records whether Q belongs and
-    the pattern at a prime which of Z/p, Z/p^oo, Z_(p) do."""
+    the PrimePattern at a prime which of Z/p, Z/p^oo, Z_(p) do.  A pattern
+    must lie on the chain every sigma's patterns form; any other is
+    `not_a_group`."""
 
-    def escapes(self, other: "SigmaSet", flags: PrimePattern = FULL_PATTERN) -> tuple[int, ...]:
+    @staticmethod
+    def _entry_check(pattern) -> int:
+        if type(pattern) is int and pattern in _CHAIN_PATTERNS:
+            return pattern
+        raise _required("a pattern of the chain Z/p^oo < +Z/p < +Z_(p) (0, 2, 3 or 7)", pattern)
+
+    def escapes(self, other: "SigmaSet", flags: int = FULL_PATTERN) -> tuple[int, ...]:
         """The primes, in `primes_to_inspect` order, where self has a test
         group in `flags` that `other` lacks."""
         _checked_sigma(other)
-        return tuple(p for p in self.primes_to_inspect(other) if self.at(p) & flags not in other.at(p))
+        return tuple(p for p in self.primes_to_inspect(other) if self.at(p) & flags & ~other.at(p))
 
     def issubset(self, other: "SigmaSet") -> bool:
         return (_checked_sigma(other).rational or not self.rational) and not self.escapes(other)
@@ -705,11 +697,9 @@ def sigma(group: AdmissibleGroup) -> SigmaSet:
                 outside = set(ps.members) if outside is None else outside.intersection(ps.members)
             else:
                 at.update(dict.fromkeys(ps.members, FULL_PATTERN))
-        # The patterns at a prime form a chain, Z/p^oo < +Z/p < +Z_(p), so a union keeps the larger.
-        elif type(a) is Prufer:
-            at.setdefault(a.prime, PrimePattern.PRUFER)
-        elif at.get(a.prime) is not FULL_PATTERN:
-            at[a.prime] = _CYCLIC_PRUFER
+        else:  # the union of two patterns is their bitwise or
+            pattern = PrimePattern.PRUFER if type(a) is Prufer else _CYCLIC_PRUFER
+            at[a.prime] = at.get(a.prime, PrimePattern.EMPTY) | pattern
     if outside is None:
         return SigmaSet.build(rational, PrimePattern.EMPTY, at)
     return SigmaSet.build(True, FULL_PATTERN, {p: at.get(p, PrimePattern.EMPTY) for p in outside})
@@ -723,7 +713,7 @@ def tau_closure(s: SigmaSet) -> SigmaSet:
     always contains the input.
     """
     closed = FULL_PATTERN if _checked_sigma(s).rational else _CYCLIC_PRUFER
-    return SigmaSet.combine(bool, lambda pat: closed if PrimePattern.PRUFER in pat else PrimePattern.EMPTY, s)
+    return SigmaSet.combine(bool, lambda pat: closed if pat & PrimePattern.PRUFER else PrimePattern.EMPTY, s)
 
 
 def tau(group: AdmissibleGroup) -> SigmaSet:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Optional
 
 from .abelian import (
-    BOCKSTEIN_FLAGS, INFINITY, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, _checked_int,
+    INFINITY, AdmissibleGroup, ExtNat, PrimeIndexed, PrimePattern, PrimeTriple, _checked_int,
     _checked_kind, _checked_prime, _converted, _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
@@ -121,7 +121,7 @@ def _triple_violations(prime: Optional[int], q: ExtNat, t: PrimeTriple) -> list[
         out.append(Violation(prime, 3, f"{where}: need a(Q) <= a(Z_(p)), got {q} > {t.local}"))
     if not t.local <= max(q, t.prufer + 1):
         out.append(Violation(prime, 4, f"{where}: need a(Z_(p)) <= max(a(Q), a(Z/p^oo)+1), got {t.local}"))
-    if not t.prufer <= max(q, t.local - 1):
+    if not t.prufer + 1 <= max(q + 1, t.local):
         out.append(Violation(prime, 5, f"{where}: need a(Z/p^oo) <= max(a(Q), a(Z_(p))-1), got {t.prufer}"))
     return out
 
@@ -183,6 +183,8 @@ class MinimalWedge(PrimeIndexed[Optional[int], PrimeTriple]):
     `exceptions`, so the description is finite even when the wedge is not.
     """
 
+    _entry_check = partial(_checked_kind, kind=PrimeTriple, name="a PrimeTriple")  # a partial is not bound
+
     def to_json(self):
         return self._to_json("rational", self.rational, lambda t: t.to_json(lambda deg: deg))
 
@@ -223,7 +225,7 @@ def infinite_gap_witness(dim_group: AdmissibleGroup, sep_group: AdmissibleGroup,
         return ExtNat(m) if inner else ExtNat(m + 1) if outer else INFINITY
 
     return BocksteinFunction.combine(
-        layer, lambda sp, tp: PrimeTriple._make([layer(f.flag in sp, f.flag in tp) for f in BOCKSTEIN_FLAGS]), s, t
+        layer, lambda sp, tp: PrimeTriple._make([layer(sp >> i & 1, tp >> i & 1) for i in range(3)]), s, t
     )
 
 

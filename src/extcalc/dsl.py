@@ -29,15 +29,14 @@ import re
 
 from .abelian import (
     ALL_PRIMES,
-    BOCKSTEIN_FLAGS,
     NO_PRIMES,
     AdmissibleGroup,
     Cyclic,
     Localization,
-    PrimePattern,
     PrimeSet,
     Prufer,
     SigmaSet,
+    _TRIPLE_DISPLAY,
     _checked_group,
     _checked_sigma,
     _trusted,
@@ -208,23 +207,13 @@ def format_graded(graded: GradedGroup) -> str:
     return "{" + inner + "}"
 
 
-def _pattern_names(pattern: PrimePattern, p) -> list[str]:
-    return [f.display.format(p=p) for f in BOCKSTEIN_FLAGS if f.flag & pattern]
-
-
 def format_sigma(s: SigmaSet) -> str:
     """Human-readable listing, e.g. ``{Z/2, Z/2^oo, Z/3, Z/3^oo}``; an
     eventually-uniform part is described once with a generic prime p."""
-    chunks = []
-    if _checked_sigma(s).rational:
-        chunks.append("Q")
+    chunks = ["Q"] if _checked_sigma(s).rational else []
     for p, pattern in s.exceptions:
-        chunks.extend(_pattern_names(pattern, p))
-    if s.default != PrimePattern.EMPTY:
-        generic = ", ".join(_pattern_names(s.default, "p"))
-        if s.exceptions:
-            listed = ", ".join(str(p) for p in s.exception_primes)
-            chunks.append(f"{generic} for every prime p outside {{{listed}}}")
-        else:
-            chunks.append(f"{generic} for every prime p")
+        chunks += [name.format(p=p) for name in _TRIPLE_DISPLAY.select(pattern)]
+    if s.default:
+        outside = f" outside {{{', '.join(map(str, s.exception_primes))}}}" if s.exceptions else ""
+        chunks.append(", ".join(_TRIPLE_DISPLAY.select(s.default)).format(p="p") + f" for every prime p{outside}")
     return "{" + ", ".join(chunks) + "}"

@@ -11,7 +11,8 @@ integer degrees.  Two readings are used side by side:
   difference of the two gradings.
 
 Coefficient operations are degreewise tensor/Tor, and cohomology is homology
-on the reflected grading (degree d moved to -d); `_shift` reads zero-ness from sigma.
+on the reflected grading (degree d moved to -d); `_shift` reads zero-ness from
+the sigmas' patterns with int bit operations, as PrimePattern defines them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import partial
 from typing import Optional
 
 from .abelian import (
-    BOCKSTEIN_FLAGS, FULL_PATTERN, AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern,
+    FULL_PATTERN, AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern,
     PrimeSet, PrimeTriple, Prufer, Q, TRIVIAL, _CYCLIC_PRUFER, _checked_group, _checked_int, _checked_kind, _record,
     _required, _trusted, fresh_prime, sigma,
 )
@@ -69,7 +70,7 @@ class GradedGroup:
 
     def shift(self, r: int) -> "GradedGroup":
         _checked_int(r, code="bad_degree", message="a graded group shifts by a whole number of degrees")
-        return GradedGroup([(d + r, g) for d, g in self.entries])
+        return _trusted(GradedGroup, tuple([(d + r, g) for d, g in self.entries]))  # still sorted, still nonzero
 
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
@@ -104,22 +105,18 @@ def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGr
 _natural = partial(_checked_graded, least=0, message="a dimension needs degrees >= 0, got degree {}")
 
 
-# Z/p, Z/p^oo and Z_(p) as int bits: a Flag's `in` and `&` cost ten times an int's
-_ZP, _ZPINF, _ZPLOC = (f.flag._value_ for f in BOCKSTEIN_FLAGS)
-
-
 def _shift(rational: bool, patterns) -> Optional[int]:
     """0 when g (x) h is nonzero, 1 when only Tor(g, h) is, else None: Q in both sigmas (`rational`), or at a prime
     p where they have patterns (a, b) in `patterns`, Z_(p) in one and Z/p^oo in the other or Z/p in both; Tor
     needs p-torsion on both sides, which puts Z/p^oo in both."""
     if rational:
         return 0
-    shift = None
+    # the bits as locals: the loop reads them at every prime, and a class attribute costs more per read
+    shift, zp, zpinf, zploc = None, PrimePattern.CYCLIC, PrimePattern.PRUFER, PrimePattern.LOCAL
     for a, b in patterns:
-        a, b = a._value_, b._value_
-        if a & _ZPLOC and b & _ZPINF or a & _ZPINF and b & _ZPLOC or a & b & _ZP:
+        if a & zploc and b & zpinf or a & zpinf and b & zploc or a & b & zp:
             return 0
-        if a & b & _ZPINF:
+        if a & b & zpinf:
             shift = 1
     return shift
 
@@ -165,9 +162,9 @@ def suspend(k: GradedGroup, r: int) -> GradedGroup:
 
 
 def _reflect(x: GradedGroup) -> GradedGroup:
-    """x with each degree d moved to -d: the grading in which a compactum's
-    stored cohomology reads as homology."""
-    return GradedGroup([(-d, g) for d, g in _checked_graded(x).entries])
+    """x with each degree d moved to -d, its entries reversed to stay sorted:
+    the grading in which a compactum's stored cohomology reads as homology."""
+    return _trusted(GradedGroup, tuple([(-d, g) for d, g in reversed(_checked_graded(x).entries)]))
 
 
 def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> GradedGroup:

@@ -43,8 +43,9 @@ from extcalc import (
     unit_gap_witness,
 )
 from extcalc.abelian import (
-    BOCKSTEIN_FLAGS, FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, _trusted, pattern_flags,
+    FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, _trusted, pattern_flags,
 )
+from extcalc.dsl import format_sigma
 
 CYC = PrimePattern.CYCLIC
 PRU = PrimePattern.PRUFER
@@ -66,13 +67,6 @@ class TestExtNat:
         assert ExtNat(3) + 1 == 4
         assert INFINITY + 5 == INFINITY
         assert 2 + ExtNat(2) == 4
-
-    def test_subtraction_saturates(self):
-        assert ExtNat(3) - 5 == 0
-        assert ExtNat(5) - 3 == 2
-        assert INFINITY - 1000 == INFINITY
-        with pytest.raises(ValueError):
-            ExtNat(3) - INFINITY
 
     def test_construction_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -456,7 +450,7 @@ def sigma_by_tensor_tests(group):
             pat |= CYC
         if not prufer(p).tensor(group).is_trivial:
             pat |= LOC
-        if CYC in pat or not prufer(p).tor(group).is_trivial:
+        if pat & CYC or not prufer(p).tor(group).is_trivial:
             pat |= PRU
         return pat
 
@@ -672,7 +666,17 @@ class TestSigmaSetOps:
 
 class TestPrimeTriple:
     def test_fields_are_the_flags_in_order(self):
-        assert PrimeTriple._fields == tuple(f.name for f in BOCKSTEIN_FLAGS)
+        assert PrimeTriple._fields == ("cyclic", "prufer", "local")
+        assert (CYC, PRU, LOC) == (1, 2, 4)  # bit i stands for field i
+
+    @pytest.mark.parametrize("pattern", range(8))
+    def test_bit_i_is_field_i(self, pattern):
+        fields = [name for i, name in enumerate(PrimeTriple._fields) if pattern & 1 << i]
+        assert PrimeTriple._make(PrimeTriple._fields).select(pattern) == fields
+        assert pattern_flags(pattern) == tuple(fields)
+        shown = {"cyclic": "Z/2", "prufer": "Z/2^oo", "local": "Z_(2)"}
+        s = _trusted(SigmaSet, False, PrimePattern.EMPTY, ((2, pattern),))  # the constructor takes chain patterns only
+        assert format_sigma(s) == "{" + ", ".join(shown[name] for name in fields) + "}"
 
     def test_select_reads_the_pattern(self):
         t = PrimeTriple(cyclic=1, prufer=2, local=3)
@@ -702,6 +706,14 @@ class TestPrimeIndexed:
         with pytest.raises(DomainError) as exc:
             SigmaSet(True, PrimePattern.EMPTY, exceptions)
         assert exc.value.code == "not_a_group"
+
+    @pytest.mark.parametrize("pattern", [CYC, LOC, CYC | LOC, PRU | LOC, 8, -1, True, 3.0, "3", None, [3]])
+    def test_a_sigma_takes_only_the_chain_patterns(self, pattern):
+        # int patterns other than 0, 2, 3 and 7 would print a basis that is no sigma's; the rest failed on use
+        for default, exceptions in ((pattern, ()), (PrimePattern.EMPTY, {2: pattern})):
+            with pytest.raises(DomainError) as exc:
+                SigmaSet(True, default, exceptions)
+            assert exc.value.code == "not_a_group"
 
     def test_combine_is_pointwise(self):
         x = PrimeIndexed.build(1, 0, {2: 5, 7: 1})

@@ -1,6 +1,7 @@
 """Bockstein dimension functions: the five realizability inequalities,
 dimension evaluation, the minimal wedge, and the two witness builders."""
 
+import itertools
 import random
 
 import pytest
@@ -137,7 +138,21 @@ class TestDocuments:
         assert alpha.rational == INFINITY
 
 
+def rule_5_by_subtraction(q, t):
+    """Rule 5 as the validator first read it, a(Z/p^oo) <= max(a(Q), a(Z_(p)) - 1) with a subtraction that
+    saturates at 0 and leaves infinity infinite: the oracle for its form by addition."""
+    local_minus_one = N(max(0, t.local.value - 1)) if t.local.is_finite else INFINITY
+    return t.prufer <= max(q, local_minus_one)
+
+
 class TestValidation:
+    def test_rule_5_agrees_with_its_form_by_subtraction(self):
+        values = [*map(N, range(6)), INFINITY]
+        for q, prufer_value, local in itertools.product(values, repeat=3):
+            t = PrimeTriple(INFINITY, prufer_value, local)
+            violated = 5 in {v.rule for v in validate_bockstein(BocksteinFunction.build(q, t))}
+            assert violated is not rule_5_by_subtraction(q, t), (q, t)
+
     def test_valid_examples(self):
         assert validate_bockstein(bf(2, (2, 1, 2))) == []
         assert validate_bockstein(bf(0, (0, 0, 0))) == []
@@ -162,8 +177,8 @@ class TestValidation:
         assert 4 in rules
 
     def test_rule_5_prufer_capped(self):
-        rules = {v.rule for v in validate_bockstein(bf(1, (5, 5, 5)))}
-        assert 5 in rules
+        (violation,) = [v for v in validate_bockstein(bf(1, (5, 5, 5))) if v.rule == 5]
+        assert violation.detail == "default: need a(Z/p^oo) <= max(a(Q), a(Z_(p))-1), got 5"
 
     def test_violation_reports_prime(self):
         alpha = bf(1, (1, 1, 1), {7: triple(5, 1, 5)})

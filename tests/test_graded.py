@@ -38,7 +38,6 @@ from extcalc import (
     suspend,
     vanishing_check,
 )
-from extcalc.abelian import BOCKSTEIN_FLAGS
 from extcalc.graded import _lowest, _reflect
 from test_abelian import wide_group
 
@@ -127,6 +126,13 @@ class TestGradedGroup:
         k = GradedGroup.of({1: Z2})
         assert k.shift(2) == GradedGroup.of({3: Z2})
         assert GradedGroup(k.entries + GradedGroup.of({1: Z}).entries) == GradedGroup.of({1: Z2 + Z})
+
+    @given(st_graded, st.integers(-4, 4))
+    def test_shift_and_reflect_build_what_the_constructor_builds(self, k, r):
+        # both build their result trusted, keeping (or, for _reflect, reversing) the canonical order
+        assert k.shift(r) == GradedGroup([(d + r, g) for d, g in k.entries])
+        assert _reflect(k) == GradedGroup([(-d, g) for d, g in k.entries])
+        assert _reflect(_reflect(k)) == k
 
     def test_entries_and_shifts_are_checked(self):
         k = GradedGroup.of({1: Z2})
@@ -508,7 +514,7 @@ class TestDimensionProfile:
         profile, s = dimension_profile(k), sigma(g)
         values = [profile.rational] if s.rational else []
         for p in s.primes_to_inspect(profile):
-            values += [v for f, v in zip(BOCKSTEIN_FLAGS, profile.at(p)) if f.flag & s.at(p)]
+            values += profile.at(p).select(s.at(p))
         assert homological_dimension(k, g) == min(values, default=INFINITY)
 
     @given(st_graded, st_graded)

@@ -229,11 +229,14 @@ ONES = extcalc.PrimeTriple.constant(extcalc.ExtNat(1))
         (lambda: extcalc.GradedGroup(5), "not_a_group"),
         (lambda: extcalc.GradedGroup(((1, 5),)), "not_a_group"),
         (lambda: extcalc.SigmaSet(5, 5, 5), "not_a_group"),
+        (lambda: extcalc.SigmaSet(True, 5, ()), "not_a_group"),
+        (lambda: extcalc.MinimalWedge(1, 5, ()), "not_a_group"),
     ],
     ids=[
         "exceptions 5", "exceptions text", "entries 5", "graded 5", "graded text",
         "members 5", "unhashable member", "rows 5", "row 5",
         "group record 5", "graded record 5", "graded record entry 5", "sigma record 5",
+        "sigma pattern 5", "wedge default 5",
     ],
 )
 def test_a_collection_a_record_takes_is_typed(build, code):
