@@ -4,7 +4,10 @@
 Random presentation matrices feed both the closed-form atom tables and the
 Smith-normal-form oracle, and each matrix feeds both reductions inside the
 oracle: the invariant factors read modulo a maximal minor, and the diagonal
-of the exact Smith form with its transforms.  Random graded pairs feed both routes to the
+of the exact Smith form with its transforms.  The same two groups feed both
+routes to a graded answer: `smash({1: A, 2: B}, {1: B, 3: A})` in one pass
+over the atom tables, and the sums of the oracle's tensor products in degree
+i + j and Tor groups in degree i + j + 1.  Random graded pairs feed both routes to the
 dimension order: the dimension profiles that `leqgr` compares, read from
 sigma, and homological dimensions read off full homology groups, which the
 atom tables build, on every member of the coefficient family `leqgr`
@@ -34,6 +37,7 @@ from extcalc import (
     group_from_presentation,
     homology_with_coefficients,
     invariant_factors,
+    smash,
     snf,
     tensor_from_presentations,
     tor_from_presentations,
@@ -74,14 +78,26 @@ def profile_readings(profile, checked) -> list:
     return values
 
 
-def main() -> int:
+def smash_by_presentations(k: dict, l: dict) -> GradedGroup:
+    """smash of {i: group of k[i]} and {j: group of l[j]}, given by relation
+    matrices, from the SNF oracle alone: in degree n the sum of its tensor
+    products over i + j = n and its Tor groups over i + j = n - 1."""
+    return GradedGroup(
+        (i + j + shift, product(ri, rj))
+        for i, ri in k.items()
+        for j, rj in l.items()
+        for shift, product in ((0, tensor_from_presentations), (1, tor_from_presentations))
+    )
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=5000)
     parser.add_argument("--max-dim", type=int, default=5, help="max rows/cols of a relation matrix")
     parser.add_argument("--bound", type=int, default=20, help="entry magnitude bound")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report-every", type=int, default=1000)
-    cfg = parser.parse_args()
+    cfg = parser.parse_args(argv)
 
     rng = random.Random(cfg.seed)
     graded_rng = random.Random(f"{cfg.seed}:graded")
@@ -103,6 +119,15 @@ def main() -> int:
                 print(f"  B = {rel_b.to_rows()}")
                 print(f"  table  -> {table}")
                 print(f"  oracle -> {oracle}")
+        table = smash(GradedGroup({1: a, 2: b}), GradedGroup({1: b, 3: a}))
+        oracle = smash_by_presentations({1: rel_a, 2: rel_b}, {1: rel_b, 3: rel_a})
+        if table != oracle:
+            mismatches += 1
+            print(f"MISMATCH pair {i} smash({{1: A, 2: B}}, {{1: B, 3: A}}):")
+            print(f"  A = {rel_a.to_rows()}")
+            print(f"  B = {rel_b.to_rows()}")
+            print(f"  table  -> {format_graded(table)}")
+            print(f"  oracle -> {format_graded(oracle)}")
         for name, rel in (("A", rel_a), ("B", rel_b)):
             modular = invariant_factors(rel)
             d = snf(rel).d

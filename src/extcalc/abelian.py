@@ -344,14 +344,6 @@ def _summand_key(summand: tuple[Atom, int]):
             raise _required("an atom", other)
 
 
-def _atom_support(a: Atom):
-    match a:
-        case Localization(primes=ps):
-            return ps.members
-        case Cyclic(prime=p) | Prufer(prime=p):
-            return (p,)
-
-
 # ---------------------------------------------------------------------------
 # Groups.
 
@@ -406,34 +398,17 @@ class AdmissibleGroup:
 
     def support_primes(self) -> tuple[int, ...]:
         """Primes mentioned by any atom (localization lists count)."""
-        out = set()
-        for a, _ in self.summands:
-            out.update(_atom_support(a))
-        return tuple(sorted(out))
+        primes = {p for a, _ in self.summands for p in (a.primes.members if type(a) is Localization else (a.prime,))}
+        return tuple(sorted(primes))
 
     def tensor(self, other: "AdmissibleGroup") -> "AdmissibleGroup":
         """Tensor product over Z, computed bilinearly from the atom table."""
-        return self._bilinear(other, _tensor_atoms)
+        _atom_pairs(self.summands, _indexed(_checked_group(other)), terms := [], None)
+        return AdmissibleGroup.from_counts(terms)
 
     def tor(self, other: "AdmissibleGroup") -> "AdmissibleGroup":
         """Tor over Z, computed bilinearly from the atom table."""
-        return self._bilinear(other, _tor_atoms)
-
-    def _bilinear(self, other: "AdmissibleGroup", table) -> "AdmissibleGroup":
-        # Both tables vanish on torsion atoms at different primes, so a
-        # torsion atom meets only the localizations and its own prime's atoms.
-        flat, by_prime = [], {}
-        for b, m in _checked_group(other).summands:
-            if type(b) is Localization:
-                flat.append((b, m))
-            else:
-                by_prime.setdefault(b.prime, []).append((b, m))
-        at_prime = {p: flat + atoms for p, atoms in by_prime.items()}
-        terms = []
-        for a, n in self.summands:
-            for b, m in other.summands if type(a) is Localization else at_prime.get(a.prime, flat):
-                if (c := table(a, b)) is not None:
-                    terms.append((c, n * m))
+        _atom_pairs(self.summands, _indexed(_checked_group(other)), None, terms := [])
         return AdmissibleGroup.from_counts(terms)
 
     def __repr__(self):
@@ -496,6 +471,29 @@ def _tor_atoms(a: Atom, b: Atom) -> Atom | None:
             return b if p == q else None
         case (Cyclic(prime=p), Prufer(prime=q)):
             return a if p == q else None
+
+
+def _indexed(group: AdmissibleGroup):
+    """`group`'s summands as `_atom_pairs` meets them: all of them, and at each prime p of a torsion atom the
+    localizations with p's torsion atoms, then p's torsion atoms alone; built once per group, however many meet it."""
+    flat, by_prime = [(b, m) for b, m in group.summands if type(b) is Localization], {}
+    for b, m in group.summands[len(flat):]:  # the canonical order lists the localizations first
+        by_prime.setdefault(b.prime, []).append((b, m))
+    return group.summands, flat, {p: flat + atoms for p, atoms in by_prime.items()}, by_prime
+
+
+def _atom_pairs(summands, index, tensor: list | None, tor: list | None):
+    """Append the terms of G (x) H to `tensor` and of Tor(G, H) to `tor` (None: not wanted), G with these summands
+    and H `_indexed`, one atom of G at a time. Both tables vanish on torsion atoms at different primes, and Tor on a
+    localization, so a torsion atom meets only the localizations and its own prime's atoms, and only Tor those."""
+    every, flat, at_prime, by_prime = index
+    for a, n in summands:
+        local = type(a) is Localization
+        if tensor is not None:
+            meets = every if local else at_prime.get(a.prime, flat)
+            tensor += [(c, n * m) for b, m in meets if (c := _tensor_atoms(a, b)) is not None]
+        if tor is not None and not local:
+            tor += [(c, n * m) for b, m in by_prime.get(a.prime, ()) if (c := _tor_atoms(a, b)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +572,13 @@ class PrimeIndexed(Generic[R, V]):
 
 
 def _listed(items):
-    """The primes any item lists, in increasing order, and each item's values at them: one read of each table."""
-    tables = [dict(x.exceptions) for x in items]
-    primes = sorted(set().union(*tables))
-    return primes, [[t.get(p, x.default) for p in primes] for t, x in zip(tables, items)] if primes else []
+    """The primes any item lists, in increasing order, and each item's values at them: one read of each table, and
+    for an item that lists no prime a constant column, with no table."""
+    primes, columns = sorted({p for x in items for p, _ in x.exceptions}), []
+    for x in items if primes else ():
+        table = dict(x.exceptions) if x.exceptions else None
+        columns.append([table.get(p, x.default) for p in primes] if table else [x.default] * len(primes))
+    return primes, columns
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ integer degrees.  Two readings are used side by side:
   a complex is paired against a compactum and the natural index is the
   difference of the two gradings.
 
-Coefficient operations are degreewise tensor/Tor, and cohomology is homology
-on the reflected grading (degree d moved to -d); `_shift` reads zero-ness from
-the sigmas' patterns with int bit operations, as PrimePattern defines them.
+Coefficient operations are one `smash`, which walks the entry pairs once,
+adds each pair's tensor and Tor atom terms to one list per output degree and
+builds each degree's group once.  Homology with coefficients G is the smash
+with G in degree 0, and cohomology is homology on the reflected grading
+(degree d moved to -d); `_shift` reads zero-ness from the sigmas' patterns
+with int bit operations, as PrimePattern defines them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Optional
 
 from .abelian import (
     FULL_PATTERN, AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern,
-    PrimeSet, PrimeTriple, Prufer, Q, TRIVIAL, _CYCLIC_PRUFER, _checked_group, _checked_int, _checked_kind, _record,
-    _required, _trusted, fresh_prime, sigma,
+    PrimeSet, PrimeTriple, Prufer, Q, TRIVIAL, _CYCLIC_PRUFER, _atom_pairs, _checked_group, _checked_int, _checked_kind,
+    _indexed, _record, _required, _trusted, fresh_prime, sigma,
 )
 from .errors import DomainError
 
@@ -55,10 +58,7 @@ class GradedGroup:
         return cls(mapping)
 
     def at(self, degree: int) -> AdmissibleGroup:
-        for d, g in self.entries:
-            if d == degree:
-                return g
-        return TRIVIAL
+        return next((g for d, g in self.entries if d == degree), TRIVIAL)
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -77,10 +77,7 @@ class GradedGroup:
         return ExtNat(_natural(self).entries[0][0]) if self.entries else INFINITY
 
     def support_primes(self) -> tuple[int, ...]:
-        out = set()
-        for _, g in self.entries:
-            out.update(g.support_primes())
-        return tuple(sorted(out))
+        return tuple(sorted({p for _, g in self.entries for p in g.support_primes()}))
 
     def __repr__(self):
         from .dsl import format_graded
@@ -133,13 +130,9 @@ def _lowest(k: GradedGroup, l: GradedGroup) -> Optional[int]:
 
 
 def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
-    """Homology of a complex with given homology `k` and coefficients `group`.
-
-    Universal coefficients degreewise: degree n holds
-    (k_n (x) G) (+) Tor(k_{n-1}, G).
-    """
-    _checked_group(group, "coefficient group must be nontrivial")
-    return GradedGroup(t for d, g in _checked_graded(k).entries for t in ((d, g.tensor(group)), (d + 1, g.tor(group))))
+    """Homology of a complex with given homology `k` and coefficients `group`, by universal coefficients:
+    degree n holds (k_n (x) G) (+) Tor(k_{n-1}, G), which makes it the smash of k with G in degree 0."""
+    return smash(k, _trusted(GradedGroup, ((0, _checked_group(group, "coefficient group must be nontrivial")),)))
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
@@ -149,10 +142,15 @@ def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
 
 
 def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
-    """Homology of a smash product, by the Kunneth rule (all Tor terms are
-    direct summands here, so the answer is exact, not just up to extension)."""
+    """Homology of a smash product, by the Kunneth rule (all Tor terms are direct summands here, so the answer is
+    exact, not just up to extension): degree n sums k_i (x) l_j over i + j = n and Tor(k_i, l_j) over i + j = n - 1.
+    One pass: each entry pair adds its atom terms to its two degrees' lists, and each degree is built once."""
     k, l = _checked_graded(k), _checked_graded(l)
-    return GradedGroup((i + d, h) for d, g in l.entries for i, h in homology_with_coefficients(k, g).entries)
+    indexed, terms = [(j, _indexed(h)) for j, h in l.entries], {}
+    for i, g in k.entries:
+        for j, h in indexed:
+            _atom_pairs(g.summands, h, terms.setdefault(i + j, []), terms.setdefault(i + j + 1, []))
+    return _trusted(GradedGroup, tuple([(d, AdmissibleGroup(t)) for d, t in sorted(terms.items()) if t]))
 
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:

@@ -1,7 +1,10 @@
 """Graded groups and the coefficient calculus: Kunneth-style homology,
 cohomology with the reversed grading, the pairing, and the dimension order."""
 
+import importlib.util
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,8 +20,10 @@ from extcalc import (
     GradedGroup,
     GradedOrderVerdict,
     INFINITY,
+    Localization,
     PrimeSet,
     PrimeTriple,
+    Prufer,
     Q,
     TRIVIAL,
     Z,
@@ -44,6 +49,7 @@ from test_abelian import wide_group
 
 Z2, Z4 = cyclic(2), cyclic(4)
 P2 = prufer(2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def cohomology_by_formula(x: GradedGroup, group) -> GradedGroup:
@@ -59,6 +65,16 @@ def paired_by_cohomology(x: GradedGroup, k: GradedGroup) -> GradedGroup:
     degree j against a stored degree d landing at j - d (the first route
     before the pairing became a smash on the reflected grading)."""
     return GradedGroup((j - d, h) for j, g in k.entries for d, h in cohomology_by_formula(x, g).entries)
+
+
+def smash_by_coefficients(k: GradedGroup, l: GradedGroup) -> GradedGroup:
+    """Oracle: the smash one entry (j, h) of l at a time, by universal
+    coefficients through the public tensor and Tor, every term summed
+    degreewise by the GradedGroup constructor (the route `smash` took, through
+    `homology_with_coefficients`, before it became one pass)."""
+    return GradedGroup(
+        (i + j + s, t) for j, h in l.entries for i, g in k.entries for s, t in ((0, g.tensor(h)), (1, g.tor(h)))
+    )
 
 
 def homological_dimension_by_homology(k: GradedGroup, group) -> ExtNat:
@@ -220,6 +236,138 @@ class TestSmash:
         # Smashing with a 0-sphere (integral class in degree 0) is a no-op.
         s0 = GradedGroup.of({0: Z})
         assert smash(k, s0) == k
+
+
+def calculus_bank(rng, n):
+    """n (k, l, g) cases drawn the way the calculus_mix benchmark draws its
+    smash and pairing inputs: complexes over a pool of small groups, some of
+    them finitely generated, so entries recur; a third of the k are pairing
+    outputs, which reach negative degrees."""
+    pool = [random_group(rng, allow_trivial=False) for _ in range(60)]
+    pool += [cyclic(rng.choice((2, 6, 12, 30))) + Z for _ in range(20)]
+    graded = [GradedGroup({d: rng.choice(pool) for d in rng.sample(range(1, 7), rng.randint(1, 3))}) for _ in range(80)]
+    out = []
+    for _ in range(n):
+        k, l = rng.choice(graded), rng.choice(graded)
+        if rng.random() < 1 / 3:
+            k = pairing(k, rng.choice(graded))[0]
+        out.append((k, l, rng.choice(pool)))
+    return out
+
+
+def one_pass_results(k, l, g):
+    """The five results that the one pass computes, each beside its oracle."""
+    with_g = GradedGroup({0: g})
+    return [
+        (smash(k, l), smash_by_coefficients(k, l)),
+        (homology_with_coefficients(k, g), smash_by_coefficients(k, with_g)),
+        (cohomology_with_coefficients(k, g), _reflect(smash_by_coefficients(_reflect(k), with_g))),
+        (pairing(k, l)[0], smash_by_coefficients(_reflect(k), l)),
+        (pairing(k, l)[1], smash_by_coefficients(l, _reflect(k))),
+    ]
+
+
+class TestSmashInOnePass:
+    """`smash` appends every entry pair's atom terms to its degrees' term
+    lists and builds each degree once; the oracle sums per-entry tensors and
+    Tors through the GradedGroup constructor."""
+
+    @given(st_signed_graded, st_signed_graded, st_nontrivial_group)
+    def test_five_results_match_the_oracle(self, k, l, g):
+        for got, expected in one_pass_results(k, l, g):
+            assert got == expected
+
+    def test_five_results_match_the_oracle_on_a_calculus_bank(self):
+        bank = calculus_bank(random.Random(24), 1500)
+        for k, l, g in bank:
+            for n, (got, expected) in enumerate(one_pass_results(k, l, g)):
+                assert got == expected, (n, k, l, g)
+        # the bank reaches what the one pass must get right
+        groups = [h for k, l, g in bank for h in [g] + [h for _, h in k.entries + l.entries]]
+        atoms = {type(a) for h in groups for a, _ in h.summands}
+        assert atoms == {Localization, Cyclic, Prufer} and Q in groups
+        assert any(a.primes.cofinite and a.primes.members for h in groups for a, _ in h.summands if type(a) is Localization)
+        assert any(k.entries[0][0] < 0 for k, _, _ in bank)
+        products = [(g, h) for k, l, _ in bank for _, g in k.entries for _, h in l.entries]
+        assert any(g.tensor(h).is_trivial and g.tor(h).is_trivial for g, h in products)  # e.g. Q (x) Z/p
+        feeds = [Counter(i + j + s for i, _ in k.entries for j, _ in l.entries for s in (0, 1)) for k, l, _ in bank]
+        assert any(max(fed.values()) >= 3 for fed in feeds)  # an output degree fed by several entry pairs
+
+    def test_trivial_products_and_shared_degrees(self):
+        k, l = GradedGroup.of({-1: Q, 1: Z2 + P2}), GradedGroup.of({1: Z4 + Q, 2: cyclic(3) + Z})
+        # Q (x) Z/3 and Z/2^oo (x) Z/4 vanish; degree 3 holds Tor(Z/2 + Z/2^oo, Z/4 + Q) = Z/2 + Z/4 from the
+        # pair of degrees (1, 1) and (Z/2 + Z/2^oo) (x) (Z/3 + Z) = Z/2 + Z/2^oo from the pair (1, 2)
+        expected = GradedGroup.of({0: Q, 1: Q, 2: Z2, 3: Z2 + Z4 + Z2 + P2})
+        assert smash(k, l) == smash_by_coefficients(k, l) == expected
+        assert smash(k, EMPTY_GRADED) == smash(EMPTY_GRADED, l) == EMPTY_GRADED
+
+    def test_calls_no_coefficient_route_and_builds_each_degree_once(self, monkeypatch, capsys):
+        from extcalc import cli, graded
+
+        k, l = GradedGroup.of({1: Z2 + Q, 2: Z}), GradedGroup.of({1: P2, 3: localized(PrimeSet.excluding(2))})
+        x = GradedGroup.of({2: Z2, 3: Q})
+        expected = [smash(k, l), smash(l, k), pairing(x, k), cohomology_with_coefficients(x, Z4)]
+        expected.append(homology_with_coefficients(k, Z4))
+        commands = [
+            (["smash", "{1: Z/2 + Q, 2: Z}", "{1: Z/2^oo, 3: Z[1/2]}"], "{3: Z/2 + Z/2^oo, 4: Q, 5: Z_(~2)}"),
+            (["hcoef", "{1: Z/2, 2: Z/4 + Z/3^oo}", "Z/4"], "{1: Z/2, 2: Z/2 + Z/4, 3: Z/4}"),
+            (["pairing", "{2: Z/2, 3: Q}", "{1: Z/2 + Z}"], "{-2: Q, -1: Z/2^2, 0: Z/2}"),
+        ]
+        running, built, per_call = [], [0], []
+        real_smash, real_post_init = graded.smash, AdmissibleGroup.__post_init__
+
+        def watched_smash(a, b):
+            running.append(True)
+            built[0] = 0
+            try:
+                result = real_smash(a, b)
+            finally:
+                running.pop()
+            candidates = {i + j + s for i, _ in a.entries for j, _ in b.entries for s in (0, 1)}
+            per_call.append((built[0], len(candidates)))
+            return result
+
+        def counting_post_init(self):
+            built[0] += 1
+            real_post_init(self)
+
+        def refused_in_smash(name, real):
+            def call(*args):
+                if running:
+                    raise AssertionError(f"smash called {name}")
+                return real(*args)
+
+            return call
+
+        for module in (graded, cli):  # the CLI binds the name at import
+            monkeypatch.setattr(module, "smash", watched_smash)
+        monkeypatch.setattr(AdmissibleGroup, "__post_init__", counting_post_init)
+        for name in ("tensor", "tor"):
+            monkeypatch.setattr(AdmissibleGroup, name, refused_in_smash(name, getattr(AdmissibleGroup, name)))
+        monkeypatch.setattr(graded, "homology_with_coefficients", refused_in_smash("hcoef", homology_with_coefficients))
+        got = [graded.smash(k, l), graded.smash(l, k), graded.pairing(x, k), graded.cohomology_with_coefficients(x, Z4)]
+        got.append(graded.homology_with_coefficients(k, Z4))
+        assert got == expected
+        for argv, out in commands:
+            assert cli.run_command(argv) == 0
+            assert capsys.readouterr().out == out + "\n"
+        assert len(per_call) == 10 and all(made <= candidates for made, candidates in per_call), per_call
+
+
+    def test_the_soak_reports_a_planted_fault(self, monkeypatch, capsys):
+        # scripts/oracle_soak.py checks the smash of two presentation-built groups against the SNF oracle
+        spec = importlib.util.spec_from_file_location("oracle_soak", ROOT / "scripts" / "oracle_soak.py")
+        soak = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(soak)
+        argv = ["--pairs", "30", "--report-every", "0"]
+        assert soak.main(argv) == 0 and "MISMATCH" not in capsys.readouterr().out
+
+        def tor_at_the_tensor_degree(k, l):
+            return GradedGroup((i + j, t) for i, g in k.entries for j, h in l.entries for t in (g.tensor(h), g.tor(h)))
+
+        monkeypatch.setattr(soak, "smash", tor_at_the_tensor_degree)
+        assert soak.main(argv) == 1
+        assert "smash({1: A, 2: B}, {1: B, 3: A})" in capsys.readouterr().out
 
 
 class TestSuspension:
