@@ -484,8 +484,8 @@ def _indexed(group: AdmissibleGroup):
 
 def _atom_pairs(summands, index, tensor: list | None, tor: list | None):
     """Append the terms of G (x) H to `tensor` and of Tor(G, H) to `tor` (None: not wanted), G with these summands
-    and H `_indexed`, one atom of G at a time. Both tables vanish on torsion atoms at different primes, and Tor on a
-    localization, so a torsion atom meets only the localizations and its own prime's atoms, and only Tor those."""
+    and H `_indexed`. Both tables vanish on torsion atoms at different primes, and Tor on a localization, so a
+    torsion atom meets H's localizations and its prime's atoms in the tensor table, and those atoms alone in Tor's."""
     every, flat, at_prime, by_prime = index
     for a, n in summands:
         local = type(a) is Localization

@@ -374,7 +374,7 @@ class TestChecksAtTheBoundary:
 
 def all_pairs(g, h, table):
     """tensor or Tor by evaluating the table on every pair of summands, as
-    `_bilinear` did before it met each torsion atom only with its prime's."""
+    the tables' loop did before it met each torsion atom only with its prime's."""
     counts = Counter()
     for a, n in g.summands:
         for b, m in h.summands:

@@ -257,13 +257,13 @@ def calculus_bank(rng, n):
 
 def one_pass_results(k, l, g):
     """The five results that the one pass computes, each beside its oracle."""
-    with_g = GradedGroup({0: g})
+    with_g, (first, second) = GradedGroup({0: g}), pairing(k, l)
     return [
         (smash(k, l), smash_by_coefficients(k, l)),
         (homology_with_coefficients(k, g), smash_by_coefficients(k, with_g)),
         (cohomology_with_coefficients(k, g), _reflect(smash_by_coefficients(_reflect(k), with_g))),
-        (pairing(k, l)[0], smash_by_coefficients(_reflect(k), l)),
-        (pairing(k, l)[1], smash_by_coefficients(l, _reflect(k))),
+        (first, smash_by_coefficients(_reflect(k), l)),
+        (second, smash_by_coefficients(l, _reflect(k))),
     ]
 
 
@@ -286,12 +286,18 @@ class TestSmashInOnePass:
         groups = [h for k, l, g in bank for h in [g] + [h for _, h in k.entries + l.entries]]
         atoms = {type(a) for h in groups for a, _ in h.summands}
         assert atoms == {Localization, Cyclic, Prufer} and Q in groups
-        assert any(a.primes.cofinite and a.primes.members for h in groups for a, _ in h.summands if type(a) is Localization)
+        localizations = [a.primes for h in groups for a, _ in h.summands if type(a) is Localization]
+        assert any(primes.cofinite and primes.members for primes in localizations)
         assert any(k.entries[0][0] < 0 for k, _, _ in bank)
         products = [(g, h) for k, l, _ in bank for _, g in k.entries for _, h in l.entries]
         assert any(g.tensor(h).is_trivial and g.tor(h).is_trivial for g, h in products)  # e.g. Q (x) Z/p
-        feeds = [Counter(i + j + s for i, _ in k.entries for j, _ in l.entries for s in (0, 1)) for k, l, _ in bank]
-        assert any(max(fed.values()) >= 3 for fed in feeds)  # an output degree fed by several entry pairs
+        # an output degree where nonzero terms of several entry pairs meet
+        fed = []
+        for k, l, _ in bank:
+            terms = [(i + j, g.tensor(h)) for i, g in k.entries for j, h in l.entries]
+            terms += [(i + j + 1, g.tor(h)) for i, g in k.entries for j, h in l.entries]
+            fed.append(Counter(d for d, t in terms if not t.is_trivial))
+        assert any(n >= 3 for counts in fed for n in counts.values())
 
     def test_trivial_products_and_shared_degrees(self):
         k, l = GradedGroup.of({-1: Q, 1: Z2 + P2}), GradedGroup.of({1: Z4 + Q, 2: cyclic(3) + Z})
