@@ -7,7 +7,6 @@ Add your own rows with --extra '{1: Z/2, 3: Q}' (repeatable).
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -36,22 +35,14 @@ GALLERY = [
 ]
 
 
-@dataclass
-class Config:
-    primes: tuple[int, ...] = (2, 3, 5)
-    extra: list[str] = field(default_factory=list)
-
-
-def describe(kind_json) -> str:
-    kind = kind_json["kind"]
-    if kind == "localization":
-        ps = kind_json["primes"]
-        if ps["kind"] == "cofinite" and not ps["primes"]:
+def describe(verdict) -> str:
+    if verdict.kind == "localization":
+        ps = verdict.primes
+        if ps.is_all:
             return "circle"
-        tilde = "~" if ps["kind"] == "cofinite" else ""
-        return "circle at " + tilde + "{" + ",".join(map(str, ps["primes"])) + "}"
-    if kind == "rational":
-        return f"K(Q,{kind_json['degree']})"
+        return "circle at " + ("~" if ps.cofinite else "") + "{" + ",".join(map(str, ps.members)) + "}"
+    if verdict.kind == "rational":
+        return f"K(Q,{verdict.degree})"
     return "none"
 
 
@@ -59,23 +50,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5], help="mod-p columns")
     parser.add_argument("--extra", action="append", default=[], help="additional graded literal")
-    ns = parser.parse_args()
-    cfg = Config(primes=tuple(ns.primes), extra=list(ns.extra))
+    args = parser.parse_args()
 
     rows = []
-    for text in GALLERY + cfg.extra:
+    for text in GALLERY + args.extra:
         k = parse_graded(text)
-        verdict = classify_finite_type(k)
         rows.append(
             (
                 format_graded(k),
-                describe(verdict.to_json()),
+                describe(classify_finite_type(k)),
                 "yes" if has_compact_type(k) else "no",
-                " ".join("yes" if mod_p_trivial(k, p) else "no" for p in cfg.primes),
+                " ".join("yes" if mod_p_trivial(k, p) else "no" for p in args.primes),
             )
         )
 
-    headers = ("complex", "finite type", "compact", " ".join(f"mod{p}" for p in cfg.primes))
+    headers = ("complex", "finite type", "compact", " ".join(f"mod{p}" for p in args.primes))
     widths = [max(len(r[i]) for r in rows + [headers]) for i in range(4)]
     for row in [headers] + rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

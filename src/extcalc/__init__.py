@@ -22,8 +22,8 @@ _PUBLIC = {
         minimal_wedge sp_in_ae unit_gap_witness validate_bockstein""",
     "dsl": "format_graded format_group format_sigma parse_graded parse_group",
     "errors": "DomainError ExtcalcError ParseError",
-    "exttype": """ClauseFailure ClauseReport LocalizationType MooreEmVerdict NoFiniteType RationalType
-        classify_finite_type has_compact_type mod_p_trivial moore_matches_em sp_factors_as_em""",
+    "exttype": """ClauseFailure ClauseReport FiniteType MooreEmVerdict classify_finite_type has_compact_type
+        mod_p_trivial moore_matches_em sp_factors_as_em""",
     "graded": """EMPTY_GRADED GradedGroup GradedOrderVerdict dimension_profile graded_order_leq homological_dimension
         homology_with_coefficients cohomology_with_coefficients moore_graded pairing smash suspend vanishing_check""",
     "presentation": """ChainComplex IntMatrix SNFResult chain_homology det group_from_presentation invariant_factors

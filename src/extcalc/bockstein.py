@@ -25,7 +25,7 @@ from .abelian import (
     _checked_kind, _record, sigma, tau_closure,
 )
 from .errors import DomainError, ParseError
-from .graded import GradedGroup, _checked_graded
+from .graded import GradedGroup, _connected
 from .primes import isprime
 
 
@@ -159,7 +159,7 @@ def sp_in_ae(alpha: BocksteinFunction, k: GradedGroup) -> bool:
     True iff dim with respect to k's degree-i homology is at most i, for
     every nontrivial degree.  Empty homology (a point) always extends.
     """
-    alpha, k = _checked_alpha(alpha), _checked_graded(k, 1, "complex homology must live in degrees >= 1")
+    alpha, k = _checked_alpha(alpha), _connected(k)
     return all(coef_dimension(alpha, g) <= i for i, g in k.entries)
 
 

@@ -214,10 +214,9 @@ def _spaek_text(report) -> str:
 
 
 def _classify_text(t) -> str:
-    kind = t.to_json()["kind"]
-    if kind == "localization":
+    if t.kind == "localization":
         return f"localization type: circle localized at {_primes_text(t.primes)}"
-    if kind == "rational":
+    if t.kind == "rational":
         return f"rational type in degree {t.degree}"
     return "no finite type"
 

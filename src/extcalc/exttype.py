@@ -12,22 +12,16 @@ localized circle or a rational Eilenberg-MacLane space).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 from .abelian import (
-    AdmissibleGroup, PrimeIndexed, PrimePattern, PrimeSet, Q, SigmaSet, _checked_group, _checked_int,
-    _checked_prime, _record, localized, sigma, sigma_matches_localization, tau_closure,
+    AdmissibleGroup, PrimeIndexed, PrimePattern, PrimeSet, SigmaSet, _checked_group, _checked_int, _checked_prime,
+    _record, sigma, sigma_matches_localization, tau_closure,
 )
 from .errors import DomainError
-from .graded import GradedGroup, _checked_graded, moore_graded
+from .graded import GradedGroup, _connected, moore_graded
 
 RATIONAL_ONLY = SigmaSet.build(True, PrimePattern.EMPTY, {})
-
-_check_connected = partial(
-    _checked_graded, least=1, message="connected complex data may not carry homology in degrees < 1",
-    code="degree_zero_entry",
-)
 
 
 @_record
@@ -65,7 +59,7 @@ def sp_factors_as_em(k: GradedGroup, group: AdmissibleGroup, n: int) -> ClauseRe
     """
     _checked_group(group, "comparison group must be nontrivial")
     _checked_int(n, 1, code="bad_degree", message="target degree must be >= 1")
-    _check_connected(k)
+    _connected(k)
     failures = []
     for i, _ in k.entries:
         if 1 <= i < n:
@@ -94,67 +88,51 @@ def mod_p_trivial(k: GradedGroup, p: int) -> bool:
     """Whether SP of the complex is invisible mod p: no degree's Bockstein
     basis contains Z/p^oo, so p-torsion considerations impose nothing."""
     _checked_prime(p)
-    _check_connected(k)
+    _connected(k)
     return not any(PrimePattern.PRUFER & sigma(g).at(p) for _, g in k.entries)
 
 
 @_record
-class LocalizationType:
-    """Extension type of a circle localized at `primes` (K(Z_(l), 1))."""
+class FiniteType:
+    """The finite-dimensional extension type of SP of a complex: "localization"
+    (a circle localized at `primes`, K(Z_(l), 1)), "rational" (K(Q, degree))
+    or "none" (no finite-dimensional space shares it)."""
 
-    primes: PrimeSet
-
-    def to_json(self):
-        return {"kind": "localization", "primes": self.primes.to_json(), "degree": 1}
-
-
-@_record
-class RationalType:
-    """Extension type of a rational Eilenberg-MacLane space K(Q, degree)."""
-
-    degree: int
+    kind: str
+    primes: Optional[PrimeSet] = None
+    degree: Optional[int] = None
 
     def to_json(self):
-        return {"kind": "rational", "primes": None, "degree": self.degree}
-
-
-@_record
-class NoFiniteType:
-    """SP shares its extension type with no finite-dimensional space."""
-
-    def to_json(self):
-        return {"kind": "none", "primes": None, "degree": None}
-
-
-FiniteType = Union[LocalizationType, RationalType, NoFiniteType]
+        primes = None if self.primes is None else self.primes.to_json()
+        return {"kind": self.kind, "primes": primes, "degree": self.degree}
 
 
 def classify_finite_type(k: GradedGroup) -> FiniteType:
     """Finite-dimensional extension type of SP of the complex, if any.
 
-    The only candidates are localized circles and rational Eilenberg-MacLane
-    spaces; try the circle reading of degree-1 homology first, then the
-    rational reading of the lowest degree.
+    The only candidates are K(H, n) for the lowest nonzero homology H, in
+    degree n: a localized circle (n = 1 and sigma(H) = sigma(Z_(l))) or a
+    rational space (sigma(H) = {Q}).  Clauses a and b of `sp_factors_as_em`
+    hold for H itself, so a candidate holds iff every higher degree's basis
+    lies in tau(sigma(H)), which is sigma(H): tau adds nothing to the basis
+    of a localization.
     """
-    _check_connected(k)
+    _connected(k)
     if k.is_zero:
         raise DomainError("the trivial complex has no classification", code="trivial_complex")
-    g1 = k.at(1)
-    if not g1.is_trivial:
-        primes = sigma_matches_localization(sigma(g1))
-        if primes is not None and sp_factors_as_em(k, localized(primes), 1).verdict:
-            return LocalizationType(primes)
-    lowest = k.degrees[0]
-    if sigma(k.at(lowest)) == RATIONAL_ONLY and sp_factors_as_em(k, Q, lowest).verdict:
-        return RationalType(lowest)
-    return NoFiniteType()
+    (n, h), *higher = k.entries
+    s = sigma(h)
+    primes = sigma_matches_localization(s) if n == 1 else None
+    if (primes is None and s != RATIONAL_ONLY) or not all(sigma(g).issubset(s) for _, g in higher):
+        return FiniteType("none")
+    return FiniteType("rational", None, n) if primes is None else FiniteType("localization", primes, 1)
 
 
 def has_compact_type(k: GradedGroup) -> bool:
     """Whether SP of the complex has the extension type of a compact space;
     the circle is the only compact candidate."""
     verdict = classify_finite_type(k)
-    return isinstance(verdict, LocalizationType) and verdict.primes.is_all
+    return verdict.kind == "localization" and verdict.primes.is_all
 
 
 @_record
@@ -171,18 +149,11 @@ class MooreEmVerdict:
     rational: bool
 
     def to_json(self):
-        return {
-            "matches": self.matches,
-            "localization": self.localization.to_json() if self.localization is not None else None,
-            "rational_case": self.rational,
-        }
+        localization = None if self.localization is None else self.localization.to_json()
+        return {"matches": self.matches, "localization": localization, "rational_case": self.rational}
 
 
 def moore_matches_em(group: AdmissibleGroup, n: int) -> MooreEmVerdict:
-    moore_graded(group, n)  # its checks and messages are this function's
-    s = sigma(group)
-    if n == 1:
-        primes = sigma_matches_localization(s)
-        return MooreEmVerdict(primes is not None, primes, False)
-    rational = s == RATIONAL_ONLY
-    return MooreEmVerdict(rational, None, rational)
+    """The classification of the Moore complex M(group, n), read as a verdict."""
+    t = classify_finite_type(moore_graded(group, n))
+    return MooreEmVerdict(t.kind != "none", t.primes, t.kind == "rational")

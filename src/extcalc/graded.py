@@ -100,6 +100,9 @@ def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGr
 
 # Dimensions are natural numbers, and only pairing outputs reach below degree 0.
 _natural = partial(_checked_graded, least=0, message="a dimension needs degrees >= 0, got degree {}")
+# The reduced homology of a connected complex starts in degree 1.
+_connected = partial(_checked_graded, least=1, code="degree_zero_entry",
+                     message="connected complex data may not carry homology in degrees < 1")
 
 
 def _shift(rational: bool, patterns) -> Optional[int]:

@@ -91,6 +91,14 @@ def require_integers(values, what: str):
             raise ParseError(f"{what} must be integers, got {json.dumps(v)}", code="bad_document")
 
 
+def require_list(value, what: str) -> list:
+    """A document's sequences must be JSON lists: a string or an object named
+    `what` is a document error, never iterated as if it were one."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list", code="bad_document")
+    return value
+
+
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if _checked_matrix(a).cols != _checked_matrix(b).rows:
         raise DomainError("matrix shape mismatch in product", code="bad_shape")
@@ -524,29 +532,26 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, data) -> "ChainComplex":
+        """The complex of a JSON document: its lists and integers are checked
+        (`bad_document`) before its ranks and shapes (`malformed_complex`)."""
         try:
-            ranks = list(data["ranks"])
-            raw = list(data["boundaries"])
+            ranks, raw = data["ranks"], data["boundaries"]
         except (KeyError, TypeError) as exc:
             raise DomainError("chain complex needs 'ranks' and 'boundaries'", code="malformed_complex") from exc
-        require_integers(ranks, "chain ranks")
+        require_integers(require_list(ranks, "'ranks'"), "chain ranks")
+        for i, rows in enumerate(require_list(raw, "'boundaries'")):
+            for j, row in enumerate(require_list(rows, f"boundary {i + 1}")):
+                require_integers(require_list(row, f"row {j + 1} of boundary {i + 1}"), f"boundary {i + 1} entries")
+        for r in ranks:
+            _checked_int(r, 0, code="malformed_complex", message="chain ranks must be nonnegative")
+        if len(raw) > max(0, len(ranks) - 1):
+            raise DomainError("more boundaries than adjacent degree pairs", code="malformed_complex")
         mats = []
-        for i, rows in enumerate(raw):
-            if i + 1 >= len(ranks):
-                raise DomainError("more boundaries than adjacent degree pairs", code="malformed_complex")
-            r, c = ranks[i], ranks[i + 1]
-            if not rows:
-                # [] denotes the unique matrix when either dimension is 0.
-                if r != 0 and c != 0:
-                    raise DomainError("empty boundary between nonempty degrees", code="malformed_complex")
-                mats.append(IntMatrix(r, c, ()))
-            else:
-                try:
-                    rows = [list(row) for row in rows]
-                except TypeError as exc:
-                    raise DomainError(f"boundary {i + 1} is not a row list", code="malformed_complex") from exc
-                require_integers((e for row in rows for e in row), f"boundary {i + 1} entries")
-                mats.append(IntMatrix.from_rows(rows))
+        for rows, r, c in zip(raw, ranks, ranks[1:]):
+            # [] denotes the unique matrix when either dimension is 0.
+            if not rows and r != 0 and c != 0:
+                raise DomainError("empty boundary between nonempty degrees", code="malformed_complex")
+            mats.append(IntMatrix.from_rows(rows) if rows else IntMatrix(r, c, ()))
         return cls(ranks, mats)
 
     def to_json(self):

@@ -18,9 +18,9 @@ from conftest import random_bf, random_graded, random_group, random_matrix
 from extcalc import (
     EMPTY_GRADED,
     ExtNat,
+    FiniteType,
     GradedGroup,
     INFINITY,
-    NoFiniteType,
     PrimePattern,
     Q,
     Z,
@@ -165,7 +165,7 @@ def test_criterion_06_classification_list():
         verdict = moore_matches_em(Z, 1)
         assert verdict.matches and verdict.localization.is_all
         assert has_compact_type(GradedGroup.of({1: Z}))
-        assert classify_finite_type(GradedGroup.of({1: cyclic(2)})) == NoFiniteType()
+        assert classify_finite_type(GradedGroup.of({1: cyclic(2)})) == FiniteType("none")
 
 
 def test_criterion_07_suspension_shift():

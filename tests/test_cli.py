@@ -407,6 +407,20 @@ class TestExitCodes:
             "extcalc present: error: argument -g/--generators: invalid int value: 'x'\n"
         )
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("spae", bf_doc(), "{0: Z}"),  # answered bad_degree alone of the five
+            ("spaek", "--graded", "{0: Z}", "--group", "Z", "--n", "1"),
+            ("modp", "{0: Z}", "2"),
+            ("classify", "{0: Z}"),
+            ("compact", "{0: Q, 2: Z}"),
+        ],
+    )
+    def test_complex_homology_below_degree_one_is_one_error(self, args):
+        message = "connected complex data may not carry homology in degrees < 1"
+        assert error_of(*args, expect_code=1) == {"code": "degree_zero_entry", "message": message}
+
     def test_syntax_errors_are_two(self):
         assert run(["canon", "Z/1"])[0] == 2
         assert run(["canon", "Z/6^oo"])[0] == 2
@@ -564,6 +578,25 @@ class TestHostileInputs:
     def test_document_numbers_must_be_integers(self, args, named):
         err = error_of(*args, expect_code=2)
         assert err["code"] == "bad_document" and err["message"].endswith(f"must be integers, got {named}")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"ranks": "12", "boundaries": []}', "'ranks' must be a JSON list"),  # read "1" as a rank
+            ('{"ranks": 5, "boundaries": []}', "'ranks' must be a JSON list"),  # said a key was missing
+            ('{"ranks": [1, 1], "boundaries": {"x": 1}}', "'boundaries' must be a JSON list"),  # read "x" as an entry
+            ('{"ranks": [1, 1], "boundaries": ["ab"]}', "boundary 1 must be a JSON list"),
+            ('{"ranks": [1, 1], "boundaries": [[5]]}', "row 1 of boundary 1 must be a JSON list"),
+        ],
+    )
+    def test_chain_documents_name_the_field_that_is_not_a_list(self, doc, message):
+        assert error_of("homology", doc, expect_code=2) == {"code": "bad_document", "message": message}
+
+    @pytest.mark.parametrize("doc", ['{"ranks": [-1, 1], "boundaries": [[]]}', '{"ranks": [-1], "boundaries": []}'])
+    def test_a_negative_rank_is_reported_before_shapes(self, doc):
+        # [-1, 1] with an empty boundary said "empty boundary between nonempty degrees"
+        expected = {"code": "malformed_complex", "message": "chain ranks must be nonnegative"}
+        assert error_of("homology", doc, expect_code=1) == expected
 
     @pytest.mark.parametrize(
         "args, code",

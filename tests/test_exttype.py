@@ -2,35 +2,47 @@
 Eilenberg-MacLane complexes."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_group, st_nontrivial_group
+from conftest import random_graded, random_group, random_prime_set, st_graded, st_group, st_nontrivial_group
 from extcalc import (
+    ALL_PRIMES,
+    AdmissibleGroup,
+    Cyclic,
     DomainError,
+    ExtcalcError,
+    FiniteType,
     GradedGroup,
-    LocalizationType,
-    NoFiniteType,
     PrimeSet,
     Q,
-    RationalType,
     TRIVIAL,
     Z,
     classify_finite_type,
     cyclic,
     has_compact_type,
+    Localization,
+    NO_PRIMES,
+    Prufer,
+    exttype,
     localized,
     mod_p_trivial,
     moore_graded,
     moore_matches_em,
     prufer,
+    sigma,
+    sigma_matches_localization,
     sp_factors_as_em,
     suspend,
 )
+from extcalc.exttype import RATIONAL_ONLY
+from extcalc.graded import _connected
 
 Z2, Z3, Z4 = cyclic(2), cyclic(3), cyclic(4)
+Z_2 = localized(PrimeSet.of(2))
 
 
 class TestSpFactorsAsEm:
@@ -110,37 +122,37 @@ class TestModP:
 
 class TestClassify:
     def test_circle(self):
-        assert classify_finite_type(GradedGroup.of({1: Z})) == LocalizationType(PrimeSet.excluding())
+        assert classify_finite_type(GradedGroup.of({1: Z})) == FiniteType("localization", PrimeSet.excluding(), 1)
 
     def test_localized_circles(self):
-        assert classify_finite_type(GradedGroup.of({1: localized(PrimeSet.of(2))})) == LocalizationType(PrimeSet.of(2))
-        assert classify_finite_type(GradedGroup.of({1: localized(PrimeSet.excluding(3))})) == LocalizationType(PrimeSet.excluding(3))
+        assert classify_finite_type(GradedGroup.of({1: localized(PrimeSet.of(2))})) == FiniteType("localization", PrimeSet.of(2), 1)
+        assert classify_finite_type(GradedGroup.of({1: localized(PrimeSet.excluding(3))})) == FiniteType("localization", PrimeSet.excluding(3), 1)
 
     def test_rational_circle_counts_as_localization(self):
         # degree-1 Q is the empty localization, caught by the first branch
-        assert classify_finite_type(GradedGroup.of({1: Q})) == LocalizationType(PrimeSet.of())
+        assert classify_finite_type(GradedGroup.of({1: Q})) == FiniteType("localization", PrimeSet.of(), 1)
 
     def test_rational_higher_degrees(self):
-        assert classify_finite_type(GradedGroup.of({3: Q})) == RationalType(3)
-        assert classify_finite_type(GradedGroup.of({3: Q + Q})) == RationalType(3)
+        assert classify_finite_type(GradedGroup.of({3: Q})) == FiniteType("rational", None, 3)
+        assert classify_finite_type(GradedGroup.of({3: Q + Q})) == FiniteType("rational", None, 3)
 
     def test_none_cases(self):
-        assert classify_finite_type(GradedGroup.of({1: Z2})) == NoFiniteType()
-        assert classify_finite_type(GradedGroup.of({2: Z})) == NoFiniteType()
-        assert classify_finite_type(GradedGroup.of({2: Q, 3: Z2})) == NoFiniteType()
+        assert classify_finite_type(GradedGroup.of({1: Z2})) == FiniteType("none")
+        assert classify_finite_type(GradedGroup.of({2: Z})) == FiniteType("none")
+        assert classify_finite_type(GradedGroup.of({2: Q, 3: Z2})) == FiniteType("none")
 
     def test_free_summand_with_torsion_friends(self):
         # extra 2-torsion in degree 1 changes nothing: sigma is already full
-        assert classify_finite_type(GradedGroup.of({1: Z + Z2})) == LocalizationType(PrimeSet.excluding())
+        assert classify_finite_type(GradedGroup.of({1: Z + Z2})) == FiniteType("localization", PrimeSet.excluding(), 1)
 
     def test_higher_homology_inside_tau_is_absorbed(self):
         # tau(Z) contains everything, so anything above an integral circle
         # still reads as the full localization.
-        assert classify_finite_type(GradedGroup.of({1: Z, 2: Z2})) == LocalizationType(PrimeSet.excluding())
-        assert classify_finite_type(GradedGroup.of({1: Z, 5: Q})) == LocalizationType(PrimeSet.excluding())
+        assert classify_finite_type(GradedGroup.of({1: Z, 2: Z2})) == FiniteType("localization", PrimeSet.excluding(), 1)
+        assert classify_finite_type(GradedGroup.of({1: Z, 5: Q})) == FiniteType("localization", PrimeSet.excluding(), 1)
 
     def test_higher_homology_outside_tau_spoils_it(self):
-        assert classify_finite_type(GradedGroup.of({1: localized(PrimeSet.of(2)), 5: Z3})) == NoFiniteType()
+        assert classify_finite_type(GradedGroup.of({1: localized(PrimeSet.of(2)), 5: Z3})) == FiniteType("none")
 
     def test_trivial_complex_rejected(self):
         with pytest.raises(DomainError):
@@ -218,3 +230,154 @@ def test_out_of_range_integers_keep_their_messages(build, message):
     with pytest.raises(DomainError) as exc:
         build()
     assert (exc.value.code, exc.value.message) == ("bad_degree", message)
+
+
+
+# ---------------------------------------------------------------------------
+# The definitions the closed forms replaced, kept as oracles: the
+# classification by `sp_factors_as_em`, against Z_(l) in degree 1 and then
+# against Q in the lowest degree, and the Moore verdict read from sigma alone.
+
+
+def classify_by_clauses(k):
+    _connected(k)
+    if k.is_zero:
+        raise DomainError("the trivial complex has no classification", code="trivial_complex")
+    g1 = k.at(1)
+    if not g1.is_trivial:
+        primes = sigma_matches_localization(sigma(g1))
+        if primes is not None and sp_factors_as_em(k, localized(primes), 1).verdict:
+            return {"kind": "localization", "primes": primes.to_json(), "degree": 1}
+    lowest = k.degrees[0]
+    if sigma(k.at(lowest)) == RATIONAL_ONLY and sp_factors_as_em(k, Q, lowest).verdict:
+        return {"kind": "rational", "primes": None, "degree": lowest}
+    return {"kind": "none", "primes": None, "degree": None}
+
+
+def compact_by_clauses(k):
+    verdict = classify_by_clauses(k)
+    return verdict["kind"] == "localization" and verdict["primes"] == ALL_PRIMES.to_json()
+
+
+def moore_by_sigma(group, n):
+    moore_graded(group, n)  # its checks and messages
+    s = sigma(group)
+    if n == 1:
+        primes = sigma_matches_localization(s)
+        localization = None if primes is None else primes.to_json()
+        return {"matches": primes is not None, "localization": localization, "rational_case": False}
+    rational = s == RATIONAL_ONLY
+    return {"matches": rational, "localization": None, "rational_case": rational}
+
+
+def outcome(call, *args):
+    """The value of call(*args), or the code and message of its error."""
+    try:
+        return call(*args)
+    except ExtcalcError as exc:
+        return exc.code, exc.message
+
+
+def assert_classified_as_by_clauses(k):
+    assert outcome(lambda: classify_finite_type(k).to_json()) == outcome(classify_by_clauses, k)
+    assert outcome(has_compact_type, k) == outcome(compact_by_clauses, k)
+
+
+def assert_moore_as_by_sigma(g, n):
+    assert outcome(lambda: moore_matches_em(g, n).to_json()) == outcome(moore_by_sigma, g, n)
+
+
+LOW_DEGREES = st.integers(min_value=-1, max_value=6)
+# groups whose sigma is a localization's or {Q}: a complex starting with one is a candidate
+CANDIDATES = (Q, Q + Q, Z, Z + Z2, localized(PrimeSet.of(2)), localized(PrimeSet.excluding(3)), prufer(2))
+
+
+def bank_complex(rng):
+    """Random homology in degrees 1-6 whose lowest degree is, half the time,
+    a candidate (Q^m or Z_(l), moved to a random degree), and now and then
+    an entry in degree 0 or -1."""
+    entries = dict(random_graded(rng, max_entries=4).entries)
+    roll = rng.random()
+    if roll < 0.5 and entries:
+        n = rng.randint(1, min(entries))
+        q = AdmissibleGroup.of(*[Localization(NO_PRIMES)] * rng.randint(1, 2))
+        entries[n] = q if rng.random() < 0.5 else localized(random_prime_set(rng))
+    elif roll < 0.55:
+        entries[rng.randint(-1, 0)] = random_group(rng, allow_trivial=False)
+    return GradedGroup.of(entries)
+
+
+def bank_branch(k) -> str:
+    """The branch of the classification that `k` takes, read from the oracles."""
+    if k.is_zero:
+        return "trivial complex"
+    n, h = k.entries[0]
+    if n < 1:
+        return "degree below 1"
+    kind = classify_by_clauses(k)["kind"]
+    if kind == "localization" and sigma(h) == RATIONAL_ONLY:
+        return "localization at no primes"
+    if kind != "none":
+        return kind
+    return "none at a higher degree" if moore_by_sigma(h, n)["matches"] else "none at the lowest degree"
+
+
+def atom_kind(atom) -> str:
+    if isinstance(atom, Cyclic):
+        return "cyclic"
+    if isinstance(atom, Prufer):
+        return "Prufer"
+    if atom.primes == NO_PRIMES:
+        return "Q"
+    return "cofinite localization" if atom.primes.cofinite else "finite localization"
+
+
+class TestClosedFormsAgreeWithTheirDefinitions:
+    @given(st.dictionaries(LOW_DEGREES, st_nontrivial_group, max_size=4).map(GradedGroup.of))
+    def test_classify_on_arbitrary_complexes(self, k):
+        assert_classified_as_by_clauses(k)
+
+    @given(st.dictionaries(LOW_DEGREES, st.sampled_from(CANDIDATES), min_size=1, max_size=2), st_graded)
+    def test_classify_on_candidates_with_higher_homology(self, low, high):
+        assert_classified_as_by_clauses(GradedGroup.of([*low.items(), *high.entries]))
+
+    @given(st_group, LOW_DEGREES)
+    def test_moore_verdict(self, g, n):
+        assert_moore_as_by_sigma(g, n)
+
+    def test_a_seeded_bank(self):
+        rng = random.Random(2025)
+        branches, degrees, atoms = Counter(), set(), set()
+        for _ in range(4000):
+            k = bank_complex(rng)
+            assert_classified_as_by_clauses(k)
+            branches[bank_branch(k)] += 1
+            degrees.update(k.degrees)
+            atoms.update(atom_kind(a) for _, g in k.entries for a in g.atoms())
+        for _ in range(2000):
+            g, n = random_group(rng), rng.randint(0, 6)
+            assert_moore_as_by_sigma(g, n)
+            branches["moore error" if n < 1 or g.is_trivial else "moore " + bank_branch(GradedGroup.of({n: g}))] += 1
+        assert set(range(1, 7)) <= degrees
+        assert atoms == {"finite localization", "cofinite localization", "Q", "cyclic", "Prufer"}
+        for branch in ("localization", "localization at no primes", "rational", "none at a higher degree",
+                       "none at the lowest degree", "trivial complex", "degree below 1",
+                       "moore localization", "moore rational", "moore none at the lowest degree", "moore error"):
+            assert branches[branch] >= 10, (branch, branches)
+
+
+def test_the_decisions_read_sigma_and_build_no_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sp_factors_as_em called")
+
+    complexes = [GradedGroup.of(k) for k in ({1: Z}, {1: Z_2, 4: Z3}, {1: Q, 3: Z2}, {3: Q, 5: Q}, {2: Z, 3: Q})]
+    moores = [(Z, 1), (localized(PrimeSet.excluding(3)), 1), (Q, 1), (Q, 4), (Z2, 1), (Z, 2)]
+    built, check = [], AdmissibleGroup.__post_init__
+    monkeypatch.setattr(exttype, "sp_factors_as_em", refuse)
+    monkeypatch.setattr(AdmissibleGroup, "__post_init__", lambda self: built.append(self) or check(self))
+    assert [classify_finite_type(k).kind for k in complexes] == ["localization", "none", "none", "rational", "none"]
+    assert [has_compact_type(k) for k in complexes] == [True, False, False, False, False]
+    assert [moore_matches_em(g, n).matches for g, n in moores] == [True, True, True, True, False, False]
+    assert not built
+    AdmissibleGroup.of(Cyclic(2, 1))  # the count sees a group being built
+    assert len(built) == 1
