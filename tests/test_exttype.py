@@ -289,7 +289,7 @@ def assert_moore_as_by_sigma(g, n):
 
 LOW_DEGREES = st.integers(min_value=-1, max_value=6)
 # groups whose sigma is a localization's or {Q}: a complex starting with one is a candidate
-CANDIDATES = (Q, Q + Q, Z, Z + Z2, localized(PrimeSet.of(2)), localized(PrimeSet.excluding(3)), prufer(2))
+CANDIDATES = (Q, Q + Q, Z, Z + Z2, localized(PrimeSet.of(2)), localized(PrimeSet.excluding(3)))
 
 
 def bank_complex(rng):
