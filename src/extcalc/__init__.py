@@ -24,9 +24,9 @@ _PUBLIC = {
     "errors": "DomainError ExtcalcError ParseError",
     "exttype": """ClauseFailure ClauseReport FiniteType MooreEmVerdict classify_finite_type has_compact_type
         mod_p_trivial moore_matches_em sp_factors_as_em""",
-    "graded": """EMPTY_GRADED GradedGroup GradedOrderVerdict dimension_profile graded_order_leq homological_dimension
+    "graded": """GradedGroup GradedOrderVerdict dimension_profile graded_order_leq homological_dimension
         homology_with_coefficients cohomology_with_coefficients moore_graded pairing smash suspend vanishing_check""",
-    "presentation": """ChainComplex IntMatrix SNFResult chain_homology det group_from_presentation invariant_factors
+    "presentation": """ChainComplex IntMatrix SNFResult chain_homology group_from_presentation invariant_factors
         matmul snf tensor_from_presentations tor_from_presentations""",
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}

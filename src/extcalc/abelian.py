@@ -264,9 +264,6 @@ class PrimeSet:
     def is_all(self) -> bool:
         return self.cofinite and not self.members
 
-    def intersect(self, other: "PrimeSet") -> "PrimeSet":
-        return self._intersect(_checked_kind(other, PrimeSet, "a prime set"))
-
     def _intersect(self, other: "PrimeSet") -> "PrimeSet":  # the tensor table's, on atoms' prime sets
         if self.cofinite and other.cofinite:
             return _trusted(PrimeSet, True, tuple(sorted(set(self.members).union(other.members))))

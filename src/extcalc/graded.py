@@ -85,9 +85,6 @@ class GradedGroup:
         return f"GradedGroup({format_graded(self)})"
 
 
-EMPTY_GRADED = GradedGroup(())
-
-
 def _checked_graded(k, least=None, message="", *, code="bad_degree") -> GradedGroup:
     """`k` when it is a GradedGroup with no degree below `least`; otherwise a
     DomainError, `not_a_group`, or `code` with `message` (a `{}` in it stands

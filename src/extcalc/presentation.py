@@ -14,7 +14,7 @@ of the minors of M (Havas-Majewski-Matthews 1998 discuss transform size),
 where unreduced elimination lets them grow exponentially with M's size.
 `invariant_factors`, which the presented groups and chain homology use,
 eliminates modulo a nonzero maximal minor found by one fraction-free pass
-(`_bareiss`, which `det` shares), so no entry outgrows that minor.
+(`_bareiss`), so no entry outgrows that minor.
 """
 
 from __future__ import annotations
@@ -148,15 +148,6 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
         prev = piv
         r += 1
     return r, sign * prev
-
-
-def det(a: IntMatrix) -> int:
-    """Exact determinant: the signed minor of one `_bareiss` pass, or 0 when
-    the rank falls short."""
-    if _checked_matrix(a).rows != a.cols:
-        raise DomainError("determinant needs a square matrix", code="bad_shape")
-    rank, minor = _bareiss(a.to_rows())
-    return minor if rank == a.rows else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,21 @@
 """Core algebra: extended naturals, prime sets, canonical groups, the
 tensor/Tor tables, and Bockstein bases."""
 
-import functools
 import itertools
-import operator
 import random
 import time
-from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 from sympy import primerange
 
-from conftest import SMALL_PRIMES, random_group_text, st_group, st_nontrivial_group
+from conftest import check, on_hypothesis, on_the_bank, st_group, st_nontrivial_group
 from extcalc import (
     ALL_PRIMES,
     AdmissibleGroup,
     Cyclic,
     DomainError,
     ExtNat,
-    ExtcalcError,
     INFINITY,
     Localization,
     NO_PRIMES,
@@ -43,10 +39,9 @@ from extcalc import (
     unit_gap_witness,
 )
 from extcalc import abelian
-from extcalc.abelian import (
-    FULL_PATTERN, PrimeIndexed, _tensor_atoms, _tor_atoms, _trusted, pattern_flags,
-)
+from extcalc.abelian import FULL_PATTERN, PrimeIndexed, _trusted, pattern_flags
 from extcalc.dsl import format_sigma
+from oracles import built_tensor, sigma_by_atom_union
 
 CYC = PrimePattern.CYCLIC
 PRU = PrimePattern.PRUFER
@@ -106,13 +101,17 @@ class TestPrimeSet:
         assert ALL_PRIMES.is_all and NO_PRIMES == PrimeSet.of() and 2 not in NO_PRIMES
 
     def test_intersect_all_shapes(self):
+        # the tensor of two localizations is the localization at the intersection of their prime sets
         fin, cof = PrimeSet.of(2, 3, 5), PrimeSet.excluding(3)
-        assert PrimeSet.of(2, 3).intersect(PrimeSet.of(3, 5)) == PrimeSet.of(3)
-        assert PrimeSet.excluding(2).intersect(PrimeSet.excluding(3)) == PrimeSet.excluding(2, 3)
-        assert fin.intersect(cof) == PrimeSet.of(2, 5)
-        assert cof.intersect(fin) == PrimeSet.of(2, 5)
-        assert ALL_PRIMES.intersect(fin) == fin
-        assert NO_PRIMES.intersect(cof) == NO_PRIMES
+        for l1, l2, both in [
+            (PrimeSet.of(2, 3), PrimeSet.of(3, 5), PrimeSet.of(3)),
+            (PrimeSet.excluding(2), PrimeSet.excluding(3), PrimeSet.excluding(2, 3)),
+            (fin, cof, PrimeSet.of(2, 5)),
+            (cof, fin, PrimeSet.of(2, 5)),
+            (ALL_PRIMES, fin, fin),
+            (NO_PRIMES, cof, NO_PRIMES),
+        ]:
+            assert localized(l1).tensor(localized(l2)) == localized(both)
 
     def test_fresh_prime(self):
         assert fresh_prime([]) == 2
@@ -243,38 +242,6 @@ class TestTorTable:
         assert P2.tor(P3) == TRIVIAL
 
 
-def built_tensor(a, b):
-    """The tensor table as it read before it returned operands: a new,
-    checked atom for each nonzero answer."""
-    match (a, b):
-        case (Localization(primes=l1), Localization(primes=l2)):
-            return Localization(PrimeSet(l1.cofinite and l2.cofinite, _intersection(l1, l2)))
-        case (Localization(primes=l), Cyclic(prime=p, power=k)) | (Cyclic(prime=p, power=k), Localization(primes=l)):
-            return Cyclic(p, k) if p in l else None
-        case (Localization(primes=l), Prufer(prime=p)) | (Prufer(prime=p), Localization(primes=l)):
-            return Prufer(p) if p in l else None
-        case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
-            return Cyclic(p, min(k, m)) if p == q else None
-    return None
-
-
-def _intersection(l1, l2):
-    if l1.cofinite and l2.cofinite:
-        return set(l1.members) | set(l2.members)
-    return [p for p in SMALL_POOL if p in l1 and p in l2]
-
-
-def built_tor(a, b):
-    match (a, b):
-        case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
-            return Cyclic(p, min(k, m)) if p == q else None
-        case (Prufer(prime=p), Cyclic(prime=q, power=m)) | (Cyclic(prime=q, power=m), Prufer(prime=p)):
-            return Cyclic(q, m) if p == q else None
-        case (Prufer(prime=p), Prufer(prime=q)):
-            return Prufer(p) if p == q else None
-    return None
-
-
 SMALL_POOL = (2, 3, 5, 7)
 ATOM_POOL = (
     [Cyclic(p, k) for p in (2, 3) for k in (1, 2, 3)]
@@ -352,60 +319,34 @@ class TestChecksAtTheBoundary:
             assert "is not a prime" in exc.value.message
 
     def test_tables_match_the_checked_constructions_on_every_pair(self):
-        for a in ATOM_POOL:
-            for b in ATOM_POOL:
-                for table, built in ((_tensor_atoms, built_tensor), (_tor_atoms, built_tor)):
-                    got = table(a, b)
-                    assert got == built(a, b), (table.__name__, a, b)
-                    if got is not None and not isinstance(got, Localization):
-                        assert got is a or got is b
-                assert AdmissibleGroup.of(a).tensor(AdmissibleGroup.of(b)) == AdmissibleGroup.of(
-                    *filter(None, [built_tensor(a, b)])
-                )
+        for a, b in itertools.product(ATOM_POOL, repeat=2):
+            for got in check("atom tables", a, b):  # the tensor and the Tor atom
+                assert got is None or isinstance(got, Localization) or got is a or got is b
+            assert AdmissibleGroup.of(a).tensor(AdmissibleGroup.of(b)) == AdmissibleGroup.of(
+                *filter(None, [built_tensor(a, b)])
+            )
+
+    test_tables_match_the_checked_constructions_on_hypothesis_atoms = on_hypothesis("atom tables")
+    test_tables_match_the_checked_constructions_on_the_bank = on_the_bank("atom tables")
 
     def test_intersections_are_canonical_prime_sets(self):
         sets = [atom.primes for atom in ATOM_POOL if isinstance(atom, Localization)]
         for l1 in sets:
             for l2 in sets:
-                got = l1.intersect(l2)
+                ((atom, _),) = localized(l1).tensor(localized(l2)).summands
+                got = atom.primes
                 assert got == PrimeSet(got.cofinite, got.members)
                 assert all((p in got) == (p in l1 and p in l2) for p in SMALL_POOL)
-
-
-def all_pairs(g, h, table):
-    """tensor or Tor by evaluating the table on every pair of summands, as
-    the tables' loop did before it met each torsion atom only with its prime's."""
-    counts = Counter()
-    for a, n in g.summands:
-        for b, m in h.summands:
-            if (c := table(a, b)) is not None:
-                counts[c] += n * m
-    return AdmissibleGroup.from_counts(counts)
-
-
-def random_wide_group(rng):
-    """A parsed seeded text of up to 30 terms; texts that do not parse are drawn again."""
-    while True:
-        try:
-            return parse_group(random_group_text(rng, max_terms=30))
-        except ExtcalcError:
-            pass
 
 
 class TestBilinearOracle:
     def test_every_pair_of_the_atom_pool(self):
         groups = [AdmissibleGroup.of(a) for a in ATOM_POOL] + [AdmissibleGroup.of(*ATOM_POOL, *ATOM_POOL[::3])]
-        for g in groups:
-            for h in groups:
-                assert g.tensor(h) == all_pairs(g, h, _tensor_atoms), (g, h)
-                assert g.tor(h) == all_pairs(g, h, _tor_atoms), (g, h)
+        for g, h in itertools.product(groups, repeat=2):
+            check("tensor and Tor", g, h)
 
-    def test_seeded_wide_groups(self):
-        rng = random.Random(12)
-        for _ in range(300):
-            g, h = random_wide_group(rng), random_wide_group(rng)
-            assert g.tensor(h) == all_pairs(g, h, _tensor_atoms), (g, h)
-            assert g.tor(h) == all_pairs(g, h, _tor_atoms), (g, h)
+    test_seeded_wide_groups = on_the_bank("tensor and Tor")
+    test_hypothesis_groups = on_hypothesis("tensor and Tor")
 
 
 class TestBilinearProperties:
@@ -439,87 +380,11 @@ class TestBilinearProperties:
 # Bockstein bases.
 
 
-def pointwise_by_at(*items):
-    """The walk `PrimeIndexed.pointwise` replaced: every listed prime in increasing order, then the least
-    unlisted one, each item read there by `at` (a bisect per prime per record); its oracle."""
-    primes = set().union(*(x.exception_primes for x in items))
-    return [(p, tuple(x.at(p) for x in items)) for p in sorted(primes) + [fresh_prime(primes)]]
-
-
-# values over a few primes, so that records list none, disjoint or overlapping primes
-st_prime_indexed = st.builds(
-    PrimeIndexed.build, st.integers(0, 2), st.integers(0, 2),
-    st.dictionaries(st.sampled_from(SMALL_PRIMES[:5]), st.integers(0, 2), max_size=4),
-)
-
-
 def sset(rational, default, exceptions):
     return SigmaSet.build(rational, default, exceptions)
 
 
-def sigma_by_tensor_tests(group):
-    """The defining tensor/Tor tests of sigma, run at every support prime
-    and at one fresh prime for the default; the oracle for `sigma`."""
-
-    def tests(p):
-        pat = PrimePattern.EMPTY
-        if not cyclic(p).tensor(group).is_trivial:
-            pat |= CYC
-        if not prufer(p).tensor(group).is_trivial:
-            pat |= LOC
-        if pat & CYC or not prufer(p).tor(group).is_trivial:
-            pat |= PRU
-        return pat
-
-    support = group.support_primes()
-    rational = not Q.tensor(group).is_trivial
-    return sset(rational, tests(fresh_prime(support)), {p: tests(p) for p in support})
-
-
-def atom_sigma(atom):
-    """sigma of one atom, read from the closed-form table."""
-    match atom:
-        case Localization(primes=ps):
-            inside, outside = (PrimePattern.EMPTY, FULL_PATTERN) if ps.cofinite else (FULL_PATTERN, PrimePattern.EMPTY)
-            return sset(True, outside, {p: inside for p in ps.members})
-        case Cyclic(prime=p):
-            return sset(False, PrimePattern.EMPTY, {p: CYC | PRU})
-        case Prufer(prime=p):
-            return sset(False, PrimePattern.EMPTY, {p: PRU})
-
-
-def sigma_by_atom_union(group):
-    """The union of the bases of the distinct atoms, each read from the
-    table and combined at every prime any of them lists: the route `sigma`
-    took before it read the summands in one pass, now a second oracle."""
-
-    def join(*values):  # a wide union repeats a few patterns, and each Flag `|` is a Python call
-        return functools.reduce(operator.or_, set(values))
-
-    return SigmaSet.combine(join, join, *{atom_sigma(a) for a, _ in group.summands})
-
-
-WIDE_PRIMES = tuple(primerange(2, 2742))  # the first 400 primes
 SCALING_PRIMES = tuple(primerange(2, 40000))
-
-
-def wide_group(rng, size):
-    """A sum of `size` atoms over WIDE_PRIMES.  Its cofinite localizations
-    share eight excluded primes, two of which also carry torsion, so sigma
-    keeps exceptions of every shape."""
-    excluded = rng.sample(WIDE_PRIMES, 8)
-    atoms = [Cyclic(excluded[0], 2), Prufer(excluded[1])]
-    for _ in range(rng.randint(1, 3)):
-        atoms.append(Localization(PrimeSet.excluding(*excluded, *rng.sample(WIDE_PRIMES, rng.randint(0, 3)))))
-    while len(atoms) < size:
-        roll = rng.random()
-        if roll < 0.1:
-            atoms.append(Localization(PrimeSet.of(*rng.sample(WIDE_PRIMES, rng.randint(0, 4)))))
-        elif roll < 0.55:
-            atoms.append(Cyclic(rng.choice(WIDE_PRIMES), rng.randint(1, 4)))
-        else:
-            atoms.append(Prufer(rng.choice(WIDE_PRIMES)))
-    return AdmissibleGroup.of(*atoms)
 
 
 def scaling_group(rng, size):
@@ -572,29 +437,20 @@ class TestSigma:
     def test_sigma_of_sum_is_union(self, g, h):
         assert sigma(g + h) == sigma(g).union(sigma(h))
 
-    @given(st_nontrivial_group)
-    def test_closed_form_matches_tensor_tests(self, g):
-        assert sigma(g) == sigma_by_tensor_tests(g) == sigma_by_atom_union(g)
-
-    def test_closed_form_matches_tensor_tests_on_wide_groups(self):
-        rng = random.Random(2004)
-        for size in (100, 150, 200, 250, 300, 350, 400, 120):
-            g = wide_group(rng, size)
-            assert sigma(g) == sigma_by_tensor_tests(g) == sigma_by_atom_union(g)
+    test_closed_form_matches_tensor_tests = on_hypothesis("sigma")
+    test_closed_form_matches_tensor_tests_on_wide_groups = on_the_bank("sigma")
 
     def test_cofinite_localization_with_torsion_at_an_excluded_prime(self):
         g = localized(PrimeSet.excluding(2, 3)) + Z2 + P3
-        assert sigma(g) == sset(True, FULL_PATTERN, {2: CYC | PRU, 3: PRU}) == sigma_by_tensor_tests(g)
-        assert sigma(g) == sigma_by_atom_union(g)
+        assert check("sigma", g) == sset(True, FULL_PATTERN, {2: CYC | PRU, 3: PRU})
 
     def test_several_cofinite_localizations(self):
         # only the primes every cofinite localization excludes are exceptions,
         # and a finite localization or a torsion atom fills them in
         g = parse_group("Z_(~2,3,5,7) + Z_(~3,5,7,11) + Z_(~5,7,13) + Z_(5) + Z/49 + Z/3^oo")
-        assert sigma(g) == sset(True, FULL_PATTERN, {7: CYC | PRU}) == sigma_by_tensor_tests(g)
-        assert sigma(g) == sigma_by_atom_union(g)
+        assert check("sigma", g) == sset(True, FULL_PATTERN, {7: CYC | PRU})
         g = localized(PrimeSet.excluding(2)) + localized(PrimeSet.excluding(3)) + Q + Z2
-        assert sigma(g) == sigma(Z) == sigma_by_tensor_tests(g) == sigma_by_atom_union(g)
+        assert check("sigma", g) == sigma(Z)
 
     def test_summand_order_does_not_matter(self):
         # a group built from its record keeps its summands in the order given
@@ -747,9 +603,8 @@ class TestPrimeIndexed:
         assert list(PrimeIndexed.pointwise(x)) == [(2, (1,)), (5, (1,)), (3, (0,))]
         assert list(PrimeIndexed.pointwise(x, y)) == [(2, (1, 0)), (3, (0, 1)), (5, (1, 0)), (7, (0, 0))]
 
-    @given(st.lists(st.one_of(st_prime_indexed, st_nontrivial_group.map(sigma)), min_size=1, max_size=3))
-    def test_pointwise_is_the_listed_primes_read_by_at(self, items):
-        assert list(PrimeIndexed.pointwise(*items)) == pointwise_by_at(*items)
+    test_pointwise_is_the_listed_primes_read_by_at = on_hypothesis("pointwise")
+    test_pointwise_is_the_listed_primes_read_by_at_on_the_bank = on_the_bank("pointwise")
 
     def test_pointwise_is_lazy(self, monkeypatch):
         # a search that stops at a listed prime never seeks the fresh one

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import random_bf, random_group, st_nontrivial_group
+from conftest import check, on_hypothesis, on_the_bank, random_bf, st_nontrivial_group
 from extcalc import (
     BocksteinFunction,
     DomainError,
@@ -32,6 +32,7 @@ from extcalc import (
     unit_gap_witness,
     validate_bockstein,
 )
+from oracles import SMALL_EXTNATS, random_group
 
 N = ExtNat
 
@@ -138,20 +139,13 @@ class TestDocuments:
         assert alpha.rational == INFINITY
 
 
-def rule_5_by_subtraction(q, t):
-    """Rule 5 as the validator first read it, a(Z/p^oo) <= max(a(Q), a(Z_(p)) - 1) with a subtraction that
-    saturates at 0 and leaves infinity infinite: the oracle for its form by addition."""
-    local_minus_one = N(max(0, t.local.value - 1)) if t.local.is_finite else INFINITY
-    return t.prufer <= max(q, local_minus_one)
-
-
 class TestValidation:
     def test_rule_5_agrees_with_its_form_by_subtraction(self):
-        values = [*map(N, range(6)), INFINITY]
-        for q, prufer_value, local in itertools.product(values, repeat=3):
-            t = PrimeTriple(INFINITY, prufer_value, local)
-            violated = 5 in {v.rule for v in validate_bockstein(BocksteinFunction.build(q, t))}
-            assert violated is not rule_5_by_subtraction(q, t), (q, t)
+        for values in itertools.product(SMALL_EXTNATS, repeat=3):  # every triple over 0-5 and oo
+            check("rule 5", *values)
+
+    test_rule_5_agrees_with_its_form_by_subtraction_on_hypothesis_values = on_hypothesis("rule 5")
+    test_rule_5_agrees_with_its_form_by_subtraction_on_the_bank = on_the_bank("rule 5")
 
     def test_valid_examples(self):
         assert validate_bockstein(bf(2, (2, 1, 2))) == []
@@ -238,10 +232,8 @@ class TestSpInAe:
 
     def test_a_point_still_needs_a_function(self):
         # the empty homology extends over every compactum, so no degree ever read alpha
-        from extcalc import EMPTY_GRADED
-
         with pytest.raises(DomainError) as exc:
-            sp_in_ae(5, EMPTY_GRADED)
+            sp_in_ae(5, GradedGroup(()))
         assert exc.value.code == "not_a_group"
 
 

@@ -1,8 +1,6 @@
 """End-to-end command-line behavior: text goldens, JSON envelopes against the
 published schema, exit codes, and stream separation."""
 
-import contextlib
-import io
 import json
 import os
 import re
@@ -10,25 +8,11 @@ import shutil
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-import jsonschema
 import pytest
 
+from conftest import CLI_BATTERY, ROOT, VALIDATOR, envelope_of, run
 from extcalc import cli
-from extcalc.cli import run_command
-from test_acceptance import CLI_BATTERY
-
-ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = json.loads((ROOT / "schemas" / "envelope-v1.schema.json").read_text())
-VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
-
-
-def run(args):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_command(list(args))
-    return code, out.getvalue(), err.getvalue()
 
 
 def text_of(*args):
@@ -36,15 +20,6 @@ def text_of(*args):
     assert code == 0, err
     assert err == ""
     return out.rstrip("\n")
-
-
-def envelope_of(*args, expect_code=0):
-    code, out, err = run(list(args) + ["--json"])
-    assert code == expect_code, out + err
-    assert err == ""
-    doc = json.loads(out)
-    VALIDATOR.validate(doc)
-    return doc
 
 
 def result_of(*args):

@@ -12,15 +12,10 @@ import hashlib
 import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import mutate_text, random_graded_text, random_group_text
-from test_acceptance import CLI_BATTERY
-from test_cli import run
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import CLI_BATTERY, ROOT, mutate_text, random_graded_text, random_group_text, run
 
 
 def _readme_tour():

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given
 
-from conftest import random_graded, random_group, st_graded, st_group
+from conftest import st_graded, st_group
 from extcalc import (
     ParseError,
     PrimeSet,
@@ -23,6 +23,7 @@ from extcalc import (
     prufer,
     sigma,
 )
+from oracles import random_graded, random_group
 
 
 class TestParseGroup:

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dsl_oracle
-from conftest import DSL_ALPHABET, mutate_text, random_graded_text, random_group_text
+from conftest import DSL_ALPHABET, mutate_text, random_graded_text, random_group_text, st_dsl_text
 from extcalc import ExtcalcError, parse_graded, parse_group
-from test_fuzz import st_dsl_text
 
 ORACLE = settings(max_examples=150, deadline=None)
 

@@ -22,13 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DSL_ALPHABET
+from conftest import VALIDATOR, run, st_dsl_text
 from extcalc import ExtcalcError, cli, format_graded, format_group, parse_graded, parse_group
-from test_cli import VALIDATOR, run
 
 FUZZ = settings(max_examples=100, deadline=timedelta(seconds=2))
-
-st_dsl_text = st.text(max_size=30) | st.text(alphabet=DSL_ALPHABET, max_size=30)
 
 SMALL = st.integers(min_value=-30, max_value=30)
 HUGE = st.integers(min_value=10**299, max_value=10**300) | st.integers(min_value=-(10**300), max_value=-(10**299))

@@ -50,9 +50,10 @@ def test_readme_tables_every_error_code_raised():
 
 
 def test_removed_names_stay_gone():
-    for name in ("bockstein_family", "connectivity_index"):
+    for name in ("bockstein_family", "connectivity_index", "EMPTY_GRADED"):
         assert not hasattr(extcalc, name) and not hasattr(extcalc.graded, name)
-    assert not hasattr(extcalc.IntMatrix, "identity")
+    assert not hasattr(extcalc, "det") and not hasattr(extcalc.presentation, "det")
+    assert not hasattr(extcalc.IntMatrix, "identity") and not hasattr(extcalc.PrimeSet, "intersect")
 
 
 def test_import_leaves_sympy_out():
@@ -69,6 +70,19 @@ def test_readme_tour_runs_with_sympy_blocked():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("README tour: 10 commands")
+
+
+def test_the_oracle_module_imports_without_the_test_extra():
+    # scripts/oracle_soak.py imports tests/oracles.py where none of the three is installed
+    proc = python(
+        "import sys\n"
+        "sys.modules['sympy'] = sys.modules['hypothesis'] = sys.modules['pytest'] = None\n"
+        "sys.path.insert(0, 'tests')\n"
+        "import oracles\n"
+        "print(len(oracles.bank(('graded', 'group'), 3)))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"
 
 
 def loaded_modules(code: str) -> list[str]:
@@ -105,8 +119,8 @@ def test_a_command_loads_only_its_own_modules(argv, own):
 
 
 def test_public_names_are_unchanged_and_are_their_modules_objects():
-    # the digest pins the 75 names and their order: those of the eagerly importing package, with exttype's three
-    # finite-type records folded into FiniteType
+    # the digest pins the 73 names and their order: those of the eagerly importing package, with exttype's three
+    # finite-type records folded into FiniteType, and without det and EMPTY_GRADED, which only tests used
     proc = python(
         "import extcalc, importlib\n"
         "for name in extcalc.__all__[1:]:\n"
@@ -116,8 +130,8 @@ def test_public_names_are_unchanged_and_are_their_modules_objects():
     )
     assert proc.returncode == 0, proc.stderr
     names = proc.stdout.split()
-    assert len(names) == 75
-    assert hashlib.sha256(" ".join(names).encode()).hexdigest()[:16] == "c1f8cb3e81434090"
+    assert len(names) == 73
+    assert hashlib.sha256(" ".join(names).encode()).hexdigest()[:16] == "9ded0b8fe95329a3"
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +195,8 @@ GROUP_CALLABLES = group_callables()
 
 def test_the_walk_finds_every_group_parameter():
     # a renamed annotation would silently shrink the walk below
-    assert len(GROUP_CALLABLES) == 45
-    assert sum(len(params) for _, _, params in GROUP_CALLABLES.values()) == 60
+    assert len(GROUP_CALLABLES) == 43
+    assert sum(len(params) for _, _, params in GROUP_CALLABLES.values()) == 58
     found = {_annotation(inspect.signature(fn).parameters[p]) for _, fn, params in GROUP_CALLABLES.values() for p in params}
     assert found == set(KINDS)
 

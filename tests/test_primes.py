@@ -9,7 +9,7 @@ import sympy
 
 from extcalc import primes
 from extcalc.primes import factorint, isprime, nextprime
-from test_cli import VALIDATOR, run
+from conftest import VALIDATOR, run
 
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657, 52633, 62745, 63973,
               75361, 101101, 115921, 126217, 162401, 172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561,
