@@ -61,10 +61,6 @@ class GradedGroup:
         return next((g for d, g in self.entries if d == degree), TRIVIAL)
 
     @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.entries)
-
-    @property
     def is_zero(self) -> bool:
         return not self.entries
 

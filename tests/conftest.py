@@ -1,5 +1,6 @@
 """Shared test helpers: seeded value generators and hypothesis strategies,
-the oracle table, and the command-line battery with its envelope check.
+the oracle table, and the command line: its battery, its envelope check and
+the transcript that records every call's answer.
 
 The seeded generators of groups, graded groups and matrices, the oracles and
 the bank live in `oracles.py`, which the soak script imports without the
@@ -8,10 +9,14 @@ collisions (same prime on both sides of a product) happen often.
 """
 
 import contextlib
+import functools
 import io
 import json
+import os
+import shlex
 from pathlib import Path
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import jsonschema
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +27,8 @@ from extcalc import (
     INFINITY, AdmissibleGroup, BocksteinFunction, Cyclic, ExtNat, GradedGroup, IntMatrix, Localization, PrimeSet,
     PrimeTriple, Prufer, Q, Z, classify_finite_type, cohomology_with_coefficients, cyclic, dimension_profile,
     graded_order_leq, group_from_presentation, has_compact_type, homological_dimension, homology_with_coefficients,
-    localized, moore_matches_em, pairing, prufer, sigma, smash, validate_bockstein, vanishing_check,
+    localized, moore_matches_em, pairing, prufer, sigma, smash, tensor_from_presentations, tor_from_presentations,
+    validate_bockstein, vanishing_check,
 )
 from extcalc.abelian import PrimeIndexed, _tensor_atoms, _tor_atoms
 from extcalc.cli import run_command
@@ -212,8 +218,17 @@ def profile_at_by_homology(k, p):
     return [oracles.homological_dimension_by_homology(k, h) for h in tests]
 
 
+def presented(a, b):
+    return group_from_presentation(a.cols, a), group_from_presentation(b.cols, b)
+
+
+def presented_products(a, b):
+    ga, gb = presented(a, b)
+    return ga.tensor(gb), ga.tor(gb)
+
+
 def presented_smash(a, b):
-    ga, gb = group_from_presentation(a.cols, a), group_from_presentation(b.cols, b)
+    ga, gb = presented(a, b)
     return smash(GradedGroup({1: ga, 2: gb}), GradedGroup({1: gb, 3: ga}))
 
 
@@ -275,6 +290,9 @@ ORACLES = {
         graded_order_leq, (oracles.graded_order_leq_by_homology,),
         (st_graded, st_graded), ("graded or wide", "graded or wide"), 312,
         leqgr_labels, at_least(1, "holds", "fails", "family over 200")),
+    "tensor and Tor by presentations": Row(
+        presented_products, (lambda a, b: (tensor_from_presentations(a, b), tor_from_presentations(a, b)),),
+        (st_matrix, st_matrix), ("relations", "relations"), 200),
     "smash by presentations": Row(
         presented_smash, (lambda a, b: oracles.smash_by_presentations({1: a, 2: b}, {1: b, 3: a}),),
         (st_matrix, st_matrix), ("relations", "relations"), 30),
@@ -333,16 +351,49 @@ def on_the_bank(*names):
 
 
 # ---------------------------------------------------------------------------
-# The command line: one in-process run, the envelope schema, and the battery.
+# The command line: one in-process run, the envelope schema, the transcript
+# and the battery.
 
 VALIDATOR = jsonschema.Draft202012Validator(json.loads((ROOT / "schemas" / "envelope-v1.schema.json").read_text()))
+TRANSCRIPT = ROOT / "tests" / "cli_transcript.jsonl"
 
 
 def run(args):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse fits a usage line to the terminal's width, which a pipe, and so the installed script, reads as 80
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_command(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def transcript() -> list:
+    """The records of `TRANSCRIPT`, in order: [argv, status, stdout, stderr]."""
+    return [json.loads(line) for line in TRANSCRIPT.read_text().splitlines()]
+
+
+def replayed(record):
+    """None when the record's argv prints it again byte for byte; otherwise
+    the argv and the first field (status, stdout or stderr) that differs."""
+    argv, *recorded_answer = record
+    for field, got, want in zip(("status", "stdout", "stderr"), run(argv), recorded_answer):
+        if got != want:
+            return f"extcalc {shlex.join(argv)}: {field} is {got!r}, the transcript has {want!r}"
+    return None
+
+
+def replays(*calls):
+    """Each argv of `calls` has a record in the transcript and prints it again."""
+    records = {tuple(argv): [argv, *answer] for argv, *answer in transcript()}
+    for argv in calls:
+        record = records.get(tuple(argv))
+        assert record, f"no record of {argv}: add it with `python tests/test_cli_golden.py '{json.dumps(argv)}'`"
+        assert (difference := replayed(record)) is None, difference
+
+
+def recorded(*calls):
+    """A test method that replays `calls` against their records."""
+    return lambda self: replays(*calls)
 
 
 def envelope_of(*args, expect_code=0):

@@ -246,8 +246,8 @@ def vanishing_by_smash(x: GradedGroup, k: GradedGroup, m: int) -> tuple[bool, bo
     of k with x on the reflected grading (1 and 3 are one predicate), which
     reading sigma replaced.  Calls the public `smash`, not the pair rule."""
     reflected = _reflect(x)
-    first = all(n > -m for n in smash(reflected, k).degrees)
-    second = all(n > -m for n in smash(k, reflected).degrees)
+    first = all(n > -m for n, _ in smash(reflected, k).entries)
+    second = all(n > -m for n, _ in smash(k, reflected).entries)
     return first, second, first
 
 
@@ -257,9 +257,9 @@ def vanishing_by_expansions(x: GradedGroup, k: GradedGroup, m: int) -> tuple[boo
     the cohomology of x with each k_j below j + m.  Calls `paired_by_cohomology`,
     `cohomology_by_formula` and the public `homology_with_coefficients`."""
     return (
-        all(n > -m for n in paired_by_cohomology(x, k).degrees),
-        all(i > d - m for d, g in x.entries for i in homology_with_coefficients(k, g).degrees),
-        all(i < j + m for j, g in k.entries for i in cohomology_by_formula(x, g).degrees),
+        all(n > -m for n, _ in paired_by_cohomology(x, k).entries),
+        all(i > d - m for d, g in x.entries for i, _ in homology_with_coefficients(k, g).entries),
+        all(i < j + m for j, g in k.entries for i, _ in cohomology_by_formula(x, g).entries),
     )
 
 
@@ -329,7 +329,7 @@ def classify_by_clauses(k):
         primes = sigma_matches_localization(sigma(g1))
         if primes is not None and sp_factors_as_em(k, localized(primes), 1).verdict:
             return {"kind": "localization", "primes": primes.to_json(), "degree": 1}
-    lowest = k.degrees[0]
+    lowest = k.entries[0][0]
     if sigma(k.at(lowest)) == RATIONAL_ONLY and sp_factors_as_em(k, Q, lowest).verdict:
         return {"kind": "rational", "primes": None, "degree": lowest}
     return {"kind": "none", "primes": None, "degree": None}
@@ -438,7 +438,7 @@ def atom_kinds(*groups):
 def classify_labels(verdict, k):
     """The branch of the classification that `k` takes, given its verdict's
     `to_json`, then its degrees and its kinds of atom."""
-    if k.is_zero or k.degrees[0] < 1:
+    if k.is_zero or k.entries[0][0] < 1:
         branch = "trivial complex" if k.is_zero else "degree below 1"
     elif verdict["kind"] == "localization" and verdict["primes"] == NO_PRIMES.to_json():
         branch = "localization at no primes"
@@ -447,7 +447,7 @@ def classify_labels(verdict, k):
     else:  # whether the lowest degree was a candidate
         n, h = k.entries[0]
         branch = "none at a higher degree" if moore_by_sigma(h, n)["matches"] else "none at the lowest degree"
-    return [branch, *(f"degree {d}" for d in k.degrees), *atom_kinds(*(g for _, g in k.entries))]
+    return [branch, *(f"degree {d}" for d, _ in k.entries), *atom_kinds(*(g for _, g in k.entries))]
 
 
 def moore_labels(verdict, g, n):

@@ -46,7 +46,7 @@ from extcalc import (
 )
 from extcalc.bockstein import BocksteinFunction
 from extcalc.errors import DomainError
-from oracles import random_graded, random_group, random_matrix
+from oracles import random_graded, random_group, random_matrix, paired_by_cohomology, vanishing_by_expansions
 
 PRIMES_UP_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -190,13 +190,15 @@ def test_criterion_08_order_smash_coherence():
 
 def test_criterion_09_vanishing_triple_agreement():
     rng = random.Random(109)
-    with _Budget(9, "three vanishing conditions agree on 500 triples", 5):
+    with _Budget(9, "three vanishing conditions agree with their expansions on 500 triples", 5):
         for _ in range(500):
             x = random_graded(rng)
             k = random_graded(rng)
             m = rng.randint(0, 6)
-            a, b, c = vanishing_check(x, k, m)
-            assert a == b == c
+            # the statements turn true at m = 1 - (the pairing's lowest degree): check m and both sides of the turn
+            low = min((d for d, _ in paired_by_cohomology(x, k).entries), default=0)
+            for n in (m, -low, 1 - low):
+                assert vanishing_check(x, k, n) == vanishing_by_expansions(x, k, n), (x, k, n)
 
 
 def test_criterion_10_cli_contract():

@@ -1,21 +1,34 @@
-"""Every CLI output, byte for byte: sha256 digests of (argv, exit status,
-stdout, stderr) over the subcommand battery, the README tour and seeded
-`canon`, `sigma` and `smash` calls on valid and malformed expressions.
+"""Every CLI output, byte for byte.  `tests/cli_transcript.jsonl` holds one
+line, `json.dumps([argv, status, stdout, stderr])`, per call: the subcommand
+battery in text mode and under --json, the README tour, then the examples
+(fixed command lines that `test_cli.py` names or that CI once checked by
+hand).  Each record must print again as recorded, keep the stream rules and,
+under --json, be an envelope of the published schema; argparse help is left
+out, as it follows the terminal's width.  CI replays the file through the
+installed `extcalc`.  The seeded `canon`, `sigma` and `smash` calls (504,
+with 5000-digit inputs) stay a sha256 digest, recorded before the DSL parser
+became a regex tokenizer, so they pin its errors and positions to the
+scanner it replaced.
 
-The digests were recorded before the DSL parser was rewritten as a regex
-tokenizer, so they pin its output, errors and positions included, to the
-scanner it replaced.  A change that alters any output on purpose re-records
-them with `PYTHONPATH=src python tests/test_cli_golden.py` and says so.
+    PYTHONPATH=src python tests/test_cli_golden.py ['["canon", "Z/12"]' ...]
+
+rewrites the transcript, adding each argv given as a JSON list to the
+examples, and prints the seeded digest; a change that alters an output on
+purpose re-records and quotes the diff of the file.
 """
 
 import hashlib
 import importlib.util
 import json
 import random
+import sys
 
 import pytest
 
-from conftest import CLI_BATTERY, ROOT, mutate_text, random_graded_text, random_group_text, run
+from conftest import (
+    CLI_BATTERY, ROOT, TRANSCRIPT, VALIDATOR, mutate_text, random_graded_text, random_group_text, replayed, run,
+    transcript,
+)
 
 
 def _readme_tour():
@@ -46,32 +59,64 @@ def seeded_calls(count=500, seed=2011):
     return calls
 
 
-SECTIONS = {
+# the transcript's sections made from their sources; the examples follow them
+GENERATED = {
     "battery_text": lambda: [args for ok, bad, _ in CLI_BATTERY for args in (ok, bad)],
     "battery_json": lambda: [args + ["--json"] for ok, bad, _ in CLI_BATTERY for args in (ok, bad)],
     "readme_tour": _readme_tour,
-    "seeded": seeded_calls,
 }
+SEEDED = "a1f182de96ca2c8aa8c1227e49c0a088271da5469d0cafbde04ba97a6e09bb7d"
 
-GOLDEN = {
-    "battery_json": "e60c18465b37a828285ac911d618dc3529f355acd9ee5a25b8a9316ef3e66466",
-    "battery_text": "e074bd6e6304df96cf74668b3d7a295146f68eb4fcc15e5f136fc3b8a6ffa085",
-    "readme_tour": "6a23ee7b8c59a04c815730c3fa6ff81104715289bdc70e6ad14b388e1a344d86",
-    "seeded": "a1f182de96ca2c8aa8c1227e49c0a088271da5469d0cafbde04ba97a6e09bb7d",
-}
+
+def sections() -> dict:
+    """Section name -> its records: each generated section takes as many
+    lines of the transcript as it makes calls, and the examples the rest."""
+    records, out = transcript(), {}
+    for name, make in GENERATED.items():
+        n = len(make())
+        out[name], records = records[:n], records[n:]
+    out["examples"] = records
+    return out
 
 
 def digest(calls) -> str:
     h = hashlib.sha256()
     for argv in calls:
-        status, out, err = run(argv)
-        h.update(json.dumps([argv, status, out, err]).encode() + b"\n")
+        h.update(json.dumps([argv, *run(argv)]).encode() + b"\n")
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("section", sorted(SECTIONS))
-def test_cli_output_matches_the_recorded_digest(section):
-    assert digest(SECTIONS[section]()) == GOLDEN[section]
+def test_the_transcript_holds_each_section_in_order():
+    found = sections()
+    for name, make in GENERATED.items():
+        assert [argv for argv, *_ in found[name]] == make(), name
+    generated = {tuple(argv) for make in GENERATED.values() for argv in make()}
+    examples = [tuple(argv) for argv, *_ in found["examples"]]
+    assert len(set(examples)) == len(examples) and not generated.intersection(examples)
+    assert not any({"-h", "--help"}.intersection(argv) for argv, *_ in transcript())
+
+
+@pytest.mark.parametrize("section", [*GENERATED, "examples"])
+def test_cli_output_matches_the_transcript(section):
+    for record in sections()[section]:
+        assert (difference := replayed(record)) is None, difference
+
+
+def test_every_record_keeps_the_stream_rules():
+    # under --json one envelope line on stdout and nothing on stderr; in text mode an answer
+    # on stdout alone, an error on stderr alone
+    for argv, status, out, err in transcript():
+        if "--json" in argv:
+            assert err == "" and out.count("\n") == 1 and out.endswith("\n"), argv
+            doc = json.loads(out)
+            VALIDATOR.validate(doc)
+            assert doc["ok"] is (status == 0), argv
+        else:
+            assert (out if status else err) == "", argv
+
+
+def test_seeded_output_matches_the_recorded_digest():
+    assert digest(seeded_calls()) == SEEDED
 
 
 def test_the_seeded_calls_answer_and_fail():
@@ -80,5 +125,19 @@ def test_the_seeded_calls_answer_and_fail():
     assert set(statuses) == {0, 2} and 30 < statuses.count(0) < 90
 
 
+def record(extra):
+    """Rewrite the transcript: the generated sections, then the examples it
+    holds and the argvs `extra`, each once."""
+    calls = [argv for make in GENERATED.values() for argv in make()]
+    seen = set(map(tuple, calls))
+    held = [argv for argv, *_ in transcript()] if TRANSCRIPT.exists() else []
+    for argv in held + extra:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            calls.append(argv)
+    TRANSCRIPT.write_text("".join(json.dumps([argv, *run(argv)]) + "\n" for argv in calls))
+    print(f"{TRANSCRIPT.name}: {len(calls)} records; seeded digest {digest(seeded_calls())}")
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: digest(make()) for name, make in sorted(SECTIONS.items())}, indent=4))
+    record([json.loads(arg) for arg in sys.argv[1:]])

@@ -3,6 +3,7 @@ it runs without sympy, that it loads a module only when it is used, and that
 every public call types the records it takes: groups, graded groups,
 matrices, chain complexes, Bockstein functions and bases, and prime sets."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -54,6 +55,7 @@ def test_removed_names_stay_gone():
         assert not hasattr(extcalc, name) and not hasattr(extcalc.graded, name)
     assert not hasattr(extcalc, "det") and not hasattr(extcalc.presentation, "det")
     assert not hasattr(extcalc.IntMatrix, "identity") and not hasattr(extcalc.PrimeSet, "intersect")
+    assert not hasattr(extcalc.GradedGroup, "degrees")
 
 
 def test_import_leaves_sympy_out():
@@ -201,10 +203,21 @@ def test_the_walk_finds_every_group_parameter():
     assert found == set(KINDS)
 
 
-@pytest.mark.parametrize(
-    "qualname, param", [(qualname, param) for qualname, (_, _, params) in GROUP_CALLABLES.items() for param in params]
-)
-def test_a_value_of_another_kind_is_not_a_group(qualname, param):
+def error_code(call) -> str:
+    """The code of the library error that call() raises, the type of any
+    other exception, or "no error"."""
+    try:
+        call()
+    except extcalc.ExtcalcError as exc:
+        return exc.code
+    except Exception as exc:
+        return type(exc).__name__
+    return "no error"
+
+
+def bad_calls(qualname, param):
+    """(call, the code it must end in) for each value of another kind given
+    as `param`: `not_a_group`, or for an operator Python's TypeError."""
     owner, fn, _ = GROUP_CALLABLES[qualname]
     signature = inspect.signature(fn)
     kind = _annotation(signature.parameters[param])
@@ -217,57 +230,77 @@ def test_a_value_of_another_kind_is_not_a_group(qualname, param):
                 args.append(SAMPLES[owner.__name__])
             else:
                 args.append(SAMPLES[_annotation(p)])
-        if fn.__name__.startswith("__"):  # an operator follows Python's rule: TypeError
-            with pytest.raises(TypeError):
-                getattr(operator, fn.__name__.strip("_"))(*args)
-            continue
-        with pytest.raises(extcalc.ExtcalcError) as caught:
-            fn(*args)
-        assert caught.value.code == "not_a_group", (bad, caught.value)
-
-
-ONES = extcalc.PrimeTriple.constant(extcalc.ExtNat(1))
+        if fn.__name__.startswith("__"):
+            yield functools.partial(getattr(operator, fn.__name__.strip("_")), *args), "TypeError"
+        else:
+            yield functools.partial(fn, *args), "not_a_group"
 
 
 @pytest.mark.parametrize(
-    "build, code",
-    [
-        (lambda: extcalc.BocksteinFunction.build(1, ONES, 5), "not_a_group"),
-        (lambda: extcalc.BocksteinFunction.build(1, ONES, "Z"), "not_a_group"),
-        (lambda: extcalc.IntMatrix(1, 1, 5), "bad_entry"),
-        (lambda: extcalc.GradedGroup.of(5), "not_a_group"),
-        (lambda: extcalc.GradedGroup.of("Z"), "not_a_group"),
-        (lambda: extcalc.PrimeSet(False, 5), "not_a_group"),
-        (lambda: extcalc.PrimeSet(False, ([2],)), "not_a_group"),
-        (lambda: extcalc.IntMatrix.from_rows(5), "bad_shape"),
-        (lambda: extcalc.IntMatrix.from_rows([5]), "bad_shape"),
-        (lambda: extcalc.AdmissibleGroup(5), "not_a_group"),
-        (lambda: extcalc.GradedGroup(5), "not_a_group"),
-        (lambda: extcalc.GradedGroup(((1, 5),)), "not_a_group"),
-        (lambda: extcalc.SigmaSet(5, 5, 5), "not_a_group"),
-        (lambda: extcalc.SigmaSet(True, 5, ()), "not_a_group"),
-        (lambda: extcalc.MinimalWedge(1, 5, ()), "not_a_group"),
-        (lambda: extcalc.SigmaSet(True, 0, {4: 3}), "not_prime"),
-        (lambda: extcalc.SigmaSet(True, 0, {"a": 3, 2: 3}), "not_prime"),
-        (lambda: PrimeIndexed(0, 0, {4: 1}), "not_prime"),
-        (lambda: extcalc.SigmaSet(5, 0, ()), "not_a_group"),
-        (lambda: extcalc.MinimalWedge("x", extcalc.PrimeTriple(1, 1, 1)), "not_a_group"),
-        (lambda: extcalc.MinimalWedge(1, extcalc.PrimeTriple("a", "b", "c")), "not_a_group"),
-    ],
-    ids=[
-        "exceptions 5", "exceptions text", "entries 5", "graded 5", "graded text",
-        "members 5", "unhashable member", "rows 5", "row 5",
-        "group record 5", "graded record 5", "graded record entry 5", "sigma record 5",
-        "sigma pattern 5", "wedge default 5", "sigma key 4", "sigma key text", "record key 4",
-        "sigma rational 5", "wedge rational text", "wedge degree text",
-    ],
+    "qualname, param", [(qualname, param) for qualname, (_, _, params) in GROUP_CALLABLES.items() for param in params]
 )
+def test_a_value_of_another_kind_is_not_a_group(qualname, param):
+    for call, code in bad_calls(qualname, param):
+        assert error_code(call) == code, call
+
+
+ONES = extcalc.PrimeTriple.constant(extcalc.ExtNat(1))
+# each raised a raw TypeError or ValueError from dict(), len(), set() or list(), or was built unchecked (the
+# records' own constructors) and raised one on use
+BUILDS = {
+    "exceptions 5": (lambda: extcalc.BocksteinFunction.build(1, ONES, 5), "not_a_group"),
+    "exceptions text": (lambda: extcalc.BocksteinFunction.build(1, ONES, "Z"), "not_a_group"),
+    "entries 5": (lambda: extcalc.IntMatrix(1, 1, 5), "bad_entry"),
+    "graded 5": (lambda: extcalc.GradedGroup.of(5), "not_a_group"),
+    "graded text": (lambda: extcalc.GradedGroup.of("Z"), "not_a_group"),
+    "members 5": (lambda: extcalc.PrimeSet(False, 5), "not_a_group"),
+    "unhashable member": (lambda: extcalc.PrimeSet(False, ([2],)), "not_a_group"),
+    "rows 5": (lambda: extcalc.IntMatrix.from_rows(5), "bad_shape"),
+    "row 5": (lambda: extcalc.IntMatrix.from_rows([5]), "bad_shape"),
+    "group record 5": (lambda: extcalc.AdmissibleGroup(5), "not_a_group"),
+    "graded record 5": (lambda: extcalc.GradedGroup(5), "not_a_group"),
+    "graded record entry 5": (lambda: extcalc.GradedGroup(((1, 5),)), "not_a_group"),
+    "sigma record 5": (lambda: extcalc.SigmaSet(5, 5, 5), "not_a_group"),
+    "sigma pattern 5": (lambda: extcalc.SigmaSet(True, 5, ()), "not_a_group"),
+    "wedge default 5": (lambda: extcalc.MinimalWedge(1, 5, ()), "not_a_group"),
+    "sigma key 4": (lambda: extcalc.SigmaSet(True, 0, {4: 3}), "not_prime"),
+    "sigma key text": (lambda: extcalc.SigmaSet(True, 0, {"a": 3, 2: 3}), "not_prime"),
+    "record key 4": (lambda: PrimeIndexed(0, 0, {4: 1}), "not_prime"),
+    "sigma rational 5": (lambda: extcalc.SigmaSet(5, 0, ()), "not_a_group"),
+    "wedge rational text": (lambda: extcalc.MinimalWedge("x", extcalc.PrimeTriple(1, 1, 1)), "not_a_group"),
+    "wedge degree text": (lambda: extcalc.MinimalWedge(1, extcalc.PrimeTriple("a", "b", "c")), "not_a_group"),
+}
+
+
+@pytest.mark.parametrize("build, code", BUILDS.values(), ids=BUILDS)
 def test_a_collection_a_record_takes_is_typed(build, code):
-    # each of these raised a raw TypeError or ValueError from dict(), len(), set() or list(), or was
-    # built unchecked (the records' own constructors) and raised one on use
-    with pytest.raises(extcalc.ExtcalcError) as caught:
-        build()
-    assert caught.value.code == code
+    assert error_code(build) == code
+
+
+def boundary():
+    """(label, call, code) for every case of the walk and of `BUILDS`."""
+    for qualname, (_, _, params) in GROUP_CALLABLES.items():
+        for param in params:
+            for i, (call, code) in enumerate(bad_calls(qualname, param)):
+                yield f"{qualname}({param}) #{i}", call, code
+    for label, (build, code) in BUILDS.items():
+        yield label, build, code
+
+
+def test_the_type_checks_raise_under_optimized_python():
+    # -O strips assert statements, so a check built from one would let these through; the child asserts
+    # nothing and prints each case's error code for this process to compare
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import json, test_package\n"
+         "print(json.dumps([[label, test_package.error_code(call)] for label, call, _ in test_package.boundary()]))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[label, code] for label, _, code in boundary()]
 
 
 # each kind of PrimeIndexed with a valid value on Q and default

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import st_matrix
+from conftest import on_hypothesis, on_the_bank, st_matrix
 from extcalc import (
     AdmissibleGroup,
     ChainComplex,
@@ -37,7 +37,6 @@ from extcalc import (
     tor_from_presentations,
 )
 from extcalc import presentation
-from oracles import random_matrix
 
 class TestIntMatrix:
     def test_validation(self):
@@ -344,10 +343,8 @@ class TestOracleAgreement:
         assert a.tensor(b) == tensor_from_presentations(ma, mb)
         assert a.tor(b) == tor_from_presentations(ma, mb)
 
-    def test_seeded_sample(self):
-        rng = random.Random(7)
-        for _ in range(60):
-            self.check_pair(random_matrix(rng, 4, 4), random_matrix(rng, 4, 4))
+    test_seeded_sample = on_the_bank("tensor and Tor by presentations")
+    test_hypothesis_matrices = on_hypothesis("tensor and Tor by presentations")
 
     def test_torsion_heavy_pairs(self):
         self.check_pair(
