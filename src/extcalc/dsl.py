@@ -13,14 +13,15 @@ parses back to an equal value; the trivial group prints as ``Z^0``.
 
 Parsing is one pass from left to right.  One compiled pattern, ``_TERM``,
 reads a whole term (spaces, atom, ``^ multiplicity``, the ``+`` after it)
-into named groups.  Every part after the atom's letter is optional, so it
-always matches, and a missing part is an empty group at the position the
-error names.  The ``Z_(...)`` list is one run of digits, spaces and commas,
-read item by item.  Parts are checked in text order, so the first fault
-decides the error; each prime of ``Z_(...)``, ``Z[1/p]`` and ``Z/p^oo`` is
-tested once, here where the text enters, and the atoms are built trusted
-(``Z/n`` takes its primes from ``factorint``).  Spaces are free around
-``+``, ``,`` and ``:``, before ``^`` and inside ``Z_(...)`` after ``(~``.
+into named groups.  Every part after the atom's letter is optional, so a
+missing part is an empty group at the position the error names.  A
+``Z_(...)`` list is split at its commas, one ``int`` per item, and each
+distinct prime is looked up in the sieve of ``primes`` (``isprime`` above
+it); a list with a fault is read again item by item, to report it.  Parts
+are checked in text order, so the first fault decides the error.  Primes are
+tested where the text enters, and atoms are built trusted (``Z/n`` takes its
+primes from ``factorint``).  Spaces are free around ``+``, ``,`` and ``:``,
+before ``^`` and inside ``Z_(...)`` after ``(~``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .abelian import (
 )
 from .errors import ParseError
 from .graded import GradedGroup, _checked_graded
-from .primes import factorint, isprime
+from .primes import _SIEVE, _TABLE, factorint, isprime
 
 _TERM = re.compile(
     r"""\s*
@@ -106,18 +107,20 @@ def _atom(m: re.Match) -> list:
         if n < 2:
             _fail(m.start("modulus"), f"cyclic modulus must be >= 2, got {n}", code="bad_modulus")
         return [_trusted(Cyclic, p, e) for p, e in factorint(n).items()]
-    if m["cofinite"] is not None:
-        primes, (pos, end) = [], m.span("primes")
-        if m["primes"].strip() or not m["close"]:  # all but "()" and "( )" list a prime
-            while True:  # the list holds digits, spaces and commas only
+    if m["cofinite"] is not None:  # one split, one int() per item and one pass over the sieve
+        listed, (pos, end) = m["primes"], m.span("primes")
+        try:  # "()" and "( )" list no prime
+            primes = sorted(set(map(int, listed.split(",")))) if listed.strip() else []
+        except ValueError:  # an empty item, two numbers in one item, or one past the digit limit; 0 is not prime
+            primes = [0]
+        if not (m["close"] and all(_SIEVE[p] if p < _TABLE else isprime(p) for p in primes)):
+            while True:  # a faulty list, read item by item to report its first fault; it holds digits, spaces and commas
                 item = _ITEM.match(m.string, pos, end)
-                primes.append(_prime(item, "prime"))
+                _prime(item, "prime")
                 if not item["comma"]:
-                    break
+                    _expected(item.end(), ")")
                 pos = item.end()
-            if item.end() < end or not m["close"]:
-                _expected(item.end(), ")")
-        return [_trusted(Localization, _trusted(PrimeSet, m["cofinite"] == "~", tuple(sorted(set(primes)))))]
+        return [_trusted(Localization, _trusted(PrimeSet, m["cofinite"] == "~", tuple(primes)))]
     if m["inverted"] is not None:
         p = _prime(m, "inverted")
         if not m["bracket"]:
@@ -201,10 +204,7 @@ def format_group(group: AdmissibleGroup) -> str:
 
 
 def format_graded(graded: GradedGroup) -> str:
-    if _checked_graded(graded).is_zero:
-        return "{}"
-    inner = ", ".join(f"{d}: {format_group(g)}" for d, g in graded.entries)
-    return "{" + inner + "}"
+    return "{" + ", ".join(f"{d}: {format_group(g)}" for d, g in _checked_graded(graded).entries) + "}"
 
 
 def format_sigma(s: SigmaSet) -> str:

@@ -1,10 +1,10 @@
 """Primality and factorization of ints with the standard library only: a sieve of the primes below 2**16, built at
 import, answers `isprime` there and drives trial division, where `factorint` takes one gcd of n with the product of
-each run of 32 consecutive table primes and divides by the run's primes only when that gcd is not 1 (Crandall-Pomerance
-2005, section 3.2).  Above the table, `isprime` is Miller-Rabin with the fewest prime bases that are exact below n
-(Sorenson-Webster 2017), and the strong Baillie-PSW test from 3.3e24 on (Baillie-Wagstaff 1980).  A cofactor with no
-prime factor below 2**16 is tested for a perfect power and then split by Pollard-Brent rho (Brent 1980) under a budget
-on work: each step costs the square of n's size in 128-bit words."""
+each run of 32 table primes: a gcd of 1 skips the run, a gcd that is a table prime is the one prime of the run dividing
+n, and any other gcd walks the run (Crandall-Pomerance 2005, section 3.2).  Above the table, `isprime` is Miller-Rabin
+with the fewest prime bases exact below n (Sorenson-Webster 2017), and the strong Baillie-PSW test from 3.3e24 on
+(Baillie-Wagstaff 1980).  A cofactor with no prime factor below 2**16 is tested for a perfect power and then split by
+Pollard-Brent rho (Brent 1980) under a budget on work: each step costs the square of n's size in 128-bit words."""
 
 from itertools import chain, compress, islice
 from math import gcd, isqrt, prod
@@ -113,7 +113,7 @@ def factorint(n: int) -> dict[int, int]:
         if prime or n < lo * lo:  # no prime below lo divides n, so n is 1 or prime
             break
         if (g := gcd(n, product)) > 1:  # g is the product of the run's primes that divide n
-            for p in compress(range(lo, hi), _SIEVE[lo:hi]):
+            for p in (g,) if g < _TABLE and _SIEVE[g] else compress(range(lo, hi), _SIEVE[lo:hi]):
                 if g % p == 0:
                     factors[p], n, g = 1, n // p, g // p
                     while n % p == 0:

@@ -55,6 +55,11 @@ def seeded_text(seed, graded, mutated):
         "{}", "{ }", "{1: Z,}", "{1 Z}", "{: Z}", "{1: Z, 1: Q}", "{٣: Z, 3: Q}", "{1: Z} x", "{1: Z +}",
         "Z^²", "Z/²", "Z/٣", "Z_(٣, ५)", " Z +\tQ ", "Z/" + "7" * 4301 + "^oo", "Z_(2, " + "1" * 4301,
         "{" + "1" * 4301 + ": Z}", "Z^" + "9" * 4300, "Z_(3215031751)", "Z/561^oo", "Z[1/1]",
+        # a Z_(...) list read in one pass, or item by item after a fault: across the sieve's edge at 2**16, a last
+        # item that is not prime below and above it, a repeated prime, tabs and newlines, a closed list with an item
+        # past the digit limit, and a cofinite list with a composite
+        "Z_(65521,65537)", "Z_(2,3,65536)", "Z_(3, 65541)", "Z_(5,3,5)", "Z_(\t2 ,\n3 )", "Z_(2, " + "1" * 4301 + ")",
+        "Z_(~2,4)",
     ],
 )
 def test_edge_cases(text):

@@ -1,6 +1,8 @@
 """extcalc.primes against sympy as the oracle, and the factoring budget end to end."""
 
+import collections
 import json
+import math
 import random
 import time
 
@@ -104,6 +106,24 @@ class TestFactorint:
         for _ in range(2000):
             n = rng.randint(1, 10**14)
             assert factorint(n) == sympy.factorint(n), n
+
+    def test_seeded_wide_groups_moduli(self):
+        # the moduli of the wide_groups benchmark: prime powers up to 10**12 and products of 2-4 of the first 300
+        # primes, which fill ten runs of 32; a run with one prime factor gives that prime as its gcd, a run with two
+        # or more is walked, and half the products take all their primes from one run so that both happen
+        first, run_of = TABLE_PRIMES[:300], {p: i // 32 for i, p in enumerate(TABLE_PRIMES[:300])}
+        rng, runs = random.Random(28), collections.Counter()
+        for _ in range(3000):
+            if rng.random() < 0.4:
+                p = rng.choice(first)
+                n = p ** rng.randint(1, int(math.log(10**12, p)))
+            else:
+                k, run = rng.randint(2, 4), rng.randrange(10)
+                n = math.prod(rng.sample(first[32 * run : 32 * run + 32] if rng.random() < 0.5 else first, k))
+            expected = sympy.factorint(n)
+            runs.update(collections.Counter(map(run_of.get, expected)).values())
+            assert factorint(n) == expected, n
+        assert runs[1] > 1000 and sum(count for hits, count in runs.items() if hits > 1) > 500, runs
 
     def test_square_of_a_30_digit_prime(self):
         p = sympy.nextprime(10**29 + 12345)
