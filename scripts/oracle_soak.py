@@ -7,11 +7,14 @@ oracle: the invariant factors read modulo a maximal minor, and the diagonal
 of the exact Smith form with its transforms.  The same two groups feed both
 routes to a graded answer: `smash({1: A, 2: B}, {1: B, 3: A})` in one pass
 over the atom tables, and `smash_by_presentations`, the sums of the oracle's
-tensor products in degree i + j and Tor groups in degree i + j + 1.  Random
-graded pairs feed both routes to the dimension order: the dimension profiles
-that `leqgr` compares, read from sigma, and homological dimensions read off
-full homology groups, which the atom tables build, on every member of the
-coefficient family `leqgr` checks.  The matrices and graded groups come from
+tensor products in degree i + j and Tor groups in degree i + j + 1.  On the
+same finitely generated groups, `pairing({1: A, 2: B}, {1: B, 3: A})` and the
+homology of {1: A, 2: B} with coefficients B meet `kunneth_by_chains`, the
+homology by SNF of a tensor product of free complexes.  Random graded pairs
+feed both routes to the dimension order: the dimension profiles that `leqgr`
+compares, read from sigma, and homological dimensions read off full homology
+groups, which the atom tables build, on every member of the coefficient
+family `leqgr` checks.  The matrices and graded groups come from
 the generators of `tests/oracles.py`.  Any disagreement is printed with
 enough detail to reproduce and the run exits nonzero.
 """
@@ -33,12 +36,14 @@ from extcalc import (
     group_from_presentation,
     homology_with_coefficients,
     invariant_factors,
+    pairing,
     smash,
     snf,
     tensor_from_presentations,
     tor_from_presentations,
 )
-from oracles import family_readings, random_graded, random_matrix, smash_by_presentations
+from extcalc.graded import _reflect
+from oracles import family_readings, kunneth_by_chains, random_graded, random_matrix, smash_by_presentations
 
 
 def mismatch(i: int, what: str, *lines: str) -> int:
@@ -61,7 +66,7 @@ def main(argv=None) -> int:
     rng = random.Random(cfg.seed)
     graded_rng = random.Random(f"{cfg.seed}:graded")
     start = time.perf_counter()
-    mismatches = 0
+    mismatches, by_chains = 0, {"pairing": 0, "hcoef": 0}
     for i in range(1, cfg.pairs + 1):
         rel_a, rel_b = (random_matrix(rng, cfg.max_dim, cfg.max_dim, -cfg.bound, cfg.bound) for _ in range(2))
         a = group_from_presentation(rel_a.cols, rel_a)
@@ -73,11 +78,21 @@ def main(argv=None) -> int:
         ):
             if table != oracle:
                 mismatches += mismatch(i, op, *shown, f"table  -> {table}", f"oracle -> {oracle}")
-        table = smash(GradedGroup({1: a, 2: b}), GradedGroup({1: b, 3: a}))
-        oracle = smash_by_presentations({1: rel_a, 2: rel_b}, {1: rel_b, 3: rel_a})
-        if table != oracle:
-            lines = (f"table  -> {format_graded(table)}", f"oracle -> {format_graded(oracle)}")
-            mismatches += mismatch(i, "smash({1: A, 2: B}, {1: B, 3: A})", *shown, *lines)
+        x, k = GradedGroup({1: a, 2: b}), GradedGroup({1: b, 3: a})
+        checks = [
+            ("smash({1: A, 2: B}, {1: B, 3: A})", smash(x, k),
+             smash_by_presentations({1: rel_a, 2: rel_b}, {1: rel_b, 3: rel_a})),
+            ("pairing({1: A, 2: B}, {1: B, 3: A})", pairing(x, k)[0], kunneth_by_chains(_reflect(x), k)),
+        ]
+        by_chains["pairing"] += 1
+        if not b.is_trivial:
+            checks.append(("hcoef({1: A, 2: B}, B)", homology_with_coefficients(x, b),
+                           kunneth_by_chains(x, GradedGroup({0: b}))))
+            by_chains["hcoef"] += 1
+        for what, table, oracle in checks:
+            if table != oracle:
+                lines = (f"table  -> {format_graded(table)}", f"oracle -> {format_graded(oracle)}")
+                mismatches += mismatch(i, what, *shown, *lines)
         for name, rel in (("A", rel_a), ("B", rel_b)):
             modular = invariant_factors(rel)
             d = snf(rel).d
@@ -99,7 +114,8 @@ def main(argv=None) -> int:
             print(f"{i}/{cfg.pairs} pairs, {rate:.0f}/s, {mismatches} mismatches", flush=True)
 
     elapsed = time.perf_counter() - start
-    print(f"done: {cfg.pairs} pairs in {elapsed:.1f}s, {mismatches} mismatches")
+    counts = ", ".join(f"{n} {name}" for name, n in by_chains.items())
+    print(f"done: {cfg.pairs} pairs in {elapsed:.1f}s, {mismatches} mismatches; Kunneth by chains on {counts}")
     return 1 if mismatches else 0
 
 

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 import oracles
 from extcalc import (
-    INFINITY, AdmissibleGroup, BocksteinFunction, Cyclic, ExtNat, GradedGroup, IntMatrix, Localization, PrimeSet,
-    PrimeTriple, Prufer, Q, Z, classify_finite_type, cohomology_with_coefficients, cyclic, dimension_profile,
+    ALL_PRIMES, INFINITY, AdmissibleGroup, BocksteinFunction, Cyclic, ExtNat, GradedGroup, IntMatrix, Localization,
+    PrimeSet, PrimeTriple, Prufer, Q, Z, classify_finite_type, cohomology_with_coefficients, cyclic, dimension_profile,
     graded_order_leq, group_from_presentation, has_compact_type, homological_dimension, homology_with_coefficients,
     localized, moore_matches_em, pairing, prufer, sigma, smash, tensor_from_presentations, tor_from_presentations,
     validate_bockstein, vanishing_check,
@@ -103,6 +103,12 @@ st_candidate_complex = st.builds(
     st.dictionaries(LOW_DEGREES, st.sampled_from(CANDIDATES), min_size=1, max_size=2),
     st_graded,
 )
+# finitely generated groups, which the Kunneth route by chains takes
+st_fg_group = st.lists(
+    st.builds(Cyclic, st.sampled_from(SMALL_PRIMES[:3]), st.integers(1, 3)) | st.just(Localization(ALL_PRIMES)),
+    min_size=1, max_size=3,
+).map(lambda atoms: AdmissibleGroup.of(*atoms))
+st_fg_graded = st.dictionaries(st.integers(-2, 5), st_fg_group, max_size=3).map(GradedGroup.of)
 st_matrix = st.integers(min_value=0, max_value=4).flatmap(
     lambda r: st.integers(min_value=0, max_value=4).flatmap(
         lambda c: st.lists(
@@ -196,6 +202,11 @@ def one_pass_by_coefficients(k, l, g):
             by_coefficients(reflected, l), by_coefficients(l, reflected)]
 
 
+def calculus(k, l, g, h):
+    """The results that `oracles.calculus_by_chains` computes by Kunneth products."""
+    return [*one_pass(k, l, g), g.tensor(h), g.tor(h)]
+
+
 def vanishing_labels(statements, x, k, m):
     yield "holds" if statements[0] else "fails"
     if x.entries and x.entries[0][0] < 0:
@@ -270,6 +281,13 @@ ORACLES = {
         one_pass, (one_pass_by_coefficients,),
         (st_signed_graded, st_signed_graded, st_nontrivial_group), ("signed graded", "graded", "group"), 1500,
         oracles.one_pass_labels, at_least(1, *ATOM_KINDS, "negative degree", "trivial product", "three terms meet")),
+    "Kunneth by chains": Row(
+        calculus, (oracles.calculus_by_chains,),
+        (st_fg_graded, st_fg_graded, st_fg_group, st_fg_group),
+        ("finitely generated graded", "finitely generated graded", "finitely generated group",
+         "finitely generated group"), 300,
+        lambda answer, k, l, g, h: oracles.one_pass_labels(answer, k, l, g),
+        at_least(1, "Z", "cyclic", "negative degree", "trivial product", "three terms meet")),
     "pair rule": Row(
         lambda g, h, i: _lowest(GradedGroup({i: g}), GradedGroup({0: h})),
         (lambda g, h, i: None if (bottom := oracles.smash_bottom_by_tables(g, h)) is None else i + bottom,),

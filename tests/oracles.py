@@ -11,10 +11,10 @@ import random
 from collections import Counter
 
 from extcalc import (
-    ALL_PRIMES, INFINITY, NO_PRIMES, AdmissibleGroup, Cyclic, DomainError, ExtNat, ExtcalcError, GradedGroup,
-    GradedOrderVerdict, IntMatrix, Localization, PrimePattern, PrimeSet, Prufer, Q, SigmaSet, cyclic, fresh_prime,
-    homology_with_coefficients, localized, moore_graded, pairing, prufer, sigma, sigma_matches_localization, smash,
-    sp_factors_as_em, tensor_from_presentations, tor_from_presentations,
+    ALL_PRIMES, INFINITY, NO_PRIMES, AdmissibleGroup, ChainComplex, Cyclic, DomainError, ExtNat, ExtcalcError,
+    GradedGroup, GradedOrderVerdict, IntMatrix, Localization, PrimePattern, PrimeSet, Prufer, Q, SigmaSet,
+    chain_homology, cyclic, fresh_prime, homology_with_coefficients, localized, moore_graded, pairing, prufer, sigma,
+    sigma_matches_localization, smash, sp_factors_as_em, tensor_from_presentations, tor_from_presentations,
 )
 from extcalc.abelian import FULL_PATTERN
 from extcalc.exttype import RATIONAL_ONLY
@@ -51,6 +51,20 @@ def random_graded(rng, max_entries=3, max_degree=6, allow_empty=True) -> GradedG
     n = rng.randint(0 if allow_empty else 1, max_entries)
     degrees = rng.sample(range(1, max_degree + 1), n)
     return GradedGroup.of({d: random_group(rng, allow_trivial=False) for d in degrees})
+
+
+def random_fg_group(rng, max_atoms=3) -> AdmissibleGroup:
+    """A nontrivial finitely generated group: Z and Z/p^e over 2, 3 and 5."""
+    atoms = [Localization(ALL_PRIMES) if rng.random() < 0.3 else Cyclic(rng.choice(SMALL_PRIMES[:3]), rng.randint(1, 3))
+             for _ in range(rng.randint(1, max_atoms))]
+    return AdmissibleGroup.of(*atoms)
+
+
+def random_fg_graded(rng, max_entries=3) -> GradedGroup:
+    """A finitely generated graded group in degrees -2 to 5, as a pairing's
+    reflected grading or a compactum's stored one reaches below degree 1."""
+    degrees = rng.sample(range(-2, 6), rng.randint(0, max_entries))
+    return GradedGroup.of({d: random_fg_group(rng) for d in degrees})
 
 
 def random_matrix(rng, max_rows=5, max_cols=5, lo=-20, hi=20) -> IntMatrix:
@@ -312,6 +326,73 @@ def smash_by_presentations(k: dict, l: dict) -> GradedGroup:
     )
 
 
+def _modulus(atom):
+    """0 for Z, p^e for Z/p^e, None for an atom that is not finitely generated."""
+    if atom == Localization(ALL_PRIMES):
+        return 0
+    return atom.prime**atom.power if isinstance(atom, Cyclic) else None
+
+
+def finitely_generated(k: GradedGroup) -> bool:
+    return all(_modulus(atom) is not None for _, g in k.entries for atom, _ in g.summands)
+
+
+def free_cells(k: GradedGroup) -> list:
+    """The cells (degree, {face: coefficient}) of a free complex whose
+    homology is k: Z in degree d is one cell, Z/n two cells in d and d + 1
+    whose boundary is n times the first."""
+    cells = []
+    for d, g in k.entries:
+        for atom, m in g.summands:
+            n = _modulus(atom)
+            if n is None:
+                raise ValueError(f"{atom!r} is not finitely generated")
+            for _ in range(m):
+                cells.append((d, {}))
+                if n:
+                    cells.append((d + 1, {len(cells) - 1: n}))
+    return cells
+
+
+def kunneth_by_chains(k: GradedGroup, l: GradedGroup) -> GradedGroup:
+    """smash(k, l) for finitely generated k and l by the algebraic Kunneth
+    formula (Hatcher, Algebraic Topology, 3.B): the homology of the tensor
+    product, with the Koszul sign, of free complexes whose homology is k and
+    l.  Both inputs move up to start in degree 1, so `chain_homology`'s
+    reduced degree 0 is empty, and the answer moves back down.  Shares
+    `chain_homology` (SNF, factorint and the group constructors),
+    `GradedGroup.shift` and `_reflect` with `src/`, never the atom tables,
+    `sigma` or `smash`."""
+    up = [1 - x.entries[0][0] if x.entries else 0 for x in (k, l)]
+    left, right = free_cells(k.shift(up[0])), free_cells(l.shift(up[1]))
+    cells = {}  # degree -> {(x, y): the boundary of x (x) y}
+    for x, (dx, fx) in enumerate(left):
+        for y, (dy, fy) in enumerate(right):
+            boundary = {(c, y): n for c, n in fx.items()}
+            boundary.update({(x, c): (-1) ** dx * n for c, n in fy.items()})
+            cells.setdefault(dx + dy, {})[x, y] = boundary
+    index = [{cell: i for i, cell in enumerate(cells.get(d, {}))} for d in range(max(cells, default=-1) + 1)]
+    boundaries = []
+    for d in range(1, len(index)):
+        rows = [[0] * len(index[d]) for _ in index[d - 1]]
+        for cell, boundary in cells.get(d, {}).items():
+            for face, n in boundary.items():
+                rows[index[d - 1][face]][index[d][cell]] += n
+        boundaries.append(IntMatrix.from_rows(rows, cols=len(index[d])))
+    return chain_homology(ChainComplex([len(i) for i in index], boundaries)).shift(-sum(up))
+
+
+def calculus_by_chains(k, l, g, h):
+    """smash(k, l), homology of k and cohomology of k with coefficients g,
+    both pairing components of k with l, and g (x) h and Tor(g, h), each one
+    Kunneth product: with g in degree 0, of the reflection of k, and of g
+    and h in degree 1, where g (x) h lands in degree 2 and Tor(g, h) in 3."""
+    with_g, reflected = GradedGroup({0: g}), _reflect(k)
+    paired, products = kunneth_by_chains(reflected, l), kunneth_by_chains(GradedGroup({1: g}), GradedGroup({1: h}))
+    return [kunneth_by_chains(k, l), kunneth_by_chains(k, with_g), _reflect(kunneth_by_chains(reflected, with_g)),
+            paired, paired, products.at(2), products.at(3)]
+
+
 # ---------------------------------------------------------------------------
 # Oracles for the extension-type decisions, replaced when `classify` became a
 # closed form on sigma of the lowest degree.
@@ -389,6 +470,8 @@ DRAWS = {
     "sigmas": lambda rng: [sigma(random_group(rng, allow_trivial=False)) for _ in range(rng.randint(1, 3))],
     "extnat": lambda rng: rng.choice(SMALL_EXTNATS),
     "relations": random_matrix,
+    "finitely generated graded": random_fg_graded,
+    "finitely generated group": random_fg_group,
 }
 _STREAMS = {}
 

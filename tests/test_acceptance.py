@@ -46,7 +46,11 @@ from extcalc import (
 )
 from extcalc.bockstein import BocksteinFunction
 from extcalc.errors import DomainError
-from oracles import random_graded, random_group, random_matrix, paired_by_cohomology, vanishing_by_expansions
+from extcalc.graded import _reflect
+from oracles import (
+    finitely_generated, kunneth_by_chains, paired_by_cohomology, random_graded, random_group, random_matrix,
+    vanishing_by_expansions,
+)
 
 PRIMES_UP_TO_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -97,13 +101,19 @@ def test_criterion_02_sigma_chain():
 
 def test_criterion_03_kunneth_symmetry_and_pairing_agreement():
     rng = random.Random(103)
-    with _Budget(3, "smash symmetry and two pairing routes on 500 pairs", 10):
+    chains = 0
+    with _Budget(3, "smash symmetry and the pairing against its cohomology expansion on 500 pairs", 10):
         for _ in range(500):
             k = random_graded(rng)
             l = random_graded(rng)
             assert smash(k, l) == smash(l, k)
-            first, second = pairing(k, l)
-            assert first == second
+            paired = pairing(k, l)[0]
+            assert paired == paired_by_cohomology(k, l)
+            if finitely_generated(k) and finitely_generated(l):
+                chains += 1
+                assert paired == kunneth_by_chains(_reflect(k), l)
+    print(f"  {chains} of the pairs are finitely generated and match Kunneth by chains")
+    assert chains >= 20
 
 
 def _sample_witness(rng, build):

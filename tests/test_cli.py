@@ -2,8 +2,8 @@
 lines names them, and `recorded` or `replays` compares each, byte for byte on
 exit status, stdout and stderr, with its record in the transcript
 (`tests/cli_transcript.jsonl`, see `test_cli_golden.py`), so an expected output
-is written down once.  The other tests patch the CLI, run it under `python -O`,
-on files or on generated inputs, or time it."""
+is written down once.  The other tests patch the CLI, run it on files or on
+generated inputs, or time it."""
 
 import json
 import os
@@ -277,49 +277,6 @@ class TestExitCodes:
         # help is kept out of the transcript: argparse wraps it at the terminal's width
         assert run(["--help"])[0] == 0
         assert run(["sigma", "--help"])[0] == 0
-
-
-class TestPairingRouteCheck:
-    def test_disagreeing_routes_fail_under_optimized_python(self):
-        # the two-route check must survive `python -O`, which strips asserts
-        script = (
-            "import sys\n"
-            "from extcalc import Q, Z, GradedGroup, cli\n"
-            "cli.pairing = lambda x, k: (GradedGroup.of({1: Z}), GradedGroup.of({1: Q}))\n"
-            "sys.exit(cli.run_command(['pairing', '{1: Z}', '{1: Z}']))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            timeout=60,
-        )
-        assert proc.returncode != 0
-        assert proc.stdout == ""
-        assert "the two pairing routes disagree" in proc.stderr
-
-    def test_disagreeing_routes_give_an_envelope_under_optimized_python(self):
-        script = (
-            "import sys\n"
-            "from extcalc import Q, Z, GradedGroup, cli\n"
-            "cli.pairing = lambda x, k: (GradedGroup.of({1: Z}), GradedGroup.of({1: Q}))\n"
-            "sys.exit(cli.run_command(['pairing', '{1: Z}', '{1: Z}', '--json']))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            timeout=60,
-        )
-        assert (proc.returncode, proc.stderr) == (3, "")
-        doc = json.loads(proc.stdout)
-        VALIDATOR.validate(doc)
-        assert doc["error"] == {
-            "code": "internal_error",
-            "message": "AssertionError: the two pairing routes disagree: {1: Z} vs {1: Q}",
-        }
 
 
 class TestInternalErrors:

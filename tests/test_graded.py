@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
-    ROOT, on_hypothesis, on_the_bank, st_graded, st_nonempty_graded, st_nontrivial_group, st_signed_graded,
+    ROOT, calculus, on_hypothesis, on_the_bank, st_graded, st_nonempty_graded, st_nontrivial_group, st_signed_graded,
 )
 from extcalc import (
     AdmissibleGroup,
@@ -37,6 +37,7 @@ from extcalc import (
 )
 from extcalc.abelian import PrimeIndexed
 from extcalc.graded import _lowest, _reflect
+import oracles
 from oracles import family_readings, homological_dimension_by_homology, smash_by_coefficients
 
 Z2, Z4 = cyclic(2), cyclic(4)
@@ -251,7 +252,8 @@ class TestSmashInOnePass:
         for argv, out in commands:
             assert cli.run_command(argv) == 0
             assert capsys.readouterr().out == out + "\n"
-        assert len(per_call) == 10 and all(made <= candidates for made, candidates in per_call), per_call
+        # one smash each, a pairing included: five in process and three from the commands
+        assert len(per_call) == 8 and all(made <= candidates for made, candidates in per_call), per_call
 
 
     def test_the_soak_reports_a_planted_fault(self, monkeypatch, capsys):
@@ -268,6 +270,39 @@ class TestSmashInOnePass:
         monkeypatch.setattr(soak, "smash", tor_at_the_tensor_degree)
         assert soak.main(argv) == 1
         assert "smash({1: A, 2: B}, {1: B, 3: A})" in capsys.readouterr().out
+        # and the homology with coefficients against Kunneth by chains
+        wrong_coefficients = lambda k, g: tor_at_the_tensor_degree(k, GradedGroup({0: g}))  # noqa: E731
+        monkeypatch.setattr(soak, "homology_with_coefficients", wrong_coefficients)
+        assert soak.main(argv) == 1
+        assert "hcoef({1: A, 2: B}, B)" in capsys.readouterr().out
+
+
+class TestKunnethByChains:
+    """`oracles.kunneth_by_chains` computes the smash of finitely generated
+    graded groups as the homology, by SNF, of a tensor product of free
+    complexes; smash, homology and cohomology with coefficients, the pairing
+    and single tensor and Tor products are each one such product."""
+
+    test_the_calculus_matches_the_chains = on_hypothesis("Kunneth by chains")
+    test_the_calculus_matches_the_chains_on_the_bank = on_the_bank("Kunneth by chains")
+
+    def test_the_chains_answer_with_the_atom_tables_gone(self, monkeypatch):
+        import extcalc
+        from extcalc import abelian, graded
+
+        k, l = GradedGroup.of({-1: Z2 + Z, 2: Z4}), GradedGroup.of({1: Z + cyclic(6), 3: Z2 + Z2})
+        expected = calculus(k, l, Z4, cyclic(6))
+
+        def refused(*args):
+            raise AssertionError("the chains reached the atom tables")
+
+        for name in ("_atom_pairs", "_tensor_atoms", "_tor_atoms", "sigma", "smash", "homology_with_coefficients"):
+            for module in (extcalc, abelian, graded, oracles):  # every binding of the name
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        with pytest.raises(AssertionError):
+            Z2.tensor(Z4)
+        assert oracles.calculus_by_chains(k, l, Z4, cyclic(6)) == expected
 
 
 class TestSuspension:
@@ -314,8 +349,17 @@ class TestPairing:
         first, second = pairing(x, k)
         assert first == second == GradedGroup.of({-1: Z2, 0: Z2, 1: Z2})
 
-    test_routes_agree = on_the_bank("pairing")  # both routes equal the cohomology expansion
+    test_routes_agree = on_the_bank("pairing")  # both components equal the cohomology expansion
     test_both_routes_match_the_cohomology_expansion = on_hypothesis("pairing")
+
+    def test_runs_one_smash(self, monkeypatch):
+        from extcalc import graded
+
+        calls, real_smash = [], graded.smash
+        monkeypatch.setattr(graded, "smash", lambda a, b: calls.append((a, b)) or real_smash(a, b))
+        first, second = graded.pairing(GradedGroup.of({2: Z2, 3: Q}), GradedGroup.of({1: Z4, 3: Z}))
+        assert len(calls) == 1
+        assert first is second and first == real_smash(*calls[0])
 
     @given(st_graded, st_graded, st.integers(min_value=0, max_value=3))
     def test_suspension_shifts_pairing(self, x, k, r):
