@@ -11,12 +11,15 @@ tensor products in degree i + j and Tor groups in degree i + j + 1.  On the
 same finitely generated groups, `pairing({1: A, 2: B}, {1: B, 3: A})` and the
 homology of {1: A, 2: B} with coefficients B meet `kunneth_by_chains`, the
 homology by SNF of a tensor product of free complexes.  Random graded pairs
-feed both routes to the dimension order: the dimension profiles that `leqgr`
-compares, read from sigma, and homological dimensions read off full homology
-groups, which the atom tables build, on every member of the coefficient
-family `leqgr` checks.  The matrices and graded groups come from
-the generators of `tests/oracles.py`.  Any disagreement is printed with
-enough detail to reproduce and the run exits nonzero.
+feed both routes to the dimension order: `leqgr`'s verdict, family and
+witness, read from sigma, against `graded_order_leq_by_homology`, which reads
+each family member's dimension off full homology groups that the atom tables
+build, and the public dimension profiles against those homology groups too.
+A random signed pair feeds `vanish`, read from sigma, and
+`vanishing_by_smash`, which builds both orders of the smash.  The matrices
+and graded groups come from the generators of `tests/oracles.py`.  Any
+disagreement is printed with enough detail to reproduce and the run exits
+nonzero.
 """
 
 import argparse
@@ -41,9 +44,13 @@ from extcalc import (
     snf,
     tensor_from_presentations,
     tor_from_presentations,
+    vanishing_check,
 )
 from extcalc.graded import _reflect
-from oracles import family_readings, kunneth_by_chains, random_graded, random_matrix, smash_by_presentations
+from oracles import (
+    family_readings, graded_order_leq_by_homology, kunneth_by_chains, random_graded, random_matrix, signed_graded,
+    smash_by_presentations, vanishing_by_smash,
+)
 
 
 def mismatch(i: int, what: str, *lines: str) -> int:
@@ -64,9 +71,9 @@ def main(argv=None) -> int:
     cfg = parser.parse_args(argv)
 
     rng = random.Random(cfg.seed)
-    graded_rng = random.Random(f"{cfg.seed}:graded")
+    graded_rng, signed_rng = random.Random(f"{cfg.seed}:graded"), random.Random(f"{cfg.seed}:signed")
     start = time.perf_counter()
-    mismatches, by_chains = 0, {"pairing": 0, "hcoef": 0}
+    mismatches, by_chains, by_groups = 0, {"pairing": 0, "hcoef": 0}, {"leqgr": 0, "vanish": 0}
     for i in range(1, cfg.pairs + 1):
         rel_a, rel_b = (random_matrix(rng, cfg.max_dim, cfg.max_dim, -cfg.bound, cfg.bound) for _ in range(2))
         a = group_from_presentation(rel_a.cols, rel_a)
@@ -101,21 +108,31 @@ def main(argv=None) -> int:
                 lines = (f"{name} = {rel.to_rows()}", f"modular -> {modular}", f"snf     -> {exact}")
                 mismatches += mismatch(i, f"invariant factors of {name}", *lines)
         k, l = random_graded(graded_rng), random_graded(graded_rng)
-        checked = graded_order_leq(k, l).checked
+        named = (f"K = {format_graded(k)}", f"L = {format_graded(l)}")
+        verdict, oracle = graded_order_leq(k, l), graded_order_leq_by_homology(k, l)
+        by_groups["leqgr"] += 1
+        if verdict != oracle:
+            mismatches += mismatch(i, "leqgr(K, L)", *named, f"sigma    -> {verdict}", f"homology -> {oracle}")
         for side in (k, l):
-            profile = [value for _, value in family_readings(dimension_profile(side), checked)]
-            homology = [homology_with_coefficients(side, g).min_degree() for g in checked]
+            profile = [value for _, value in family_readings(dimension_profile(side), verdict.checked)]
+            homology = [homology_with_coefficients(side, g).min_degree() for g in verdict.checked]
             if profile != homology:
-                lines = (f"K = {format_graded(k)}", f"L = {format_graded(l)}",
-                         f"profile  -> {[str(v) for v in profile]}", f"homology -> {[str(v) for v in homology]}")
-                mismatches += mismatch(i, f"leqgr dimensions of {format_graded(side)}", *lines)
+                lines = (f"profile  -> {[str(v) for v in profile]}", f"homology -> {[str(v) for v in homology]}")
+                mismatches += mismatch(i, f"leqgr dimensions of {format_graded(side)}", *named, *lines)
+        x, c, m = signed_graded(signed_rng), signed_graded(signed_rng), signed_rng.randint(-6, 8)
+        statements, oracle = vanishing_check(x, c, m), vanishing_by_smash(x, c, m)
+        by_groups["vanish"] += 1
+        if statements != oracle:
+            lines = (f"X = {format_graded(x)}", f"K = {format_graded(c)}", f"m = {m}")
+            mismatches += mismatch(i, "vanish(X, K, m)", *lines, f"sigma -> {statements}", f"smash -> {oracle}")
         if cfg.report_every and i % cfg.report_every == 0:
             rate = i / (time.perf_counter() - start)
             print(f"{i}/{cfg.pairs} pairs, {rate:.0f}/s, {mismatches} mismatches", flush=True)
 
     elapsed = time.perf_counter() - start
     counts = ", ".join(f"{n} {name}" for name, n in by_chains.items())
-    print(f"done: {cfg.pairs} pairs in {elapsed:.1f}s, {mismatches} mismatches; Kunneth by chains on {counts}")
+    print(f"done: {cfg.pairs} pairs in {elapsed:.1f}s, {mismatches} mismatches; Kunneth by chains on {counts}; "
+          f"leqgr by homology on {by_groups['leqgr']}, vanish by smash on {by_groups['vanish']}")
     return 1 if mismatches else 0
 
 

@@ -585,9 +585,9 @@ def _listed(items):
 class PrimeTriple(NamedTuple):
     """One value on each p-local test group at a prime: Z/p, Z/p^oo, Z_(p),
     the one place that fixes their order.  ExtNats in Bockstein functions
-    and dimension profiles, a degree or None in minimal wedges, the test
-    groups themselves in `leqgr`'s family.  A PrimePattern is a set of test
-    groups as the bits of the fields: bit i stands for field i."""
+    and dimension profiles, an int or None in a smash's offsets and least
+    degrees and in minimal wedges, atoms in `leqgr`'s family.  A PrimePattern
+    is a set of test groups as the bits of the fields: bit i stands for field i."""
 
     cyclic: Any
     prufer: Any
@@ -675,6 +675,13 @@ class SigmaSet(PrimeIndexed[bool, int]):
 
     def union(self, *others: "SigmaSet") -> "SigmaSet":
         return SigmaSet.combine(_join, _join, self, *(_checked_sigma(s) for s in others))
+
+    def read(self, f: PrimeIndexed) -> list:
+        """The values of f (a value on Q and a PrimeTriple at each prime) on the test groups in this set."""
+        values = [f.rational] if self.rational else []
+        for _, (pattern, triple) in PrimeIndexed.pointwise(self, f):
+            values += triple.select(pattern)
+        return values
 
     def to_json(self):
         return self._to_json("rational", self.rational, lambda pat: list(pattern_flags(pat)))

@@ -140,11 +140,7 @@ def coef_dimension(alpha: BocksteinFunction, group: AdmissibleGroup) -> ExtNat:
     Finitely computable because sigma and alpha are both eventually uniform
     in the prime: one generic prime stands in for all unlisted ones.
     """
-    s, alpha = sigma(group), _checked_alpha(alpha)
-    values = [alpha.rational] if s.rational else []
-    for _, (pattern, triple) in PrimeIndexed.pointwise(s, alpha):
-        values += triple.select(pattern)
-    return max(values)
+    return max(sigma(group).read(_checked_alpha(alpha)))
 
 
 def covering_dimension(alpha: BocksteinFunction) -> ExtNat:

@@ -14,8 +14,9 @@ Coefficient operations are one `smash`, which walks the entry pairs once,
 adds each pair's tensor and Tor atom terms to one list per output degree and
 builds each degree's group once.  Homology with coefficients G is the smash
 with G in degree 0, and cohomology is homology on the reflected grading
-(degree d moved to -d); `_shift` reads zero-ness from the sigmas' patterns
-with int bit operations, as PrimePattern defines them.
+(degree d moved to -d).  Where a smash starts is read, not built: `_profile`
+gives its least degree against each Bockstein test group from the `_OFFSETS`
+table, and `SigmaSet.read` takes the least of those over sigma(G).
 """
 
 from __future__ import annotations
@@ -98,31 +99,39 @@ _connected = partial(_checked_graded, least=1, code="degree_zero_entry",
                      message="connected complex data may not carry homology in degrees < 1")
 
 
-def _shift(rational: bool, patterns) -> Optional[int]:
-    """0 when g (x) h is nonzero, 1 when only Tor(g, h) is, else None: Q in both sigmas (`rational`), or at a prime
-    p where they have patterns (a, b) in `patterns`, Z_(p) in one and Z/p^oo in the other or Z/p in both; Tor
-    needs p-torsion on both sides, which puts Z/p^oo in both."""
-    if rational:
-        return 0
-    # the bits as locals: the loop reads them at every prime, and a class attribute costs more per read
-    shift, zp, zpinf, zploc = None, PrimePattern.CYCLIC, PrimePattern.PRUFER, PrimePattern.LOCAL
-    for a, b in patterns:
-        if a & zploc and b & zpinf or a & zpinf and b & zploc or a & b & zp:
-            return 0
-        if a & b & zpinf:
-            shift = 1
-    return shift
+# How far above an entry G's degree its smash with a test group H starts, by G's pattern at p: 0 when H (x) G is
+# nonzero, 1 when only Tor(H, G) is, None when neither.  By sigma's definition Z/p (x) G needs Z/p in sigma(G) and
+# Z/p^oo (x) G needs Z_(p), and Tor needs p-torsion, which puts Z/p^oo in.  Z_(p) (x) G needs any of the three, or Q
+# in sigma(G), which `_profile` reads separately, as it does for Q itself.
+_OFFSETS = {PrimePattern.EMPTY: PrimeTriple(None, None, None), PrimePattern.PRUFER: PrimeTriple(1, 1, 0),
+            _CYCLIC_PRUFER: PrimeTriple(0, 1, 0), FULL_PATTERN: PrimeTriple(0, 0, 0)}
+
+
+def _profile(k: GradedGroup) -> PrimeIndexed:
+    """The least degree of smash(k, {0: H}), None when it is zero, for each test group H (on Q, a PrimeTriple at each
+    prime), k of any degrees.  The entries rise by 1 or more, the greatest offset, so the first to meet H gives it."""
+    entries = [(d, sigma(g)) for d, g in _checked_graded(k).entries]
+
+    def at_prime(*patterns):
+        values = [None, None, None]
+        for (d, s), a in zip(entries, patterns):
+            for i, offset in enumerate(_OFFSETS[a]):
+                if values[i] is None and offset is not None:
+                    values[i] = d + offset
+            if s.rational and values[2] is None:
+                values[2] = d
+        return PrimeTriple._make(values)
+
+    rational = next((d for d, s in entries if s.rational), None)
+    return PrimeIndexed.combine(lambda *_: rational, at_prime, *[s for _, s in entries])
 
 
 def _lowest(k: GradedGroup, l: GradedGroup) -> Optional[int]:
-    """The lowest degree of smash(k, l), None when it is zero: the least i + j + _shift over entries (i, g), (j, h)."""
-    bases, degrees = [(j, sigma(h)) for j, h in _checked_graded(l).entries], []
-    for i, s in [(i, sigma(g)) for i, g in _checked_graded(k).entries]:
-        for j, t in bases:
-            shift = _shift(s.rational and t.rational, (pair for _, pair in PrimeIndexed.pointwise(s, t)))
-            if shift is not None:
-                degrees.append(i + j + shift)
-    return min(degrees, default=None)
+    """The lowest degree of smash(k, l), None when it is zero: the least j + v over the entries (j, h) of l and the
+    values v of k's profile on sigma(h)."""
+    profile = _profile(k)
+    values = [j + v for j, h in _checked_graded(l).entries for v in sigma(h).read(profile) if v is not None]
+    return min(values, default=None)
 
 
 def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
@@ -132,9 +141,9 @@ def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> Graded
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
-    """Least degree where homology with these coefficients is nonzero: smash with `group` in degree 0."""
-    lowest = _lowest(_natural(k), GradedGroup({0: _checked_group(group, "coefficient group must be nontrivial")}))
-    return INFINITY if lowest is None else ExtNat(lowest)
+    """Least degree where homology with these coefficients is nonzero, smash with `group` in degree 0: ExtNat(None),
+    infinity, when `_lowest` finds none."""
+    return ExtNat(_lowest(_natural(k), GradedGroup({0: _checked_group(group, "coefficient group must be nontrivial")})))
 
 
 def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
@@ -211,26 +220,10 @@ class GradedOrderVerdict:
     witness: Optional[tuple[AdmissibleGroup, ExtNat, ExtNat]] = None
 
 
-# (Q in sigma(H), sigma(H) at p) for the p-local test groups H, whose sigma is empty at every other prime
-_TEST_BASES = PrimeTriple((False, _CYCLIC_PRUFER), (False, PrimePattern.PRUFER), (True, FULL_PATTERN))
-
-
 def dimension_profile(k: GradedGroup) -> PrimeIndexed:
     """homological_dimension(k, H) for every Bockstein test group H: a value on
-    Q and a Z/p, Z/p^oo, Z_(p) triple at each prime, the least d + _shift of an
-    entry G in degree d against H, read from sigma(G) and sigma(H)."""
-    degrees, bases = [d for d, _ in _natural(k).entries], [sigma(g) for _, g in k.entries]
-
-    def lowest(q, pairs):  # q: Q is in sigma(H); pairs: each entry's pattern paired with H's
-        values = [d + x for d, s, pr in zip(degrees, bases, pairs) if (x := _shift(s.rational and q, pr)) is not None]
-        return ExtNat(min(values)) if values else INFINITY
-
-    # _make of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
-    return PrimeIndexed.combine(
-        lambda *_: lowest(True, [()] * len(bases)),
-        lambda *patterns: PrimeTriple._make([lowest(q, [((a, test),) for a in patterns]) for q, test in _TEST_BASES]),
-        *bases,
-    )
+    Q and a Z/p, Z/p^oo, Z_(p) triple at each prime, `_profile` in ExtNats."""
+    return PrimeIndexed.combine(ExtNat, lambda t: PrimeTriple._make(map(ExtNat, t)), _profile(_natural(k)))
 
 
 def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
@@ -241,18 +234,19 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
     admissible coefficient group, since each one's dimension is determined
     by the family's (uniformity in the prime covers the rest).
     """
-    left, right = dimension_profile(k), dimension_profile(l)
+    left, right = _profile(_natural(k)), _profile(_natural(l))
     primes = set(k.support_primes()).union(l.support_primes())
     primes.add(fresh_prime(primes))
     family, dims_k, dims_l = [Q], [left.rational], [right.rational]
     for p in sorted(primes):
-        # p is a support prime or fresh_prime's, so the atoms take the trusted path
+        # p is a support prime or fresh_prime's, so the atoms take the trusted path, and a one-atom group is canonical
         local = _trusted(Localization, _trusted(PrimeSet, False, (p,)))
         atoms = PrimeTriple(cyclic=_trusted(Cyclic, p, 1), prufer=_trusted(Prufer, p), local=local)
-        family += map(AdmissibleGroup.of, atoms)
+        family += [_trusted(AdmissibleGroup, ((atom, 1),)) for atom in atoms]
         dims_k += left.at(p)
         dims_l += right.at(p)
-    witness = next(((g, dk, dl) for g, dk, dl in zip(family, dims_k, dims_l) if not dk <= dl), None)
+    witness = next(((g, ExtNat(dk), ExtNat(dl)) for g, dk, dl in zip(family, dims_k, dims_l)
+                    if dl is not None and (dk is None or dk > dl)), None)  # None, infinity, is greatest
     return GradedOrderVerdict(witness is None, tuple(family), witness)
 
 

@@ -224,6 +224,15 @@ def profile_at(k, p):
     return [profile.rational, *profile.at(p)]
 
 
+def profile_cells(answer, k, p):
+    """The cell (Q in sigma(g), pattern of g at p) of each entry g: the row of `graded._OFFSETS` and the reading of Q
+    that the profile takes for it.  Z_(p) enters a sigma only with Q, from a localization, so (False, 7) is none."""
+    return [(s.rational, s.at(p)) for s in (sigma(g) for _, g in k.entries)]
+
+
+PROFILE_CELLS = [(q, pattern) for q in (False, True) for pattern in (0, 2, 3, 7) if q or pattern != 7]
+
+
 def profile_at_by_homology(k, p):
     tests = (Q, cyclic(p), prufer(p), localized(PrimeSet.of(p)))
     return [oracles.homological_dimension_by_homology(k, h) for h in tests]
@@ -303,7 +312,8 @@ ORACLES = {
         lambda dimension, k, g: ["infinite"] * (dimension == INFINITY), at_least(1, "infinite")),
     "profile at a prime": Row(
         profile_at, (profile_at_by_homology,),
-        (st_graded, st.sampled_from(SMALL_PRIMES + (17,))), ("graded", "prime"), 3000),
+        (st_graded, st.sampled_from(SMALL_PRIMES + (17,))), ("graded", "prime"), 3000,
+        profile_cells, at_least(1, *PROFILE_CELLS)),
     "leqgr": Row(
         graded_order_leq, (oracles.graded_order_leq_by_homology,),
         (st_graded, st_graded), ("graded or wide", "graded or wide"), 312,

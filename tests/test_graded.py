@@ -14,6 +14,7 @@ from extcalc import (
     AdmissibleGroup,
     DomainError,
     GradedGroup,
+    GradedOrderVerdict,
     INFINITY,
     PrimeSet,
     PrimeTriple,
@@ -275,6 +276,21 @@ class TestSmashInOnePass:
         monkeypatch.setattr(soak, "homology_with_coefficients", wrong_coefficients)
         assert soak.main(argv) == 1
         assert "hcoef({1: A, 2: B}, B)" in capsys.readouterr().out
+        monkeypatch.undo()
+
+        def swapped_witness(k, l):  # a failing verdict with the two dimensions the other way round
+            v = graded_order_leq(k, l)
+            if v.holds:
+                return v
+            g, dk, dl = v.witness
+            return GradedOrderVerdict(False, v.checked, (g, dl, dk))
+
+        monkeypatch.setattr(soak, "graded_order_leq", swapped_witness)
+        assert soak.main(argv) == 1
+        out = capsys.readouterr().out
+        assert "leqgr(K, L)" in out and "vanish(X, K, m)" not in out
+        monkeypatch.setattr(soak, "vanishing_check", lambda x, k, m: (True,) * 3)
+        assert soak.main(argv) == 1 and "vanish(X, K, m)" in capsys.readouterr().out
 
 
 class TestKunnethByChains:
