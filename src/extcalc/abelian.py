@@ -138,7 +138,11 @@ def _record(cls):
     ends in `__post_init__` when there is one), `__eq__`, `__hash__`, `__repr__`
     and `__match_args__` of `dataclass(frozen=True)`, generated as source the
     way dataclasses does, so they run as fast, without its import at start-up.
-    A field with a class-level value takes it as its default."""
+    A field with a class-level value takes it as its default.  Also generated:
+    `cls._new(*fields)` (on a subclass too), which fills a new record's
+    `__dict__` without `__post_init__`'s checks and conversions, for values
+    that are already checked and canonical, never for input.  It names the
+    fields only as string keys, so none (`SNFResult.d`) clashes with a local."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
@@ -147,9 +151,12 @@ def _record(cls):
         body.append("self.__post_init__()")
     mine = "(" + "".join(f"self.{n}," for n in names) + ")"
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    scope = {"_set": object.__setattr__, "_defaults": defaults}
+    filled = "".join(f"; fields[{n!r}] = _{i}" for i, n in enumerate(names))
+    scope = {"_set": object.__setattr__, "_alloc": object.__new__, "_defaults": defaults}
     exec(
         f"def __init__(self{params}):\n    {'; '.join(body) or 'pass'}\n"
+        f"def _new(cls{''.join(f', _{i}' for i in range(len(names)))}):\n"
+        f"    self = _alloc(cls); fields = self.__dict__{filled}\n    return self\n"
         "def __eq__(self, other):\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return {mine} == {mine.replace('self.', 'other.')}\n"
@@ -161,6 +168,7 @@ def _record(cls):
     for name in ("__init__", "__eq__", "__hash__", "__repr__"):
         if cls.__dict__.get(name) is None:  # a class that defines __eq__ has __hash__ None
             setattr(cls, name, scope[name])
+    cls._new = classmethod(scope["_new"])
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__match_args__ = names
     return cls
@@ -168,16 +176,6 @@ def _record(cls):
 
 def _frozen(self, name, *value):
     raise AttributeError(f"field {name!r} of a frozen record cannot change")
-
-
-def _trusted(cls, *values):
-    """The frozen record `cls` with these field values, without the checks
-    of `__post_init__`: primality is checked where input enters (the DSL, the
-    JSON readers, the public constructors), not again for known primes."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _is_int(x) -> bool:
@@ -266,10 +264,10 @@ class PrimeSet:
 
     def _intersect(self, other: "PrimeSet") -> "PrimeSet":  # the tensor table's, on atoms' prime sets
         if self.cofinite and other.cofinite:
-            return _trusted(PrimeSet, True, tuple(sorted(set(self.members).union(other.members))))
+            return PrimeSet._new(True, tuple(sorted(set(self.members).union(other.members))))
         fin, other = (other, self) if self.cofinite else (self, other)
         # tuple() of a list: a generator's tuple is sized for 10 and shrunk, filling CPython's free lists
-        return _trusted(PrimeSet, False, tuple([p for p in fin.members if p in other]))
+        return PrimeSet._new(False, tuple([p for p in fin.members if p in other]))
 
     def to_json(self):
         return {"kind": "cofinite" if self.cofinite else "finite", "primes": list(self.members)}
@@ -330,15 +328,14 @@ Atom = Localization | Cyclic | Prufer
 def _summand_key(summand: tuple[Atom, int]):
     # Localizations first (Z-like before Q-like), then cyclics by prime and
     # power, then Prufer groups; gives the canonical display order.
-    match summand[0]:
-        case Localization(primes=ps):
-            return (0, 0 if ps.cofinite else 1, ps.members)
-        case Cyclic(prime=p, power=k):
-            return (1, p, k)
-        case Prufer(prime=p):
-            return (2, p, 0)
-        case other:
-            raise _required("an atom", other)
+    a = summand[0]
+    if type(a) is Localization:
+        return (0, 0 if a.primes.cofinite else 1, a.primes.members)
+    if type(a) is Cyclic:
+        return (1, a.prime, a.power)
+    if type(a) is Prufer:
+        return (2, a.prime, 0)
+    raise _required("an atom", a)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ Q = AdmissibleGroup.of(Localization(NO_PRIMES))
 def cyclic(n: int) -> AdmissibleGroup:
     """Z/n split into prime-power atoms; n must be at least 2."""
     _checked_int(n, 2, code="bad_modulus", message="cyclic group modulus must be >= 2, got {}")
-    return AdmissibleGroup.of(*(_trusted(Cyclic, p, e) for p, e in factorint(n).items()))
+    return AdmissibleGroup.of(*(Cyclic._new(p, e) for p, e in factorint(n).items()))
 
 
 def prufer(p: int) -> AdmissibleGroup:
@@ -444,30 +441,23 @@ def localized(primes: PrimeSet) -> AdmissibleGroup:
 
 
 def _tensor_atoms(a: Atom, b: Atom) -> Atom | None:
-    match (a, b):
-        case (Localization(primes=l1), Localization(primes=l2)):
-            return _trusted(Localization, l1._intersect(l2))
-        case (Localization(primes=l), Cyclic(prime=p) | Prufer(prime=p)):
-            return b if p in l else None
-        case (Cyclic(prime=p) | Prufer(prime=p), Localization(primes=l)):
-            return a if p in l else None
-        case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
-            return (a if k <= m else b) if p == q else None
-        case _:
-            # Prufer x Prufer and Prufer x Cyclic vanish (divisible x torsion).
-            return None
+    if type(a) is Localization:
+        if type(b) is Localization:
+            return Localization._new(a.primes._intersect(b.primes))
+        return b if b.prime in a.primes else None
+    if type(b) is Localization:
+        return a if a.prime in b.primes else None
+    if type(a) is Cyclic and type(b) is Cyclic and a.prime == b.prime:
+        return a if a.power <= b.power else b
+    return None  # Prufer x Prufer and Prufer x Cyclic vanish (divisible x torsion), as do two primes' torsion atoms
 
 
 def _tor_atoms(a: Atom, b: Atom) -> Atom | None:
-    match (a, b):
-        case (Localization(), _) | (_, Localization()):
-            return None
-        case (Cyclic(prime=p, power=k), Cyclic(prime=q, power=m)):
-            return (a if k <= m else b) if p == q else None
-        case (Prufer(prime=p), Cyclic(prime=q) | Prufer(prime=q)):
-            return b if p == q else None
-        case (Cyclic(prime=p), Prufer(prime=q)):
-            return a if p == q else None
+    if type(a) is Localization or type(b) is Localization or a.prime != b.prime:
+        return None
+    if type(a) is Prufer:  # Tor(Z/p^oo, H) is H's p-torsion
+        return b
+    return a if type(b) is Prufer or a.power <= b.power else b
 
 
 def _indexed(group: AdmissibleGroup):
@@ -586,7 +576,7 @@ class PrimeTriple(NamedTuple):
     """One value on each p-local test group at a prime: Z/p, Z/p^oo, Z_(p),
     the one place that fixes their order.  ExtNats in Bockstein functions
     and dimension profiles, an int or None in a smash's offsets and least
-    degrees and in minimal wedges, atoms in `leqgr`'s family.  A PrimePattern
+    degrees and in minimal wedges; `leqgr`'s family follows it.  A PrimePattern
     is a set of test groups as the bits of the fields: bit i stands for field i."""
 
     cyclic: Any
@@ -679,9 +669,9 @@ class SigmaSet(PrimeIndexed[bool, int]):
     def read(self, f: PrimeIndexed) -> list:
         """The values of f (a value on Q and a PrimeTriple at each prime) on the test groups in this set."""
         values = [f.rational] if self.rational else []
-        for _, (pattern, triple) in PrimeIndexed.pointwise(self, f):
+        for pattern, triple in zip(*_listed((self, f))[1]):  # the primes either lists; the value at p is not needed
             values += triple.select(pattern)
-        return values
+        return values + f.default.select(self.default)  # every other prime reads the defaults
 
     def to_json(self):
         return self._to_json("rational", self.rational, lambda pat: list(pattern_flags(pat)))
@@ -726,7 +716,7 @@ def sigma(group: AdmissibleGroup) -> SigmaSet:
     if outside is not None:  # every test group outside, and at the primes outside only what the other atoms give
         rational, default, at = True, FULL_PATTERN, {p: at.get(p, PrimePattern.EMPTY) for p in outside}
     # the keys are atoms' primes and a union of chain patterns is one, so only the canonical order is left to make
-    return _trusted(SigmaSet, rational, default, tuple(sorted([(p, v) for p, v in at.items() if v != default])))
+    return SigmaSet._new(rational, default, tuple(sorted([(p, v) for p, v in at.items() if v != default])))
 
 
 def tau_closure(s: SigmaSet) -> SigmaSet:

@@ -40,7 +40,6 @@ from .abelian import (
     _TRIPLE_DISPLAY,
     _checked_group,
     _checked_sigma,
-    _trusted,
 )
 from .errors import ParseError
 from .graded import GradedGroup, _checked_graded
@@ -103,10 +102,10 @@ def _atom(m: re.Match) -> list:
                 _expected(m.start("prufer"), "^oo")
             if not isprime(n):
                 _fail(m.start("modulus"), f"{n} is not prime, so Z/{n}^oo is not a Prufer group", code="not_prime")
-            return [_trusted(Prufer, n)]
+            return [Prufer._new(n)]
         if n < 2:
             _fail(m.start("modulus"), f"cyclic modulus must be >= 2, got {n}", code="bad_modulus")
-        return [_trusted(Cyclic, p, e) for p, e in factorint(n).items()]
+        return [Cyclic._new(p, e) for p, e in factorint(n).items()]
     if m["cofinite"] is not None:  # one split, one int() per item and one pass over the sieve
         listed, (pos, end) = m["primes"], m.span("primes")
         try:  # "()" and "( )" list no prime
@@ -120,12 +119,12 @@ def _atom(m: re.Match) -> list:
                 if not item["comma"]:
                     _expected(item.end(), ")")
                 pos = item.end()
-        return [_trusted(Localization, _trusted(PrimeSet, m["cofinite"] == "~", tuple(primes)))]
+        return [Localization._new(PrimeSet._new(m["cofinite"] == "~", tuple(primes)))]
     if m["inverted"] is not None:
         p = _prime(m, "inverted")
         if not m["bracket"]:
             _expected(m.start("bracket"), "]")
-        return [_trusted(Localization, _trusted(PrimeSet, True, (p,)))]
+        return [Localization._new(PrimeSet._new(True, (p,)))]
     return [_Z]
 
 
@@ -187,15 +186,14 @@ def parse_graded(text: str) -> GradedGroup:
 
 
 def _format_atom(atom) -> str:
-    match atom:
-        case Localization(primes=ps):
-            if ps.cofinite:
-                return "Z" if not ps.members else "Z_(~" + ",".join(map(str, ps.members)) + ")"
-            return "Q" if not ps.members else "Z_(" + ",".join(map(str, ps.members)) + ")"
-        case Cyclic(prime=p, power=k):
-            return f"Z/{p ** k}"
-        case Prufer(prime=p):
-            return f"Z/{p}^oo"
+    if type(atom) is Cyclic:
+        return f"Z/{atom.prime ** atom.power}"
+    if type(atom) is Prufer:
+        return f"Z/{atom.prime}^oo"
+    ps = atom.primes
+    if ps.cofinite:
+        return "Z" if not ps.members else "Z_(~" + ",".join(map(str, ps.members)) + ")"
+    return "Q" if not ps.members else "Z_(" + ",".join(map(str, ps.members)) + ")"
 
 
 def format_group(group: AdmissibleGroup) -> str:

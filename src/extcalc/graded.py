@@ -27,7 +27,7 @@ from typing import Optional
 from .abelian import (
     FULL_PATTERN, AdmissibleGroup, Cyclic, ExtNat, INFINITY, Localization, PrimeIndexed, PrimePattern,
     PrimeSet, PrimeTriple, Prufer, Q, TRIVIAL, _CYCLIC_PRUFER, _atom_pairs, _checked_group, _checked_int, _checked_kind,
-    _indexed, _record, _required, _trusted, fresh_prime, sigma,
+    _indexed, _record, _required, fresh_prime, sigma,
 )
 from .errors import DomainError
 
@@ -67,7 +67,7 @@ class GradedGroup:
 
     def shift(self, r: int) -> "GradedGroup":
         _checked_int(r, code="bad_degree", message="a graded group shifts by a whole number of degrees")
-        return _trusted(GradedGroup, tuple([(d + r, g) for d, g in self.entries]))  # still sorted, still nonzero
+        return GradedGroup._new(tuple([(d + r, g) for d, g in self.entries]))  # still sorted, still nonzero
 
     def min_degree(self) -> ExtNat:
         """Least degree with a nonzero entry; infinity when there is none."""
@@ -137,7 +137,7 @@ def _lowest(k: GradedGroup, l: GradedGroup) -> Optional[int]:
 def homology_with_coefficients(k: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
     """Homology of a complex with given homology `k` and coefficients `group`, by universal coefficients:
     degree n holds (k_n (x) G) (+) Tor(k_{n-1}, G), which makes it the smash of k with G in degree 0."""
-    return smash(k, _trusted(GradedGroup, ((0, _checked_group(group, "coefficient group must be nontrivial")),)))
+    return smash(k, GradedGroup._new(((0, _checked_group(group, "coefficient group must be nontrivial")),)))
 
 
 def homological_dimension(k: GradedGroup, group: AdmissibleGroup) -> ExtNat:
@@ -155,7 +155,7 @@ def smash(k: GradedGroup, l: GradedGroup) -> GradedGroup:
     for i, g in k.entries:
         for j, h in indexed:
             _atom_pairs(g.summands, h, terms.setdefault(i + j, []), terms.setdefault(i + j + 1, []))
-    return _trusted(GradedGroup, tuple([(d, AdmissibleGroup(t)) for d, t in sorted(terms.items()) if t]))
+    return GradedGroup._new(tuple([(d, AdmissibleGroup(t)) for d, t in sorted(terms.items()) if t]))
 
 
 def suspend(k: GradedGroup, r: int) -> GradedGroup:
@@ -167,7 +167,7 @@ def suspend(k: GradedGroup, r: int) -> GradedGroup:
 def _reflect(x: GradedGroup) -> GradedGroup:
     """x with each degree d moved to -d, its entries reversed to stay sorted:
     the grading in which a compactum's stored cohomology reads as homology."""
-    return _trusted(GradedGroup, tuple([(-d, g) for d, g in reversed(_checked_graded(x).entries)]))
+    return GradedGroup._new(tuple([(-d, g) for d, g in reversed(_checked_graded(x).entries)]))
 
 
 def cohomology_with_coefficients(x: GradedGroup, group: AdmissibleGroup) -> GradedGroup:
@@ -238,13 +238,13 @@ def graded_order_leq(k: GradedGroup, l: GradedGroup) -> GradedOrderVerdict:
     primes = set(k.support_primes()).union(l.support_primes())
     primes.add(fresh_prime(primes))
     family, dims_k, dims_l = [Q], [left.rational], [right.rational]
+    at_k, at_l = dict(left.exceptions), dict(right.exceptions)  # one read of each profile, not a bisect per prime
     for p in sorted(primes):
-        # p is a support prime or fresh_prime's, so the atoms take the trusted path, and a one-atom group is canonical
-        local = _trusted(Localization, _trusted(PrimeSet, False, (p,)))
-        atoms = PrimeTriple(cyclic=_trusted(Cyclic, p, 1), prufer=_trusted(Prufer, p), local=local)
-        family += [_trusted(AdmissibleGroup, ((atom, 1),)) for atom in atoms]
-        dims_k += left.at(p)
-        dims_l += right.at(p)
+        # p is a support prime or fresh_prime's, so `_new` builds its atoms, and a one-atom group is canonical
+        family += [AdmissibleGroup._new(((Cyclic._new(p, 1), 1),)), AdmissibleGroup._new(((Prufer._new(p), 1),)),
+                   AdmissibleGroup._new(((Localization._new(PrimeSet._new(False, (p,))), 1),))]  # PrimeTriple's order
+        dims_k += at_k.get(p, left.default)
+        dims_l += at_l.get(p, right.default)
     witness = next(((g, ExtNat(dk), ExtNat(dl)) for g, dk, dl in zip(family, dims_k, dims_l)
                     if dl is not None and (dk is None or dk > dl)), None)  # None, infinity, is greatest
     return GradedOrderVerdict(witness is None, tuple(family), witness)

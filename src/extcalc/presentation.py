@@ -26,7 +26,6 @@ from math import gcd
 
 from .abelian import (
     ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _checked_kind, _converted, _is_int, _record,
-    _trusted,
 )
 from .errors import DomainError, ParseError
 from .graded import GradedGroup
@@ -429,8 +428,8 @@ def invariant_factors(matrix: IntMatrix) -> list[int]:
 def _cokernel(free: int, factors) -> AdmissibleGroup:
     """Z^free plus Z/d for each factor d, in canonical atom form; a rank is
     a count here, never a list of that many atoms, and factorint's primes are trusted."""
-    torsion = [(_trusted(Cyclic, p, e), 1) for d in factors if d > 1 for p, e in factorint(d).items()]
-    return AdmissibleGroup.from_counts([(_trusted(Localization, ALL_PRIMES), free), *torsion])
+    torsion = [(Cyclic._new(p, e), 1) for d in factors if d > 1 for p, e in factorint(d).items()]
+    return AdmissibleGroup.from_counts([(Localization._new(ALL_PRIMES), free), *torsion])
 
 
 def group_from_presentation(generators: int, relations: IntMatrix) -> AdmissibleGroup:

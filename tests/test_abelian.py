@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from sympy import primerange
 
+import extcalc
 from conftest import check, on_hypothesis, on_the_bank, st_group, st_nontrivial_group
 from extcalc import (
     ALL_PRIMES,
@@ -39,7 +40,7 @@ from extcalc import (
     unit_gap_witness,
 )
 from extcalc import abelian
-from extcalc.abelian import FULL_PATTERN, PrimeIndexed, _trusted, pattern_flags
+from extcalc.abelian import FULL_PATTERN, PrimeIndexed, pattern_flags
 from extcalc.dsl import format_sigma
 from oracles import built_tensor, sigma_by_atom_union
 
@@ -83,6 +84,56 @@ class TestExtNat:
         # ExtNat(3) == 3, so the two must hash alike
         assert len({ExtNat(3), 3}) == 1
         assert {ExtNat(3): "a"}.get(3) == "a"
+
+
+# ---------------------------------------------------------------------------
+# Records.
+
+
+def _checked_records():
+    """A checked instance of every record class, by name: each built through its public constructor or a
+    function that returns one."""
+    graded, group = extcalc.parse_graded, parse_group
+    alpha, _ = unit_gap_witness(Q, Z, 2)
+    report = extcalc.sp_factors_as_em(graded("{1: Z/2, 2: Q}"), group("Z/2"), 1)
+    assert report.failures
+    matrix = extcalc.IntMatrix.from_rows([[2, 4], [6, 9]])
+    return {
+        "PrimeSet": PrimeSet.of(5, 2),
+        "Localization": Localization(PrimeSet.excluding(3)),
+        "Cyclic": Cyclic(2, 3),
+        "Prufer": Prufer(7),
+        "AdmissibleGroup": group("Z + Z_(2,5) + Z/12^2 + Z/3^oo"),
+        "PrimeIndexed": PrimeIndexed(0, 1, {3: 2, 2: 1}),
+        "SigmaSet": sigma(group("Z_(~5) + Z/4")),
+        "BocksteinFunction": alpha,
+        "MinimalWedge": extcalc.minimal_wedge(alpha),
+        "Violation": extcalc.Violation(2, 1, "a note"),
+        "GradedGroup": graded("{1: Z/2 + Q, 3: Z}"),
+        "GradedOrderVerdict": extcalc.graded_order_leq(graded("{1: Z}"), graded("{2: Z/3}")),
+        "ClauseFailure": report.failures[0],
+        "ClauseReport": report,
+        "FiniteType": extcalc.classify_finite_type(graded("{1: Z_(2)}")),
+        "MooreEmVerdict": extcalc.moore_matches_em(group("Z_(3)"), 1),
+        "IntMatrix": matrix,
+        "SNFResult": extcalc.snf(matrix),
+        "ChainComplex": extcalc.ChainComplex([1, 1], [extcalc.IntMatrix.from_rows([[2]])]),
+    }
+
+
+def test_new_rebuilds_every_record_from_its_fields():
+    # `_new` is generated for each record: given a checked instance's fields in order, it must give back an equal
+    # record, with the same hash and repr and exactly the fields in its __dict__, whatever the fields are named
+    modules = [getattr(extcalc, name) for name in sorted(extcalc._SUBMODULES)]
+    found = {v for m in modules for v in vars(m).values() if isinstance(v, type) and hasattr(v, "_new")}
+    examples = _checked_records()
+    assert {cls.__name__ for cls in found} == set(examples)
+    for cls in found:
+        x = examples[cls.__name__]
+        assert type(x) is cls
+        y = cls._new(*(getattr(x, f) for f in cls.__match_args__))
+        assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == repr(x), cls
+        assert list(y.__dict__) == list(cls.__match_args__), cls
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +511,7 @@ class TestSigma:
             summands = tuple((a, 1) for a in order)
             # the constructor sorts, so only an unchecked record keeps this order for sigma to read
             assert AdmissibleGroup(summands).summands == AdmissibleGroup.of(*atoms).summands
-            assert sigma(_trusted(AdmissibleGroup, summands)) == expected
+            assert sigma(AdmissibleGroup._new(summands)) == expected
 
     def test_scales_with_the_summands(self):
         # the union of per-atom bases took over a second on this group: it
@@ -548,7 +599,7 @@ class TestPrimeTriple:
         assert PrimeTriple._make(PrimeTriple._fields).select(pattern) == fields
         assert pattern_flags(pattern) == tuple(fields)
         shown = {"cyclic": "Z/2", "prufer": "Z/2^oo", "local": "Z_(2)"}
-        s = _trusted(SigmaSet, False, PrimePattern.EMPTY, ((2, pattern),))  # the constructor takes chain patterns only
+        s = SigmaSet._new(False, PrimePattern.EMPTY, ((2, pattern),))  # the constructor takes chain patterns only
         assert format_sigma(s) == "{" + ", ".join(shown[name] for name in fields) + "}"
 
     def test_select_reads_the_pattern(self):

@@ -58,6 +58,16 @@ def test_removed_names_stay_gone():
     assert not hasattr(extcalc.GradedGroup, "degrees")
 
 
+SRC_LINE_BUDGET = 2898  # the line count of src/extcalc/*.py at the start of the round, and its ceiling
+
+
+def test_the_source_stays_within_its_line_budget():
+    counts = {path.name: len(path.read_text().splitlines()) for path in (ROOT / "src" / "extcalc").glob("*.py")}
+    total = sum(counts.values())
+    assert total <= SRC_LINE_BUDGET, (
+        f"src/extcalc/*.py has {total} lines, over the budget of {SRC_LINE_BUDGET} (ROADMAP aim 2): {counts}")
+
+
 def test_import_leaves_sympy_out():
     proc = python("import sys, extcalc.cli; print('sympy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
