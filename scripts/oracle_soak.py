@@ -3,8 +3,10 @@
 
 Random presentation matrices feed both the closed-form atom tables and the
 Smith-normal-form oracle, and each matrix feeds both reductions inside the
-oracle: the invariant factors read modulo a maximal minor, and the diagonal
-of the exact Smith form with its transforms.  The same two groups feed both
+oracle: the invariant factors read modulo a minor, and the diagonal
+of the exact Smith form with its transforms.  A separate seeded stream of
+square products U diag(s) V up to 8 x 8, for a divisibility chain s, feeds
+both reductions too, each checked against s.  The same two groups feed both
 routes to a graded answer: `smash({1: A, 2: B}, {1: B, 3: A})` in one pass
 over the atom tables, and `smash_by_presentations`, the sums of the oracle's
 tensor products in degree i + j and Tor groups in degree i + j + 1.  On the
@@ -41,15 +43,14 @@ from extcalc import (
     invariant_factors,
     pairing,
     smash,
-    snf,
     tensor_from_presentations,
     tor_from_presentations,
     vanishing_check,
 )
 from extcalc.graded import _reflect
 from oracles import (
-    family_readings, graded_order_leq_by_homology, kunneth_by_chains, random_graded, random_matrix, signed_graded,
-    smash_by_presentations, vanishing_by_smash,
+    family_readings, graded_order_leq_by_homology, known_smith_form, kunneth_by_chains, random_graded, random_matrix,
+    signed_graded, smash_by_presentations, snf_factors, vanishing_by_smash,
 )
 
 
@@ -72,8 +73,9 @@ def main(argv=None) -> int:
 
     rng = random.Random(cfg.seed)
     graded_rng, signed_rng = random.Random(f"{cfg.seed}:graded"), random.Random(f"{cfg.seed}:signed")
+    smith_rng = random.Random(f"{cfg.seed}:smith")
     start = time.perf_counter()
-    mismatches, by_chains, by_groups = 0, {"pairing": 0, "hcoef": 0}, {"leqgr": 0, "vanish": 0}
+    mismatches, by_chains, by_groups = 0, {"pairing": 0, "hcoef": 0}, {"leqgr": 0, "vanish": 0, "known": 0}
     for i in range(1, cfg.pairs + 1):
         rel_a, rel_b = (random_matrix(rng, cfg.max_dim, cfg.max_dim, -cfg.bound, cfg.bound) for _ in range(2))
         a = group_from_presentation(rel_a.cols, rel_a)
@@ -101,12 +103,16 @@ def main(argv=None) -> int:
                 lines = (f"table  -> {format_graded(table)}", f"oracle -> {format_graded(oracle)}")
                 mismatches += mismatch(i, what, *shown, *lines)
         for name, rel in (("A", rel_a), ("B", rel_b)):
-            modular = invariant_factors(rel)
-            d = snf(rel).d
-            exact = [x for x in d.entries[:: d.cols + 1][: min(d.rows, d.cols)] if x]
+            modular, exact = invariant_factors(rel), snf_factors(rel)
             if modular != exact:
                 lines = (f"{name} = {rel.to_rows()}", f"modular -> {modular}", f"snf     -> {exact}")
                 mismatches += mismatch(i, f"invariant factors of {name}", *lines)
+        m, s = known_smith_form(smith_rng, max_n=8, shaped=False)
+        modular, exact = invariant_factors(m), snf_factors(m)
+        by_groups["known"] += 1
+        if not modular == exact == s:
+            lines = (f"M = {m.to_rows()}", f"s       -> {s}", f"modular -> {modular}", f"snf     -> {exact}")
+            mismatches += mismatch(i, "invariant factors of U diag(s) V", *lines)
         k, l = random_graded(graded_rng), random_graded(graded_rng)
         named = (f"K = {format_graded(k)}", f"L = {format_graded(l)}")
         verdict, oracle = graded_order_leq(k, l), graded_order_leq_by_homology(k, l)
@@ -132,7 +138,8 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
     counts = ", ".join(f"{n} {name}" for name, n in by_chains.items())
     print(f"done: {cfg.pairs} pairs in {elapsed:.1f}s, {mismatches} mismatches; Kunneth by chains on {counts}; "
-          f"leqgr by homology on {by_groups['leqgr']}, vanish by smash on {by_groups['vanish']}")
+          f"leqgr by homology on {by_groups['leqgr']}, vanish by smash on {by_groups['vanish']}; "
+          f"known Smith forms on {by_groups['known']}")
     return 1 if mismatches else 0
 
 

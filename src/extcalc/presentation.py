@@ -13,8 +13,9 @@ above the pivots are reduced after each one, so U and V stay near the size
 of the minors of M (Havas-Majewski-Matthews 1998 discuss transform size),
 where unreduced elimination lets them grow exponentially with M's size.
 `invariant_factors`, which the presented groups and chain homology use,
-eliminates modulo a nonzero maximal minor found by one fraction-free pass
-(`_bareiss`), so no entry outgrows that minor.
+eliminates modulo a minor found by one fraction-free pass (`_bareiss`), so
+no entry outgrows it: a nonzero maximal minor, or on a square matrix of
+full rank the gcd of four (n-1) x (n-1) minors and the determinant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain, compress
-from math import gcd
+from math import gcd, prod
 
 from .abelian import (
     ALL_PRIMES, AdmissibleGroup, Cyclic, Localization, _checked_int, _checked_kind, _converted, _is_int, _record,
@@ -111,9 +112,10 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(ar, bc, out)
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free elimination of the rows `m` in place; returns the rank r
-    and a nonzero r x r minor (1 when r = 0).
+def _bareiss(m: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of the rows `m` in place; returns the rank r,
+    a nonzero r x r minor (1 when r = 0), and T, a multiple of the gcd of the
+    (n-1) x (n-1) minors when `m` is n x n of full rank.
 
     Each pivot is the first nonzero entry at or below the current row in the
     next column that has one; columns with none are skipped.  Every entry
@@ -121,10 +123,12 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
     the previous pivot is exact (Sylvester's identity) and no entry grows
     past the size of a minor.  The minor is that of the pivot rows and
     columns, signed by the row swaps, so on a square matrix of full rank it
-    is the determinant.
+    is the determinant.  There pivot t sits in column t, so the step at row
+    and column n - 2 holds (n-1) x (n-1) minors of the row-permuted input in
+    its trailing 2 x 2 block, and T is their gcd (1 when n = 1).
     """
     rows = len(m)
-    r, sign, prev = 0, 1, 1
+    r, sign, prev, tail = 0, 1, 1, 1
     for k in range(len(m[0]) if m else 0):
         if r == rows:
             break
@@ -133,6 +137,8 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
                 break
         else:
             continue
+        if r == rows - 2 and k == len(m[0]) - 2:
+            tail = gcd(*m[r][k:], *m[r + 1][k:])
         if i != r:
             m[r], m[i] = m[i], m[r]
             sign = -sign
@@ -146,7 +152,7 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
             row[k] = 0
         prev = piv
         r += 1
-    return r, sign * prev
+    return r, sign * prev, tail
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +399,26 @@ def _diagonal_ideals_mod(a: list[list[int]], modulus: int) -> list[int]:
 def invariant_factors(matrix: IntMatrix) -> list[int]:
     """Nonzero diagonal of the Smith form, in divisibility order.
 
-    A `_bareiss` pass gives the rank r and a nonzero r x r minor D.  The
-    product of the first r invariant factors is the gcd of all r x r minors,
-    so each factor divides R = |D|; and the Smith form over Z, reduced mod
-    R, is the Smith form over Z/R.  So eliminating M mod R, where no entry
-    grows past R, gives the factors as ideals gcd(pivot, R), padded with R
-    up to r (a factor equal to R is 0 mod R) and put in divisibility order
-    by pairwise gcd/lcm, which needs no factoring.  `snf` is the other
-    route: exact elimination with its transforms.
+    A `_bareiss` pass gives the rank r, a nonzero r x r minor D and T.  The
+    Smith form over Z, reduced mod m, is the Smith form over Z/m, so
+    eliminating M mod m, where no entry grows past m, gives the factors as
+    ideals gcd(pivot, m), padded with m up to r (a factor m is 0 mod m) and
+    put in divisibility order by pairwise gcd/lcm, which needs no factoring.
+    A factor that divides m comes out exact.  The first r factors multiply
+    to the gcd of all r x r minors, so m = |D| gives them all.  On a square
+    M of full rank the first n - 1 multiply to
+    the gcd of the (n-1) x (n-1) minors (Newman 1972, ch. II), which divides
+    T, so m = T, far smaller, gives all but the last, which is |D| over
+    their product (Domich-Kannan-Trotter 1987).  `snf` is the other route:
+    exact elimination with its transforms.
     """
     if not _checked_matrix(matrix).entries:
         return []
-    rank, minor = _bareiss(matrix.to_rows())
+    rank, minor, tail = _bareiss(matrix.to_rows())
     if rank == 0:
         return []
-    modulus = abs(minor)
+    square = rank == matrix.rows == matrix.cols
+    modulus = tail if square else abs(minor)
     rows = [[x % modulus for x in row] for row in matrix.to_rows()]
     ideals = _diagonal_ideals_mod(rows, modulus)
     units = ideals.count(1)  # unit ideals come first; only the rest need ordering
@@ -418,7 +429,10 @@ def invariant_factors(matrix: IntMatrix) -> list[int]:
             if y % x:
                 g = gcd(x, y)
                 factors[i], factors[j] = g, x // g * y
-    return ([1] * units + factors)[:rank]
+    factors = ([1] * units + factors)[:rank]
+    if square:
+        factors[-1] = abs(minor) // prod(factors[:-1])
+    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Primality and factorization of ints with the standard library only: a sieve of the primes below 2**16, built at
 import, answers `isprime` there and drives trial division, where `factorint` takes one gcd of n with the product of
 each run of 32 table primes: a gcd of 1 skips the run, a gcd that is a table prime is the one prime of the run dividing
-n, and any other gcd walks the run (Crandall-Pomerance 2005, section 3.2).  Above the table, `isprime` is Miller-Rabin
-with the fewest prime bases exact below n (Sorenson-Webster 2017), and the strong Baillie-PSW test from 3.3e24 on
-(Baillie-Wagstaff 1980).  A cofactor with no prime factor below 2**16 is tested for a perfect power and then split by
-Pollard-Brent rho (Brent 1980) under a budget on work: each step costs the square of n's size in 128-bit words."""
+n, and any other gcd walks the run (Crandall-Pomerance 2005, section 3.2).  Trial division comes first: it stops once
+the next run's least prime squared passes the cofactor, which is then 1 or prime, and `isprime` runs once, on the
+cofactor left when it reaches the run from 1621 on, not after each hit, so a modulus split by small primes is never
+tested.  Above the table, `isprime` is Miller-Rabin with the fewest prime bases exact below n (Sorenson-Webster 2017),
+and the strong Baillie-PSW test from 3.3e24 on (Baillie-Wagstaff 1980).  A cofactor with no prime factor below 2**16
+is prime below 2**32; past it, it is tested for a perfect power and then split by Pollard-Brent rho (Brent 1980)
+under a budget on work: each step costs the square of n's size in 128-bit words."""
 
 from itertools import chain, compress, islice
 from math import gcd, isqrt, prod
@@ -24,6 +27,7 @@ _PRIMORIAL = prod(_SMALL)
 # (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime bases, those k bases decide
 _BASES = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5), (3474749660383, 6),
     (341550071728321, 7), (3825123056546413051, 9), (318665857834031151167461, 12), (3317044064679887385961981, 13))
+_TESTED_RUN = 8  # factorint tests a cofactor for primality once, before the run of primes from 1621 on
 RHO_BUDGET = 1 << 20  # rho work per factorint call: steps, each weighted by ((bits >> 7) + 1) ** 2
 
 
@@ -108,9 +112,9 @@ def _rho(n, budget):
 
 def factorint(n: int) -> dict[int, int]:
     """The prime factorization {p: e} of n >= 1, in increasing p."""
-    factors, prime = {}, isprime(n)
-    for lo, hi, product in _CHUNKS:
-        if prime or n < lo * lo:  # no prime below lo divides n, so n is 1 or prime
+    factors = {}
+    for run, (lo, hi, product) in enumerate(_CHUNKS):
+        if n < lo * lo or run == _TESTED_RUN and isprime(n):  # no prime below lo divides n, or n is a prime past it
             break
         if (g := gcd(n, product)) > 1:  # g is the product of the run's primes that divide n
             for p in (g,) if g < _TABLE and _SIEVE[g] else compress(range(lo, hi), _SIEVE[lo:hi]):
@@ -120,19 +124,19 @@ def factorint(n: int) -> dict[int, int]:
                         factors[p], n = factors[p] + 1, n // p
                     if g == 1:
                         break
-            prime = isprime(n)
-    if prime:
+    else:
+        if n >= _TABLE * _TABLE:  # no prime below 2**16 divides n, so below 2**32 it is prime
+            budget, pending = RHO_BUDGET, [(n, 1)]
+            while pending:
+                m, e = pending.pop()
+                if isprime(m):
+                    factors[m] = factors.get(m, 0) + e
+                elif (k := next((k for k in range(m.bit_length() // 16, 1, -1) if _root(m, k) ** k == m), 1)) > 1:
+                    pending.append((_root(m, k), e * k))  # a perfect power; its root is over 2**16
+                else:
+                    d, budget = _rho(m, budget)
+                    pending += [(d, e), (m // d, e)]
+            return dict(sorted(factors.items()))
+    if n > 1:
         factors[n] = 1
-    elif n > 1:  # a composite with no prime factor below 2**16
-        budget, pending = RHO_BUDGET, [(n, 1)]
-        while pending:
-            m, e = pending.pop()
-            if isprime(m):
-                factors[m] = factors.get(m, 0) + e
-            elif (k := next((k for k in range(m.bit_length() // 16, 1, -1) if _root(m, k) ** k == m), 1)) > 1:
-                pending.append((_root(m, k), e * k))  # a perfect power; its root is over 2**16
-            else:
-                d, budget = _rho(m, budget)
-                pending += [(d, e), (m // d, e)]
-        return dict(sorted(factors.items()))
     return factors

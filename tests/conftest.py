@@ -12,6 +12,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import shlex
 from pathlib import Path
@@ -27,12 +28,13 @@ from extcalc import (
     ALL_PRIMES, INFINITY, AdmissibleGroup, BocksteinFunction, Cyclic, ExtNat, GradedGroup, IntMatrix, Localization,
     PrimeSet, PrimeTriple, Prufer, Q, Z, classify_finite_type, cohomology_with_coefficients, cyclic, dimension_profile,
     graded_order_leq, group_from_presentation, has_compact_type, homological_dimension, homology_with_coefficients,
-    localized, moore_matches_em, pairing, prufer, sigma, smash, tensor_from_presentations, tor_from_presentations,
-    validate_bockstein, vanishing_check,
+    invariant_factors, localized, moore_matches_em, pairing, prufer, sigma, smash, tensor_from_presentations,
+    tor_from_presentations, validate_bockstein, vanishing_check,
 )
 from extcalc.abelian import PrimeIndexed, _tensor_atoms, _tor_atoms
 from extcalc.cli import run_command
 from extcalc.graded import _lowest, _reflect
+from extcalc.presentation import _bareiss
 from oracles import SMALL_PRIMES, outcome
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,6 +120,9 @@ st_matrix = st.integers(min_value=0, max_value=4).flatmap(
         ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
     )
 )
+
+# (M, s) with M = U diag(s) V, as `oracles.known_smith_form` draws them
+st_known_smith_form = st.randoms(use_true_random=False).map(oracles.known_smith_form)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,18 @@ def presented_smash(a, b):
     return smash(GradedGroup({1: ga, 2: gb}), GradedGroup({1: gb, 3: ga}))
 
 
+def smith_form_labels(_, known):
+    """The shape of M, and for a square M of full rank how `_bareiss`'s T,
+    the modulus of `invariant_factors`, stands to d_{n-1} = s_1 ... s_{n-1}."""
+    m, s = known
+    if m.rows != m.cols:
+        return ["tall" if m.rows > m.cols else "wide"]
+    if len(s) < m.rows:
+        return ["rank-deficient square"]
+    tail, below = _bareiss(m.to_rows())[2], math.prod(s[:-1])
+    return ["T = 1" if tail == 1 else "1 < T = d_{n-1}" if tail == below else "T a proper multiple of d_{n-1}"]
+
+
 def rule_5_violated(q, prufer_value, local):
     alpha = BocksteinFunction.build(q, PrimeTriple(INFINITY, prufer_value, local))
     return 5 in {v.rule for v in validate_bockstein(alpha)}
@@ -321,6 +338,11 @@ ORACLES = {
     "tensor and Tor by presentations": Row(
         presented_products, (lambda a, b: (tensor_from_presentations(a, b), tor_from_presentations(a, b)),),
         (st_matrix, st_matrix), ("relations", "relations"), 200),
+    "known Smith forms": Row(
+        lambda known: invariant_factors(known[0]), (lambda known: known[1], lambda known: oracles.snf_factors(known[0])),
+        (st_known_smith_form,), ("known Smith form",), 300, smith_form_labels,
+        at_least(10, "T = 1", "1 < T = d_{n-1}", "T a proper multiple of d_{n-1}", "rank-deficient square", "tall",
+                 "wide")),
     "smash by presentations": Row(
         presented_smash, (lambda a, b: oracles.smash_by_presentations({1: a, 2: b}, {1: b, 3: a}),),
         (st_matrix, st_matrix), ("relations", "relations"), 30),

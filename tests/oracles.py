@@ -14,7 +14,7 @@ from extcalc import (
     ALL_PRIMES, INFINITY, NO_PRIMES, AdmissibleGroup, ChainComplex, Cyclic, DomainError, ExtNat, ExtcalcError,
     GradedGroup, GradedOrderVerdict, IntMatrix, Localization, PrimePattern, PrimeSet, Prufer, Q, SigmaSet,
     chain_homology, cyclic, fresh_prime, homology_with_coefficients, localized, moore_graded, pairing, prufer, sigma,
-    sigma_matches_localization, smash, sp_factors_as_em, tensor_from_presentations, tor_from_presentations,
+    sigma_matches_localization, smash, snf, sp_factors_as_em, tensor_from_presentations, tor_from_presentations,
 )
 from extcalc.abelian import FULL_PATTERN
 from extcalc.exttype import RATIONAL_ONLY
@@ -72,6 +72,43 @@ def random_matrix(rng, max_rows=5, max_cols=5, lo=-20, hi=20) -> IntMatrix:
     cols = rng.randint(0, max_cols)
     data = [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
     return IntMatrix.from_rows(data, cols=cols)
+
+
+def known_smith_form(rng, max_n=12, shaped=True) -> tuple[IntMatrix, list[int]]:
+    """(M, s): M = U diag(s) V, where s is a divisibility chain whose last
+    factors exceed 1 more often than not, and U and V are products of
+    elementary operations with multipliers in [-2, 2].  M is square of full
+    rank up to max_n, or when `shaped`, a fifth of the time tall or wide and
+    a tenth of the time of lower rank."""
+    n = rng.randint(1, max_n)
+    rows, cols = n, n
+    if shaped and (roll := rng.random()) < 0.2:
+        rows, cols = (n, n + rng.randint(1, 3)) if roll < 0.1 else (n + rng.randint(1, 3), n)
+    rank = rng.randint(0, n - 1) if shaped and rng.random() < 0.1 else n
+    s = [rng.choice((1, 1, 2, 3))]
+    while len(s) < rank:
+        s.append(s[-1] * rng.choice((1, 1, 2, 3, 4, 5)))
+    m = [[s[i] if i == j and i < rank else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(rng.randint(rows + cols, 3 * (rows + cols))):
+        transpose = rng.random() < 0.5  # a column operation is a row operation on the transpose
+        if transpose:
+            m = [list(col) for col in zip(*m)]
+        if len(m) > 1:
+            i, j = rng.sample(range(len(m)), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            if rng.random() < 0.2:
+                m[i], m[j] = m[j], m[i]
+        if transpose:
+            m = [list(col) for col in zip(*m)]
+    return IntMatrix.from_rows(m, cols=cols), s[:rank]
+
+
+def snf_factors(m: IntMatrix) -> list[int]:
+    """The nonzero diagonal of `snf`'s D, which shares no elimination with
+    `invariant_factors`."""
+    d = snf(m).d
+    return [x for x in d.entries[:: d.cols + 1][: min(d.rows, d.cols)] if x]
 
 
 def wide_group(rng, size):
@@ -470,6 +507,7 @@ DRAWS = {
     "sigmas": lambda rng: [sigma(random_group(rng, allow_trivial=False)) for _ in range(rng.randint(1, 3))],
     "extnat": lambda rng: rng.choice(SMALL_EXTNATS),
     "relations": random_matrix,
+    "known Smith form": known_smith_form,
     "finitely generated graded": random_fg_graded,
     "finitely generated group": random_fg_group,
 }

@@ -183,8 +183,27 @@ st_low_rank = st.tuples(*(st.integers(min_value=0, max_value=m) for m in (8, 8, 
 
 
 class TestModularInvariantFactors:
-    """`invariant_factors` eliminates modulo a nonzero maximal minor and shares
-    no elimination with `snf`, so agreement between them is a two-route check."""
+    """`invariant_factors` eliminates a square matrix of full rank modulo the
+    gcd T of four (n-1) x (n-1) minors and any other modulo a nonzero maximal
+    minor, and shares no elimination with `snf`, so agreement between them is
+    a two-route check.  Products U diag(s) V check both against a known s."""
+
+    test_known_forms_on_the_bank = on_the_bank("known Smith forms")
+    test_known_forms_on_hypothesis = on_hypothesis("known Smith forms")
+
+    def test_the_modulus_of_a_square_matrix(self):
+        # T is 1 for a 1 x 1 matrix, and otherwise the gcd of four (n-1) x (n-1) minors, a multiple of the gcd of all:
+        # diag(4, 6, 10) has Smith form diag(2, 2, 60), so d_2 = 4, but T = gcd(4 * 6, 4 * 10) = 8
+        assert presentation._bareiss([[6]]) == (1, 6, 1)
+        assert presentation._bareiss([[2, 4], [6, 8]]) == (2, -8, 2)
+        assert presentation._bareiss([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == (3, 240, 8)
+        assert invariant_factors(IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]])) == [2, 2, 60]
+        rng = random.Random("minors")
+        for n in range(2, 7):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            rank, det, tail = presentation._bareiss([row[:] for row in rows])
+            minors = sympy.Matrix(rows).adjugate()
+            assert rank == n and det == sympy.Matrix(rows).det() and tail % sympy.gcd(list(minors)) == 0
 
     @settings(max_examples=200)
     @given(st_low_rank)

@@ -136,6 +136,28 @@ class TestFactorint:
         p, q = 30000110867, 31001577109
         assert factorint(p * q) == {p: 1, q: 1}
 
+    def test_cofactors_past_the_primality_test(self):
+        # trial division tests a cofactor for primality once, at the run of primes from 1621 on, and takes a
+        # cofactor below 2**32 that no table prime divides as prime: primes on both sides of those bounds
+        large = [sympy.nextprime(b) for b in (1621**2, 2**32 - 100, 2**32, 10**12, 10**20, 10**40)]
+        powers = [p**k for p in (2, 3, 1613, 1619, 1621, 1627, 65521) for k in (1, 2, 5, 11)]
+        semiprimes = [65537 * 65539, 1000003 * 1000033, 4294967311 * 4294967357, 1621 * 4294967311,
+                      sympy.nextprime(10**9) * sympy.nextprime(10**10)]
+        for n in (*large, *(2 * p for p in large), *(1619 * 1621 * p for p in large), *powers, *semiprimes):
+            assert factorint(n) == sympy.factorint(n), n
+
+    def test_moduli_split_below_the_bound_are_never_tested(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(primes, "isprime", lambda n, isprime=primes.isprime: tested.append(n) or isprime(n))
+        rng = random.Random(32)
+        below = [p for p in TABLE_PRIMES if p < primes._CHUNKS[primes._TESTED_RUN][0]]
+        for _ in range(2000):
+            n = math.prod(p ** rng.randint(1, 6) for p in rng.sample(below, rng.randint(1, 6)))
+            assert factorint(n) == sympy.factorint(n), n
+        assert tested == []
+        q = sympy.nextprime(10**20)
+        assert factorint(2**5 * 1613 * q) == {2: 5, 1613: 1, q: 1} and tested == [q]
+
     def test_increasing_primes(self):
         assert list(factorint(2**3 * 3 * 1000003**2 * 41)) == [2, 3, 41, 1000003]
 
